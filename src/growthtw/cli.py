@@ -128,12 +128,29 @@ def _read_graph(path: str):
         raise GrowthTWError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_json(path: str, loader):
+    """Load a JSON file through `loader`; unreadable or malformed input is
+    an input error (exit 2), never a failed check."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return loader(json.load(handle))
+    except OSError as exc:
+        raise GrowthTWError(f"cannot read {path}: {exc}") from exc
+    except GrowthTWError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise GrowthTWError(f"malformed {path}: {exc!r}") from exc
+
+
 def _write(path: str, text: str):
     if path == "-" or path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise GrowthTWError(f"cannot write {path}: {exc}") from exc
 
 
 def _effective_c(args, g) -> Fraction:
@@ -226,11 +243,7 @@ def _dispatch(args) -> int:
 
     if args.command == "checktd":
         g = _read_graph(args.input)
-        try:
-            with open(args.td, "r", encoding="utf-8") as handle:
-                td = TreeDecomposition.from_json_dict(json.load(handle))
-        except OSError as exc:
-            raise GrowthTWError(f"cannot read {args.td}: {exc}") from exc
+        td = _read_json(args.td, TreeDecomposition.from_json_dict)
         report = check_tree_decomposition(g, td)
         if report.valid:
             print(f"valid, width {report.width}")
@@ -265,11 +278,7 @@ def _dispatch(args) -> int:
         if args.mode == "host":
             if not args.embedding:
                 raise GrowthTWError("--mode host requires --embedding")
-            try:
-                with open(args.embedding, "r", encoding="utf-8") as handle:
-                    emb = HostEmbedding.from_json_dict(json.load(handle))
-            except OSError as exc:
-                raise GrowthTWError(f"cannot read {args.embedding}: {exc}") from exc
+            emb = _read_json(args.embedding, HostEmbedding.from_json_dict)
             record = subdivide_in_host(g, emb, args.epsilon)
         else:
             if not args.poly:

@@ -18,8 +18,14 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .graphs import Graph, bfs_distances, bfs_layers, is_connected
-from .separators import _min_eccentricity_vertex
+from .graphs import (
+    Graph,
+    bfs_layers,
+    components_within,
+    is_connected,
+    min_eccentricity_vertex,
+)
+from .separators import median_thin_index
 
 EXACT_TREEWIDTH_VERTEX_BUDGET = 18
 
@@ -158,7 +164,7 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
 def _decompose(g, X, W, c, threshold, add_node, tree_edges) -> int:
     if len(X - W) <= threshold:
         return add_node(X)
-    comps = _components(g, X)
+    comps = components_within(g, X)
     if len(comps) > 1:
         if W:
             children = [
@@ -177,7 +183,7 @@ def _decompose(g, X, W, c, threshold, add_node, tree_edges) -> int:
             tree_edges.append((a, b))
         return roots[-1]
 
-    center = _min_eccentricity_vertex(g, X)
+    center = min_eccentricity_vertex(g, X)
     layers = bfs_layers(g, center, allowed=X).layers
     p = len(layers) - 1
     split = _choose_split(g, X, W, layers, c)
@@ -207,7 +213,7 @@ def _choose_split(g, X, W, layers, c):
     measure = len(X - W)
     sizes = [len(layer) for layer in layers]
     thin = [i for i in range(1, p + 1) if sizes[i] < 2 * c]
-    median_j = _prefix_median(thin) if thin else p
+    median_j = median_thin_index(thin, p)
 
     prefix = []
     acc = frozenset()
@@ -240,28 +246,6 @@ def _choose_split(g, X, W, layers, c):
     if p >= 1 and (layers[p] - W):
         return X, layers[p], layers[p]
     return None
-
-
-def _prefix_median(thin):
-    total = len(thin)
-    count = 0
-    for j in thin:
-        count += 1
-        if 2 * count >= total:
-            return j
-    return thin[-1] if thin else 0
-
-
-def _components(g: Graph, X: frozenset):
-    remaining = set(X)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = bfs_distances(g, start, frozenset(X)).keys() & remaining
-        comps.append(frozenset(seen))
-        remaining -= seen
-    comps.sort(key=lambda comp: (len(comp), min(comp)))
-    return comps
 
 
 def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:

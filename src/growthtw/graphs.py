@@ -142,23 +142,30 @@ def serialize_edge_list(g: Graph) -> str:
 def components(g: Graph) -> list:
     """Connected components as sorted tuples, ordered by (size, smallest id)
     ascending, so the smallest component comes first."""
-    seen = [False] * g.n
+    return [tuple(sorted(comp)) for comp in components_within(g, range(g.n))]
+
+
+def components_within(g: Graph, X) -> list:
+    """Components of the induced subgraph g[X] as frozensets, ordered by
+    (size, smallest id) ascending, so the smallest component comes first."""
+    X = frozenset(X)
+    seen = set()
     comps = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in X:
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        stack = [start]
+        while stack:
+            u = stack.pop()
             for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
+                if w in X and w not in seen:
+                    seen.add(w)
                     comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: (len(c), c[0]))
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    comps.sort(key=lambda comp: (len(comp), min(comp)))
     return comps
 
 
@@ -201,6 +208,35 @@ def ball(g: Graph, v: int, r: int) -> frozenset:
 def eccentricity(g: Graph, v: int, allowed: Optional[frozenset] = None) -> int:
     """Eccentricity of v within its component (of the induced subgraph)."""
     return max(bfs_distances(g, v, allowed).values())
+
+
+def min_eccentricity_vertex(g: Graph, X: Optional[frozenset] = None) -> int:
+    """The smallest-id vertex of minimum eccentricity in g[X], each vertex's
+    eccentricity taken within its component of g[X].
+
+    Exact, with the bound pruning of Takes & Kosters ("Computing the
+    eccentricity distribution of large graphs", Algorithms 2013): a BFS from
+    u of eccentricity e gives ecc(v) >= max(d, e - d) for every v at
+    distance d from u.  Sources are taken in order of least lower bound,
+    then least id, and a vertex is dropped once its (lower bound, id) is
+    above the best (eccentricity, id) found, so it can neither beat the
+    best nor tie it with a smaller id."""
+    X = frozenset(range(g.n)) if X is None else frozenset(X)
+    if not X:
+        raise RangeError("no vertex in an empty set")
+    lower = dict.fromkeys(X, 0)
+    candidates = set(X)
+    best = (len(X), -1)
+    while candidates:
+        u = min(candidates, key=lambda v: (lower[v], v))
+        candidates.remove(u)
+        dist = bfs_distances(g, u, X)
+        e = max(dist.values())
+        best = min(best, (e, u))
+        for v, d in dist.items():
+            lower[v] = max(lower[v], d, e - d)
+        candidates = {v for v in candidates if (lower[v], v) < best}
+    return best[1]
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Tuple[Graph, list]:

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
-from .graphs import Graph, bfs_distances
+from .graphs import Graph
 
 # Exhaustive enumeration refuses beyond these sizes.
 BRUTE_FORCE_EDGE_BUDGET = 20
@@ -43,6 +43,28 @@ class GrowthProfile:
         return self.values[r - 1]
 
 
+def _ball_sizes(adj, v: int, seen: list):
+    """Yield |B_1(v)|, |B_2(v)|, ... by level-synchronous BFS, stopping once
+    the ball holds v's whole component.  `seen` is a visit-stamp list shared
+    across sources: seen[w] == v marks w as reached from v, so it is never
+    cleared."""
+    seen[v] = v
+    frontier = [v]
+    size = 1
+    while True:
+        level = []
+        for u in frontier:
+            for w in adj[u]:
+                if seen[w] != v:
+                    seen[w] = v
+                    level.append(w)
+        if not level:
+            return
+        size += len(level)
+        yield size
+        frontier = level
+
+
 def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
     """f(r) = max_v |B_r(v)| for r in [1, r_max], with the growth constant
     maximised over r in [1, min(r_max, n)]."""
@@ -50,40 +72,50 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
         raise PreconditionError("growth is undefined for the empty graph")
     if r_max < 1:
         raise RangeError(f"r_max must be >= 1, got {r_max}")
-    values = [0] * r_max
+    # largest[r] = max_v |B_r(v)| over sources still growing at r;
+    # whole[e] = largest component whose ball is complete at radius e, as
+    # it stays for every larger radius.
+    largest = [1] * (r_max + 1)
+    whole = [0] * (r_max + 1)
+    seen = [-1] * g.n
     for v in range(g.n):
-        dist = bfs_distances(g, v)
-        ecc = max(dist.values())
-        counts = [0] * (ecc + 1)
-        for d in dist.values():
-            counts[d] += 1
-        cum = 0
-        sizes = []
-        for c in counts:
-            cum += c
-            sizes.append(cum)
-        comp_size = sizes[-1]
-        for r in range(1, r_max + 1):
-            size = sizes[r] if r <= ecc else comp_size
-            if size > values[r - 1]:
-                values[r - 1] = size
-    best = Fraction(0)
-    best_r = 1
+        r, size = 0, 1
+        for r, size in zip(range(1, r_max + 1), _ball_sizes(g.adj, v, seen)):
+            if size > largest[r]:
+                largest[r] = size
+        if r < r_max and size > whole[r]:
+            whole[r] = size
+    values = []
+    complete = 0
+    for r in range(1, r_max + 1):
+        complete = max(complete, whole[r - 1])
+        values.append(max(largest[r], complete))
+    ratio = Fraction(0)
+    ratio_r = 1
     for r in range(1, min(r_max, g.n) + 1):
-        ratio = Fraction(values[r - 1], r)
-        if ratio > best:
-            best = ratio
-            best_r = r
-    return GrowthProfile(tuple(values), best, best_r)
+        if Fraction(values[r - 1], r) > ratio:
+            ratio = Fraction(values[r - 1], r)
+            ratio_r = r
+    return GrowthProfile(tuple(values), ratio, ratio_r)
 
 
 def growth_constant(g: Graph) -> Fraction:
-    """Exact c_G = max_r f(r)/r.  Scanning up to the largest eccentricity
-    suffices: f is constant beyond it, so f(r)/r only decreases."""
-    if g.n == 0:
+    """Exact c_G = max_v max_r |B_r(v)|/r in one pass of BFS.  The best ratio
+    starts at f(1)/1 = max degree + 1, and each source's BFS stops before
+    radius r once r * best >= n: a ball never exceeds n vertices, so no
+    radius from r on can beat the best.  Ratios are compared in integers."""
+    n = g.n
+    if n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
-    r_max = max(max(bfs_distances(g, v).values()) for v in range(g.n))
-    return growth_profile(g, max(1, r_max)).growth_constant
+    num, den = g.max_degree() + 1, 1
+    seen = [-1] * n
+    for v in range(n):
+        for r, size in enumerate(_ball_sizes(g.adj, v, seen), start=1):
+            if size * den > num * r:
+                num, den = size, r
+            if (r + 1) * num >= n * den:
+                break
+    return Fraction(num, den)
 
 
 def brute_force_growth(g: Graph, r: int) -> int:

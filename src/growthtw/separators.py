@@ -20,7 +20,13 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .graphs import Graph, bfs_distances, bfs_layers, components, is_connected
+from .graphs import (
+    Graph,
+    bfs_layers,
+    components_within,
+    is_connected,
+    min_eccentricity_vertex,
+)
 
 
 @dataclass(frozen=True)
@@ -78,14 +84,14 @@ def bfs_layer_separation(
     if not is_connected(g, X):
         raise PreconditionError("bfs_layer_separation requires a connected set")
 
-    center = _min_eccentricity_vertex(g, X)
+    center = min_eccentricity_vertex(g, X)
     structure = bfs_layers(g, center, allowed=X)
     layers = structure.layers
     p = structure.eccentricity
     sizes = tuple(len(layer) for layer in layers)
     thick = tuple(i for i in range(1, p + 1) if sizes[i] >= 2 * c)
     thin = tuple(i for i in range(1, p + 1) if sizes[i] < 2 * c)
-    j = _split_index(thin, p)
+    j = median_thin_index(thin, p)
     a = frozenset().union(*layers[: j + 1])
     b = frozenset().union(*layers[j:])
     sep = Separation(a=a, b=b, host_size=len(X))
@@ -96,19 +102,10 @@ def bfs_layer_separation(
     return sep, trace
 
 
-def _min_eccentricity_vertex(g: Graph, X: frozenset) -> int:
-    best_v = None
-    best_ecc = None
-    for v in sorted(X):
-        ecc = max(bfs_distances(g, v, X).values())
-        if best_ecc is None or ecc < best_ecc:
-            best_v, best_ecc = v, ecc
-    return best_v
-
-
-def _split_index(thin: Tuple[int, ...], p: int) -> int:
+def median_thin_index(thin: Tuple[int, ...], p: int) -> int:
     """Minimum thin index j with |S intersect [0,j]| >= |S| / 2, compared
-    exactly as 2 * count >= |S|."""
+    exactly as 2 * count >= |S|.  The loop always returns by the last thin
+    index, where count = |S|."""
     if not thin:
         # Every layer in [1,p] is thick; fall back to the last layer so a
         # well-formed (if unbalanced) separation is still produced.
@@ -119,7 +116,6 @@ def _split_index(thin: Tuple[int, ...], p: int) -> int:
         count += 1
         if 2 * count >= total:
             return j
-    return thin[-1]
 
 
 def separate_possibly_disconnected(
@@ -141,7 +137,7 @@ def separate_possibly_disconnected(
 
 
 def _separate_rec(g, X, connected_separator):
-    comps = _components_within(g, X)
+    comps = components_within(g, X)
     if len(comps) == 1:
         return connected_separator(X)
     smallest = comps[0]
@@ -157,19 +153,6 @@ def _separate_rec(g, X, connected_separator):
     if 3 * len(a) < n:
         raise InvariantViolationError("oracle returned a separation too small on both sides")
     return Separation(a=a, b=b | smallest, host_size=n)
-
-
-def _components_within(g: Graph, X: frozenset):
-    """Components of g[X], smallest (then lowest id) first."""
-    remaining = set(X)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = bfs_distances(g, start, frozenset(X)).keys() & remaining
-        comps.append(frozenset(seen))
-        remaining -= seen
-    comps.sort(key=lambda comp: (len(comp), min(comp)))
-    return comps
 
 
 def iteration_cap(alpha) -> int:

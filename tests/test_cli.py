@@ -142,3 +142,29 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["tw-exact", big]) == 3
     assert main(["explore-lower-bound", "--sizes", "20", "--seeds", "1"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", ["{not json", '{"nodes": []}'])
+def test_checktd_malformed_decomposition_is_input_error(tmp_path, capsys, content):
+    src = write_graph(tmp_path, path(3))
+    td_file = tmp_path / "td.json"
+    td_file.write_text(content)
+    assert main(["checktd", src, "--td", str(td_file)]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["{not json", '{"nodes": []}'])
+def test_subdivide_malformed_embedding_is_input_error(tmp_path, capsys, content):
+    src = write_graph(tmp_path, path(2))
+    emb_file = tmp_path / "emb.json"
+    emb_file.write_text(content)
+    assert main(["subdivide", src, "--mode", "host",
+                 "--embedding", str(emb_file)]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    src = write_graph(tmp_path, path(4))
+    target = tmp_path / "missing-dir" / "x.json"
+    assert main(["treedecomp", src, "--c", "3", "-o", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err

@@ -2,16 +2,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from growthtw.errors import ParseError, RangeError, StructureError
+from growthtw.generators import cycle, path
 from growthtw.graphs import (
     Graph,
     ball,
     bfs_distances,
     bfs_layers,
     components,
+    components_within,
     eccentricity,
     induced_subgraph,
     is_connected,
     is_tree,
+    min_eccentricity_vertex,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -142,3 +145,56 @@ def test_serialize_round_trip_property(g):
 @given(small_graphs())
 def test_degrees_sum_to_twice_edges(g):
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+
+
+def test_components_within_induced_subgraph():
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+    # Dropping 1 and 5 cuts g[X] into {0}, {2,3}, {4}, {6}.
+    assert components_within(g, {0, 2, 3, 4, 6}) == [
+        frozenset({0}), frozenset({4}), frozenset({6}), frozenset({2, 3}),
+    ]
+    assert components_within(g, frozenset()) == []
+
+
+@st.composite
+def connected_graph_and_subset(draw, max_n=12):
+    """A random connected graph (a random tree plus extra edges, relabelled
+    by a random permutation) and a random connected vertex subset of it."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    g = Graph(n, edges + [(u, v) for u, v in extra if u != v])
+    chosen = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    X = draw(st.sampled_from(components_within(g, chosen)))
+    return g, X
+
+
+def brute_force_center(g, X):
+    return min((eccentricity(g, v, X), v) for v in X)[1]
+
+
+@given(connected_graph_and_subset())
+def test_min_eccentricity_vertex_matches_brute_force(case):
+    g, X = case
+    assert min_eccentricity_vertex(g, X) == brute_force_center(g, X)
+    assert min_eccentricity_vertex(g) == brute_force_center(g, frozenset(range(g.n)))
+
+
+def test_min_eccentricity_vertex_ties_and_cycles():
+    # Cycles: every vertex has the same eccentricity, so no bound prunes
+    # and the smallest id wins.
+    for n in range(3, 13):
+        assert min_eccentricity_vertex(cycle(n)) == 0
+    # Even paths have two centers; the smaller id wins, also when the
+    # path is labelled backwards or restricted to an arc of a cycle.
+    for n in range(2, 13, 2):
+        assert min_eccentricity_vertex(path(n)) == n // 2 - 1
+        backwards = Graph(n, [(n - 1 - u, n - 1 - v) for u, v in path(n).edges()])
+        assert min_eccentricity_vertex(backwards) == n // 2 - 1
+    arc = frozenset({7, 8, 9, 0, 1, 2})          # the path 7-8-9-0-1-2 in C_10
+    assert min_eccentricity_vertex(cycle(10), arc) == 0
+    assert min_eccentricity_vertex(Graph(1)) == 0
+    with pytest.raises(RangeError):
+        min_eccentricity_vertex(Graph(3), frozenset())

@@ -2,11 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from growthtw.errors import CapacityError, PreconditionError, RangeError
-from growthtw.generators import complete, cycle, grid, path, star, strong_product
-from growthtw.graphs import Graph
+from growthtw.generators import (
+    complete,
+    complete_binary_tree,
+    cycle,
+    grid,
+    path,
+    random_cubic,
+    star,
+    strong_product,
+)
+from growthtw.graphs import Graph, ball
 from growthtw.growth import (
     brute_force_growth,
     brute_force_growth_edge_subsets,
@@ -128,3 +137,41 @@ def test_growth_constant_is_tight_bound():
         # Anything strictly smaller fails somewhere.
         eps = Fraction(1, 1000)
         assert not verify_growth_bound(g, lambda r: (c - eps) * r).holds
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw, max_n=14):
+    """Random graphs on 1..max_n vertices, mostly sparse and disconnected,
+    so isolated vertices, edgeless graphs and long BFS depths occur."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    return Graph(n, edges)
+
+
+def two_components(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+@given(graphs_with_isolated_vertices())
+@example(Graph(1))
+@example(Graph(6))
+@example(two_components(star(4), Graph(3)))
+@example(two_components(path(3), complete_binary_tree(15)))
+@example(complete_binary_tree(31))
+@example(random_cubic(12, 1))
+@example(strong_product(path(5), path(3)))
+@settings(max_examples=200)
+def test_growth_constant_equals_profile_maximum(g):
+    profile = growth_profile(g, g.n)
+    assert growth_constant(g) == max(Fraction(profile.f(r), r) for r in range(1, g.n + 1))
+
+
+@given(graphs_with_isolated_vertices(), st.integers(min_value=1, max_value=20))
+@example(Graph(1), 3)
+@example(two_components(path(2), path(5)), 9)
+def test_growth_profile_matches_balls(g, r_max):
+    # graphs.ball runs its own dict BFS, independent of growth.py.
+    profile = growth_profile(g, r_max)
+    for r in range(1, r_max + 1):
+        assert profile.f(r) == max(len(ball(g, v, r)) for v in range(g.n))
