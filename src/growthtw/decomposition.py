@@ -7,25 +7,14 @@ verification.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
-from .errors import (
-    CapacityError,
-    InvariantViolationError,
-    PreconditionError,
-    RangeError,
-)
-from .graphs import (
-    Graph,
-    bfs_layers,
-    components_within,
-    is_connected,
-    min_eccentricity_vertex,
-)
-from .separators import median_thin_index
+from .errors import CapacityError, PreconditionError, RangeError
+from .graphs import Graph, components_within, is_connected, iter_bits
+from .separators import bfs_layering
 
 EXACT_TREEWIDTH_VERTEX_BUDGET = 18
 
@@ -131,12 +120,18 @@ def check_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRe
 
 
 def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
-    """Boundary-tracking recursion: decompose(X, W) keeps a boundary W
-    contained in X separating X\\W from the rest of the graph.  A layer split
-    of g[X] is chosen among thin layers to minimise the boundary imbalance
-    max(|W&A|, |W&B|); the node's bag is W plus the separator, recursing on
-    (A, (W&A)+S) and (B, (W&B)+S).  Sets with |X\\W| <= max(2, ceil(2c))
-    become single bags."""
+    """Boundary-tracking construction: a node (X, W) keeps a boundary W
+    contained in X separating X\\W from the rest of the graph.  Sets with
+    |X\\W| <= max(2, ceil(2c)) become single bags.  The components of a
+    disconnected g[X] hang below a bag W, or form a path when W is empty.  A
+    connected g[X] is cut at the layer V_j of `separators.bfs_layering` that
+    `_choose_split` ranks first: bag W+V_j, children (A, (W&A)+V_j) and
+    (B, (W&B)+V_j).  Its rank key puts thin layers first, by boundary
+    imbalance; the later classes (thick interior layers, then the last
+    layer) were seen to run only with c below the growth constant, where the
+    result is still valid but the 49c^2 + 30c width bound does not hold.
+    Bag ids come in post-order from an explicit work stack: children before
+    their parent, A before B, components in `components_within` order."""
     c = Fraction(c)
     if c < 1:
         raise RangeError(f"c must be >= 1, got {c}")
@@ -145,107 +140,80 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
     threshold = max(2, math.ceil(2 * c))
     bags: list = []
     tree_edges: list = []
-
-    def add_node(bag) -> int:
-        bags.append(frozenset(bag))
-        return len(bags) - 1
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * g.n + 1000))
-    try:
-        root = _decompose(g, frozenset(range(g.n)), frozenset(), c, threshold,
-                          add_node, tree_edges)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert root == len(bags) - 1 or len(bags) >= 1
+    roots: list = []  # root ids of finished subtrees, in finishing order
+    # ("node", X, W) decomposes g[X] with boundary W; ("join", bag, k) runs
+    # after its k children, whose roots are then the last k entries of roots,
+    # and hangs them below a new bag, or chains them when bag is None.
+    work = [("node", frozenset(range(g.n)), frozenset())]
+    while work:
+        entry = work.pop()
+        if entry[0] == "join":
+            _, bag, k = entry
+            children = roots[-k:]
+            del roots[-k:]
+            if bag is None:
+                tree_edges.extend(zip(children, children[1:]))
+                roots.append(children[-1])
+            else:
+                bags.append(bag)
+                roots.append(len(bags) - 1)
+                tree_edges.extend((roots[-1], child) for child in children)
+            continue
+        _, X, W = entry
+        if len(X - W) <= threshold:
+            bags.append(X)
+            roots.append(len(bags) - 1)
+            continue
+        comps = components_within(g, X)
+        if len(comps) > 1:
+            work.append(("join", W or None, len(comps)))
+            work.extend(("node", comp, W & comp) for comp in reversed(comps))
+            continue
+        a_side, b_side, sep = _choose_split(W, bfs_layering(g, X, c))
+        work.append(("join", W | sep, 2))
+        work.append(("node", b_side, (W & b_side) | sep))
+        work.append(("node", a_side, (W & a_side) | sep))
     return TreeDecomposition(bags=tuple(bags), edges=tuple(tree_edges))
 
 
-def _decompose(g, X, W, c, threshold, add_node, tree_edges) -> int:
-    if len(X - W) <= threshold:
-        return add_node(X)
-    comps = components_within(g, X)
-    if len(comps) > 1:
-        if W:
-            children = [
-                _decompose(g, comp, W & comp, c, threshold, add_node, tree_edges)
-                for comp in comps
-            ]
-            root = add_node(W)
-            for child in children:
-                tree_edges.append((root, child))
-            return root
-        roots = [
-            _decompose(g, comp, frozenset(), c, threshold, add_node, tree_edges)
-            for comp in comps
-        ]
-        for a, b in zip(roots, roots[1:]):
-            tree_edges.append((a, b))
-        return roots[-1]
+def _choose_split(W, layering):
+    """Sides (A, B, V_j) of the layer split at the j in [1,p] with the least
+    rank key among those whose split strictly shrinks both measures
+    |side \\ W \\ V_j|, where A = layers 0..j and B = layers j..p:
 
-    center = min_eccentricity_vertex(g, X)
-    layers = bfs_layers(g, center, allowed=X).layers
-    p = len(layers) - 1
-    split = _choose_split(g, X, W, layers, c)
-    if split is None:
-        raise InvariantViolationError(
-            f"no shrinking split for |X|={len(X)}, |W|={len(W)}, p={p}, "
-            f"layer sizes {[len(l) for l in layers]}; c={c} is likely below "
-            "the true growth constant"
-        )
-    a_side, b_side, sep = split
-    wa = (W & a_side) | sep
-    wb = (W & b_side) | sep
-    ra = _decompose(g, a_side, wa, c, threshold, add_node, tree_edges)
-    rb = _decompose(g, b_side, wb, c, threshold, add_node, tree_edges)
-    root = add_node(W | sep)
-    tree_edges.append((root, ra))
-    tree_edges.append((root, rb))
-    return root
+    - (0, max(|W&A|, |W&B|), |j - median thin index|, j) for thin j < p;
+    - (1, |j - ceil(p/2)|, j) for the other interior j;
+    - (2,) for j = p, which peels the last layer: (X, V_p, V_p).
 
+    The classes after the first were seen to run only with c below the
+    growth constant.  Candidates are scored from per-layer counts of W and
+    non-W vertices; the sides are built for the chosen j only.  Some j always
+    qualifies: the last layer holding a non-W vertex, since |X\\W| > 1 puts
+    one outside V_0."""
+    layers, p = layering.layers, layering.p
+    in_w = [0] * (p + 1)
+    for v in W:
+        in_w[layering.layer_of[v]] += 1
+    # w_upto[i] and free_upto[i] count W and non-W vertices in layers 0..i.
+    w_upto = list(accumulate(in_w))
+    free_upto = list(accumulate(len(layer) - k for layer, k in zip(layers, in_w)))
+    thin = set(layering.thin)
 
-def _choose_split(g, X, W, layers, c):
-    """Pick a layer index whose split strictly shrinks both recursion
-    measures |side \\ boundary|.  Thin layers are preferred, ranked by
-    boundary imbalance, then proximity to the median-thin-prefix index; the
-    last resort peels the final layer as a separator."""
-    p = len(layers) - 1
-    measure = len(X - W)
-    sizes = [len(layer) for layer in layers]
-    thin = [i for i in range(1, p + 1) if sizes[i] < 2 * c]
-    median_j = median_thin_index(thin, p)
+    def rank(j):
+        if j == p:
+            return (2,)
+        if j in thin:
+            imbalance = max(w_upto[j], len(W) - w_upto[j - 1])
+            return (0, imbalance, abs(j - layering.median), j)
+        return (1, abs(j - (p + 1) // 2), j)
 
-    prefix = []
-    acc = frozenset()
-    for layer in layers:
-        acc = acc | layer
-        prefix.append(acc)
-
-    def sides(j):
-        # A = layers 0..j, B = layers j..p; the separator is layer j.
-        return prefix[j], X - prefix[j - 1], layers[j]
-
-    def shrinks(a, b, sep):
-        return (len(a - W - sep) < measure) and (len(b - W - sep) < measure)
-
-    candidates = sorted(
-        (j for j in thin if j < p),
-        key=lambda j: (max(len(W & prefix[j]), len(W & (X - prefix[j - 1]))),
-                       abs(j - median_j), j),
+    # Both |A\W\V_j| = free_upto[j-1] and |B\W\V_j| = free_upto[p] - free_upto[j]
+    # must fall below |X\W| = free_upto[p].
+    j = min(
+        (j for j in range(1, p + 1) if free_upto[j - 1] < free_upto[p] and free_upto[j] > 0),
+        key=rank,
     )
-    for j in candidates:
-        a, b, sep = sides(j)
-        if shrinks(a, b, sep):
-            return a, b, sep
-    # Fallback: any interior layer, thick ones included, nearest the middle.
-    for j in sorted(range(1, p), key=lambda j: (abs(j - (p + 1) // 2), j)):
-        a, b, sep = sides(j)
-        if shrinks(a, b, sep):
-            return a, b, sep
-    # Peel the last layer: (X, V_p) shrinks the measure whenever V_p leaves W.
-    if p >= 1 and (layers[p] - W):
-        return X, layers[p], layers[p]
-    return None
+    return frozenset().union(*layers[: j + 1]), frozenset().union(*layers[j:]), layers[j]
 
 
 def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
@@ -299,7 +267,7 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
     eliminated = 0
     for v in order:
         q_mask = _elimination_neighborhood(adjm, eliminated, v)
-        bags.append(frozenset(_bits(q_mask | (1 << v))))
+        bags.append(frozenset(iter_bits(q_mask | (1 << v))))
         eliminated |= 1 << v
     position = {v: i for i, v in enumerate(order)}
     edges = []
@@ -330,12 +298,6 @@ def _elimination_neighborhood(adjm, T: int, v: int) -> int:
 
 def _elimination_degree(adjm, T: int, v: int) -> int:
     return _elimination_neighborhood(adjm, T, v).bit_count()
-
-
-def _bits(mask: int):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,13 @@ def min_eccentricity_vertex(g: Graph, X: Optional[frozenset] = None) -> int:
     return best[1]
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a vertex bitmask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Tuple[Graph, list]:
     """Induced subgraph with vertices relabelled densely.  Returns the new
     graph and the sorted list mapping new id -> old id."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .errors import (
     DegenerateInputError,
@@ -58,6 +58,21 @@ class SeparationReport:
 
 
 @dataclass(frozen=True)
+class Layering:
+    """BFS layering V_0, ..., V_p of a connected g[X] from its center."""
+
+    center: int
+    layer_of: Dict[int, int]          # vertex -> i with the vertex in V_i
+    layers: Tuple[frozenset, ...]
+    thin: Tuple[int, ...]             # S: indices in [1,p] with |V_i| < 2c
+    median: int                       # median_thin_index(thin, p)
+
+    @property
+    def p(self) -> int:
+        return len(self.layers) - 1
+
+
+@dataclass(frozen=True)
 class LayerSplitTrace:
     center: int
     p: int
@@ -66,6 +81,23 @@ class LayerSplitTrace:
     thin: Tuple[int, ...]             # S: the complement in [1,p]
     chosen_j: int
     c: Fraction
+
+
+def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
+    """Layering of the connected induced subgraph g[X] from its smallest-id
+    minimum-eccentricity center, with the thin layers and the median thin
+    index; the one layering behind both the layer split and the builder."""
+    center = min_eccentricity_vertex(g, X)
+    layers = bfs_layers(g, center, allowed=X).layers
+    p = len(layers) - 1
+    thin = tuple(i for i in range(1, p + 1) if len(layers[i]) < 2 * c)
+    return Layering(
+        center=center,
+        layer_of={v: i for i, layer in enumerate(layers) for v in layer},
+        layers=layers,
+        thin=thin,
+        median=median_thin_index(thin, p),
+    )
 
 
 def bfs_layer_separation(
@@ -84,20 +116,16 @@ def bfs_layer_separation(
     if not is_connected(g, X):
         raise PreconditionError("bfs_layer_separation requires a connected set")
 
-    center = min_eccentricity_vertex(g, X)
-    structure = bfs_layers(g, center, allowed=X)
-    layers = structure.layers
-    p = structure.eccentricity
-    sizes = tuple(len(layer) for layer in layers)
-    thick = tuple(i for i in range(1, p + 1) if sizes[i] >= 2 * c)
-    thin = tuple(i for i in range(1, p + 1) if sizes[i] < 2 * c)
-    j = median_thin_index(thin, p)
+    layering = bfs_layering(g, X, c)
+    layers, p, j = layering.layers, layering.p, layering.median
     a = frozenset().union(*layers[: j + 1])
     b = frozenset().union(*layers[j:])
     sep = Separation(a=a, b=b, host_size=len(X))
+    sizes = tuple(len(layer) for layer in layers)
     trace = LayerSplitTrace(
-        center=center, p=p, layer_sizes=sizes, thick=thick, thin=thin,
-        chosen_j=j, c=c,
+        center=layering.center, p=p, layer_sizes=sizes,
+        thick=tuple(i for i in range(1, p + 1) if sizes[i] >= 2 * c),
+        thin=layering.thin, chosen_j=j, c=c,
     )
     return sep, trace
 

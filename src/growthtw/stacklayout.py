@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, StructureError
 from .decomposition import TreeDecomposition, check_tree_decomposition
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 EXACT_STACK_VERTEX_BUDGET = 8
 
@@ -96,7 +96,7 @@ def _conflict_masks(edges, pos):
 def _greedy_coloring(masks) -> list:
     colors = [0] * len(masks)
     for i in range(len(masks)):
-        used = {colors[j] for j in _bits(masks[i]) if j < i}
+        used = {colors[j] for j in iter_bits(masks[i]) if j < i}
         c = 1
         while c in used:
             c += 1
@@ -118,7 +118,7 @@ def _chromatic_exact(masks, upper: int) -> Tuple[int, list]:
             if idx == m:
                 return True
             i = order[idx]
-            used = {colors[j] for j in _bits(masks[i]) if colors[j]}
+            used = {colors[j] for j in iter_bits(masks[i]) if colors[j]}
             limit = min(k, max((colors[order[t]] for t in range(idx)), default=0) + 1)
             for c in range(1, limit + 1):
                 if c not in used:
@@ -135,12 +135,6 @@ def _chromatic_exact(masks, upper: int) -> Tuple[int, list]:
         if ok:
             return k, colors
     raise AssertionError("upper bound was not actually achievable")
-
-
-def _bits(mask: int):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:

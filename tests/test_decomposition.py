@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -184,6 +185,42 @@ def test_builder_larger_c_still_valid():
     g = grid(4)
     built = build_tree_decomposition(g, Fraction(20))
     assert check_tree_decomposition(g, built).valid
+
+
+@pytest.mark.parametrize(
+    "g,c,width",
+    [
+        (grid(4), 1, 9),                              # an interior thick layer
+        (cycle(12), 1, 3),                            # an interior thick layer
+        (complete(5), 1, 4),                          # peels the last layer
+        (star(9), 1, 8),                              # peels the last layer
+        (complete_binary_tree(15), Fraction(3, 2), 2),  # thin beats thick
+    ],
+)
+def test_builder_later_rank_classes_below_growth_constant(g, c, width):
+    # With c below the growth constant, layers of 2c or more vertices are
+    # thick and the split can fall to the rank classes after the thin one.
+    # The decomposition stays valid; the exact width pins which class ran
+    # and in what order.
+    assert growth_constant(g) > c
+    report = check_tree_decomposition(g, build_tree_decomposition(g, c))
+    assert report.valid, report.first_failure
+    assert report.width == width
+
+
+def test_builder_needs_no_recursion_headroom(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"the builder asked for recursion limit {limit}")
+
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    many_paths = Graph(
+        3000, [(v, v + 1) for v in range(2999) if v % 10 != 9]
+    )  # 300 components, each a path on 10 vertices
+    for g in (path(3000), many_paths):
+        built = build_tree_decomposition(g, 3)
+        assert check_tree_decomposition(g, built).valid
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------- grid minors

@@ -1,7 +1,11 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growthtw.errors import (
     DegenerateInputError,
@@ -9,12 +13,14 @@ from growthtw.errors import (
     PreconditionError,
     RangeError,
 )
+from growthtw.decomposition import build_tree_decomposition
 from growthtw.generators import cycle, grid, path, random_cubic, star
-from growthtw.graphs import Graph
+from growthtw.graphs import Graph, bfs_distances
 from growthtw.growth import growth_constant
 from growthtw.separators import (
     Separation,
     bfs_layer_separation,
+    bfs_layering,
     check_separation,
     iteration_cap,
     linear_growth_separator,
@@ -174,3 +180,45 @@ def test_layer_split_order_bound_random():
         sep, trace = bfs_layer_separation(g, None, c)
         assert sep.order < 2 * c
         assert check_separation(g, None, sep, 1 - Fraction(1, 4 * c)).valid
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 2..30 vertices plus random extra edges."""
+    n = draw(st.integers(2, 30))
+    tree = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return Graph(n, tree + [(u, v) for u, v in extra if u != v])
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(), st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(2)]))
+def test_layer_split_and_builder_share_the_layering(g, c):
+    c = growth_constant(g) if c is None else c
+    X = frozenset(range(g.n))
+    layering = bfs_layering(g, X, c)
+    _, trace = bfs_layer_separation(g, None, c)
+    assert trace.center == layering.center
+    assert trace.layer_sizes == tuple(len(layer) for layer in layering.layers)
+    assert trace.thin == layering.thin
+    assert trace.chosen_j == layering.median
+    # The layering agrees with a plain BFS from its center.
+    dist = bfs_distances(g, layering.center)
+    assert layering.layer_of == dist
+    counts = Counter(dist.values())
+    assert layering.thin == tuple(i for i in range(1, layering.p + 1) if counts[i] < 2 * c)
+
+    seen = []
+
+    def spy(g_, X_, c_):
+        result = bfs_layering(g_, X_, c_)
+        seen.append((X_, result))
+        return result
+
+    with mock.patch("growthtw.decomposition.bfs_layering", spy):
+        build_tree_decomposition(g, c)
+    if g.n > max(2, math.ceil(2 * c)):
+        assert seen[0] == (X, layering)
+    else:
+        assert not seen
