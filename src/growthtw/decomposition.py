@@ -1,7 +1,7 @@
 """Tree-decompositions: boundary-tracking construction from layer-split
-separators, validity/width checking, exact treewidth on small instances via
-subset dynamic programming over elimination orderings, and grid-minor model
-verification.
+separators, validity/width checking, exact treewidth on small instances by
+decision passes over elimination prefixes between a minor-min-width lower
+bound and a min-fill upper bound, and grid-minor model verification.
 """
 
 from __future__ import annotations
@@ -217,8 +217,19 @@ def _choose_split(W, layering):
 
 
 def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
-    """Exact treewidth by dynamic programming over vertex subsets keyed by
-    elimination prefixes, with the witness rebuilt from backpointers."""
+    """Exact treewidth and a witness decomposition of that width.
+
+    The min-fill elimination order gives an upper bound ub, and
+    minor-min-width (contract a minimum-degree vertex into its least-degree
+    neighbour, keep the largest minimum degree seen) a lower bound lb.  For
+    k = lb, ..., ub - 1 a decision pass searches the elimination prefixes S
+    reachable with every elimination degree |Q(S, v)| <= k, where Q(S, v)
+    is the set of vertices outside S + {v} reachable from v through S
+    (Bodlaender, Fomin, Koster, Kratsch & Thilikos, "On exact algorithms for
+    treewidth", TALG 2012).  The first k that succeeds is the treewidth;
+    if none does, the treewidth is ub.  The witness is rebuilt from the
+    winning elimination order, so its bags may differ from those of another
+    exact solver while its width is exact."""
     n = g.n
     if n == 0:
         raise PreconditionError("treewidth is undefined for the empty graph")
@@ -226,43 +237,125 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
         raise CapacityError(
             f"exact treewidth refuses n={n} > {EXACT_TREEWIDTH_VERTEX_BUDGET}"
         )
-    adjm = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            adjm[u] |= 1 << v
-    full = (1 << n) - 1
-    opt = [0] * (full + 1)
-    choice = [0] * (full + 1)
-    opt[0] = -1
-    for S in range(1, full + 1):
-        best = n
-        bestv = -1
-        T0 = S
-        while T0:
-            v = (T0 & -T0).bit_length() - 1
-            T0 &= T0 - 1
-            T = S & ~(1 << v)
-            sub = opt[T]
-            if sub >= best:
-                continue
-            q = _elimination_degree(adjm, T, v)
-            val = q if q > sub else sub
-            if val < best:
-                best = val
-                bestv = v
-        opt[S] = best
-        choice[S] = bestv
-    width = opt[full]
+    adjm = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+    witness = _order_decomposition(adjm, _min_fill_order(adjm))
+    for k in range(_minor_min_width(adjm), witness.width):
+        order = _elimination_order_within(adjm, k)
+        if order is not None:
+            witness = _order_decomposition(adjm, order)
+            break
+    return witness.width, witness
 
-    # Reconstruct the elimination order (choice[S] was eliminated last in S).
+
+def _min_fill_order(adjm) -> list:
+    """Elimination order that always takes a vertex whose elimination adds
+    the fewest fill edges, the smallest id on ties."""
+    adj = list(adjm)
+
+    def twice_fill(v):
+        # Each non-adjacent pair of neighbours of v, counted from both ends.
+        return sum((adj[v] & ~adj[u] & ~(1 << u)).bit_count() for u in iter_bits(adj[v]))
+
+    left = (1 << len(adj)) - 1
     order = []
-    S = full
-    while S:
-        v = choice[S]
+    while left:
+        v = min(iter_bits(left), key=lambda v: (twice_fill(v), v))
+        nbrs = adj[v]
+        for u in iter_bits(nbrs):
+            adj[u] = (adj[u] | nbrs) & ~(1 << u) & ~(1 << v)
+        left &= ~(1 << v)
         order.append(v)
-        S &= ~(1 << v)
-    order.reverse()
+    return order
 
+
+def _minor_min_width(adjm) -> int:
+    """Minor-min-width lower bound: every minor H of g has treewidth at least
+    its minimum degree, so contract a minimum-degree vertex into its
+    least-degree neighbour (delete it when isolated) until one vertex is
+    left, and keep the largest minimum degree seen."""
+    adj = dict(enumerate(adjm))
+    best = 0
+    while len(adj) > 1:
+        v = min(adj, key=lambda v: (adj[v].bit_count(), v))
+        nbrs = adj.pop(v)
+        best = max(best, nbrs.bit_count())
+        if nbrs:
+            u = min(iter_bits(nbrs), key=lambda u: (adj[u].bit_count(), u))
+            adj[u] = (adj[u] | nbrs) & ~(1 << u) & ~(1 << v)
+            for w in iter_bits(nbrs & ~(1 << u)):
+                adj[w] = (adj[w] & ~(1 << v)) | (1 << u)
+    return best
+
+
+def _elimination_order_within(adjm, k: int) -> Optional[list]:
+    """An elimination order whose every elimination degree is at most k, or
+    None.  The search enters the elimination prefixes S reachable with every
+    |Q(S', v)| <= k, each once, since whether S can be completed does not
+    depend on the order within S.  `last` maps each reached prefix to its
+    last vertex and doubles as the backpointers.  Prefixes are expanded
+    newest first, so a pass that succeeds goes deep at once.  It succeeds on
+    reaching a prefix with n - |S| - 1 <= k: the remaining vertices then go
+    in any order, since each has at most k later neighbours."""
+    n = len(adjm)
+    full = (1 << n) - 1
+    last = {0: -1}
+    todo = [0]
+    while todo:
+        S = todo.pop()
+        parts = _components_with_borders(adjm, S)
+        # Q(S, v) is N(v) plus the borders of the components v touches.
+        # Bits are walked inline: this is the search's inner loop.
+        free = full & ~S
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            nbrs = q = adjm[v]
+            for comp, border in parts:
+                if nbrs & comp:
+                    q |= border
+            T = S | low
+            if (q & ~T).bit_count() <= k and T not in last:
+                last[T] = v
+                if n - T.bit_count() - 1 <= k:
+                    # Built back to front: the other vertices, then T's prefix.
+                    order = [u for u in range(n) if not T >> u & 1]
+                    while T:
+                        u = last[T]
+                        order.append(u)
+                        T ^= 1 << u
+                    order.reverse()
+                    return order
+                todo.append(T)
+    return None
+
+
+def _components_with_borders(adjm, S: int) -> list:
+    """(component, border) for each component of g[S], where the border is
+    the set of vertices outside S adjacent to the component."""
+    parts = []
+    rest = S
+    while rest:
+        comp = frontier = rest & -rest
+        touched = 0
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= adjm[low.bit_length() - 1]
+            touched |= grown
+            frontier = grown & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
+        parts.append((comp, touched & ~S))
+    return parts
+
+
+def _order_decomposition(adjm, order) -> TreeDecomposition:
+    """Tree-decomposition of an elimination order: bag i is order[i] with its
+    later neighbours in the fill graph, hung below the bag of the earliest
+    of them (or of order[i+1] when there is none)."""
     bags = []
     eliminated = 0
     for v in order:
@@ -275,7 +368,7 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
         later = [w for w in bags[i] if position[w] > i]
         parent = min((position[w] for w in later), default=i + 1)
         edges.append((i, parent))
-    return width, TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
+    return TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
 
 
 def _elimination_neighborhood(adjm, T: int, v: int) -> int:
@@ -294,10 +387,6 @@ def _elimination_neighborhood(adjm, T: int, v: int) -> int:
         frontier = fa & T & ~visited
         visited |= frontier
     return nbrs & ~T & ~(1 << v)
-
-
-def _elimination_degree(adjm, T: int, v: int) -> int:
-    return _elimination_neighborhood(adjm, T, v).bit_count()
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .decomposition import (
     grid_identity_model,
     verify_grid_minor_model,
 )
-from .errors import CapacityError, InvariantViolationError, RangeError
+from .errors import InvariantViolationError, RangeError
 from .generators import complete, complete_binary_tree, cycle, generate, grid, path, random_cubic, star, strong_product
 from .graphs import Graph
 from .growth import growth_constant, growth_profile, verify_growth_bound
@@ -273,11 +273,11 @@ def lower_bound_exploration(
 ) -> List[ExplorationRow]:
     """Measurement table for random cubic graphs: the 3-regular ball bound
     f(r) <= min(n, 3*2^r - 2) is asserted; growth constant and exact
-    treewidth are reported for trend inspection, with no asymptotic claim."""
+    treewidth are reported for trend inspection, with no asymptotic claim.
+    A size above the exact-treewidth budget raises `exact_treewidth`'s
+    CapacityError."""
     rows = []
     for n in sizes:
-        if n > 18:
-            raise CapacityError(f"exploration size n={n} exceeds the exact-treewidth budget")
         for seed in seeds:
             g = random_cubic(n, seed)
             profile = growth_profile(g, g.n)

@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import growthtw.decomposition as decomposition_mod
+from growthtw.constructions import expand_to_degree3
 from growthtw.decomposition import (
     MinorModel,
     TreeDecomposition,
@@ -142,6 +145,137 @@ def test_exact_treewidth_budget_and_empty():
         exact_treewidth(path(19))
     with pytest.raises(PreconditionError):
         exact_treewidth(Graph(0))
+
+
+def subset_dp_treewidth(g):
+    """Reference oracle: the full dynamic program over all 2^n vertex subsets
+    (TW(S) = min over v in S of max(TW(S - v), |Q(S - v, v)|)), with no
+    pruning and its own neighbourhood search."""
+    n = g.n
+    adjm = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+
+    def q_size(T, v):
+        # Vertices outside T+{v} reachable from v through T.
+        seen = frontier = 1 << v
+        reach = 0
+        while frontier:
+            grown = 0
+            for u in range(n):
+                if frontier >> u & 1:
+                    grown |= adjm[u]
+            reach |= grown
+            frontier = grown & T & ~seen
+            seen |= frontier
+        return (reach & ~T & ~(1 << v)).bit_count()
+
+    opt = [0] * (1 << n)
+    opt[0] = -1
+    for S in range(1, 1 << n):
+        opt[S] = min(
+            max(opt[S & ~(1 << v)], q_size(S & ~(1 << v), v))
+            for v in range(n)
+            if S >> v & 1
+        )
+    return opt[-1]
+
+
+def random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def disjoint_union(g, h):
+    return Graph(g.n + h.n, list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
+def assert_exact_against_reference(g):
+    width, witness = exact_treewidth(g)
+    assert width == subset_dp_treewidth(g)
+    report = check_tree_decomposition(g, witness)
+    assert report.valid, report.first_failure
+    assert witness.width == width
+
+
+def test_exact_treewidth_matches_subset_dp_reference():
+    rng = random.Random(2012)
+    graphs = [
+        Graph(1),
+        Graph(9),  # edgeless
+        disjoint_union(cycle(5), Graph(3)),  # isolated vertices
+        disjoint_union(grid(3), complete(4)),
+        random_cubic(12, seed=3),
+        random_cubic(14, seed=5),
+    ]
+    for _ in range(30):
+        graphs.append(random_graph(rng, rng.randint(2, 13), rng.choice([0.1, 0.2, 0.35, 0.5, 0.7])))
+    for g in graphs:
+        assert_exact_against_reference(g)
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    return Graph(n, edges)
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_exact_treewidth_matches_subset_dp_reference_hypothesis(g):
+    assert_exact_against_reference(g)
+
+
+def treewidth_bounds(g):
+    adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    ub = decomposition_mod._order_decomposition(adjm, decomposition_mod._min_fill_order(adjm)).width
+    return decomposition_mod._minor_min_width(adjm), ub
+
+
+def test_bounds_sandwich_the_treewidth():
+    rng = random.Random(7)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.15, 0.3, 0.5, 0.8]))
+        lb, ub = treewidth_bounds(g)
+        assert lb <= exact_treewidth(g)[0] <= ub
+
+
+# Seeded search over 4000 random graphs on 6-12 vertices (seed 1161, n = 10,
+# p = 0.4): min-fill gives width 5, the treewidth is 4.
+MIN_FILL_MISSES = Graph(10, [
+    (0, 3), (0, 4), (0, 5), (1, 3), (1, 8), (1, 9), (2, 5), (2, 6), (2, 9), (3, 7),
+    (4, 6), (4, 8), (4, 9), (5, 6), (5, 7), (5, 8), (5, 9), (6, 7), (7, 8),
+])
+
+
+@pytest.mark.parametrize(
+    "g,lb,tw,ub,passes",
+    [
+        # lb == ub: no decision pass runs.
+        (complete_binary_tree(15), 1, 1, 1, []),
+        (star(9), 1, 1, 1, []),
+        (complete(7), 6, 6, 6, []),
+        (expand_to_degree3(complete(5))[0], 4, 4, 4, []),
+        # lb < ub == tw: the passes below ub all fail.
+        (random_cubic(10, seed=1), 3, 4, 4, [(3, False)]),
+        # tw < ub: a pass beats min-fill.
+        (MIN_FILL_MISSES, 4, 4, 5, [(4, True)]),
+    ],
+)
+def test_exact_treewidth_branches(monkeypatch, g, lb, tw, ub, passes):
+    ran = []
+    decide = decomposition_mod._elimination_order_within
+
+    def recording(adjm, k):
+        order = decide(adjm, k)
+        ran.append((k, order is not None))
+        return order
+
+    monkeypatch.setattr(decomposition_mod, "_elimination_order_within", recording)
+    monkeypatch.setattr(decomposition_mod, "EXACT_TREEWIDTH_VERTEX_BUDGET", 20)
+    assert treewidth_bounds(g) == (lb, ub)
+    width, witness = exact_treewidth(g)
+    assert (width, ran) == (tw, passes)
+    assert check_tree_decomposition(g, witness).valid and witness.width == tw
 
 
 # ---------------------------------------------------------------- builder
