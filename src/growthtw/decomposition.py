@@ -291,14 +291,17 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
     """An elimination order whose every elimination degree is at most k, or
     None.  The search enters the elimination prefixes S reachable with every
     |Q(S', v)| <= k, each once, since whether S can be completed does not
-    depend on the order within S.  `last` maps each reached prefix to its
-    last vertex and doubles as the backpointers.  Prefixes are expanded
-    newest first, so a pass that succeeds goes deep at once.  It succeeds on
+    depend on the order within S.  `last` holds, for each reached prefix,
+    its last vertex plus one (0 for a prefix not reached) and doubles as the
+    backpointers.  It is one byte per prefix, 256 KiB at n = 18 whatever the
+    graph; a dict of the reached prefixes grew with the graph to megabytes.
+    Prefixes are expanded newest first, so a pass that succeeds goes deep at
+    once and `todo` holds at most n prefixes per level.  It succeeds on
     reaching a prefix with n - |S| - 1 <= k: the remaining vertices then go
     in any order, since each has at most k later neighbours."""
     n = len(adjm)
     full = (1 << n) - 1
-    last = {0: -1}
+    last = bytearray(1 << n)
     todo = [0]
     while todo:
         S = todo.pop()
@@ -315,13 +318,13 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
                 if nbrs & comp:
                     q |= border
             T = S | low
-            if (q & ~T).bit_count() <= k and T not in last:
-                last[T] = v
+            if (q & ~T).bit_count() <= k and not last[T]:
+                last[T] = v + 1
                 if n - T.bit_count() - 1 <= k:
                     # Built back to front: the other vertices, then T's prefix.
                     order = [u for u in range(n) if not T >> u & 1]
                     while T:
-                        u = last[T]
+                        u = last[T] - 1
                         order.append(u)
                         T ^= 1 << u
                     order.reverse()
