@@ -303,30 +303,3 @@ def _connected_subset(g: Graph, vertices: set) -> bool:
     start = next(iter(vertices))
     allowed = frozenset(vertices)
     return len(bfs_distances(g, start, allowed)) == len(vertices)
-
-
-def suppress_degree_two(g: Graph, keep) -> Graph:
-    """Contract away degree-2 vertices outside `keep`, recovering the base
-    graph of a subdivision on the kept (original) vertices."""
-    keep = sorted(set(keep))
-    index = {v: i for i, v in enumerate(keep)}
-    keep_set = set(keep)
-    edges = set()
-    seen_internal = set()
-    for v in keep:
-        for w in g.adj[v]:
-            prev, cur = v, w
-            while cur not in keep_set:
-                seen_internal.add(cur)
-                nxt = [x for x in g.adj[cur] if x != prev]
-                if len(g.adj[cur]) != 2 or len(nxt) != 1:
-                    raise ModelError(f"internal vertex {cur} is not a degree-2 path vertex")
-                prev, cur = cur, nxt[0]
-            a, b = index[v], index[cur]
-            if a == b:
-                raise ModelError(f"path from {v} loops back to itself")
-            edges.add((min(a, b), max(a, b)))
-    stray = set(range(g.n)) - keep_set - seen_internal
-    if stray:
-        raise ModelError(f"vertices {sorted(stray)} belong to no kept path")
-    return Graph(len(keep), edges)

@@ -5,7 +5,6 @@ graphs via the configuration model."""
 from __future__ import annotations
 
 import random
-from typing import Tuple
 
 from .errors import CapacityError, GenerationError, RangeError
 from .graphs import Graph
@@ -71,19 +70,6 @@ def generate(family: str, size: int) -> Graph:
     if family not in _BUILDERS:
         raise RangeError(f"unknown family {family!r}; choose from {FAMILIES}")
     return _BUILDERS[family](size)
-
-
-def grid_coordinates(k: int):
-    """Bijection helpers for the row-major grid numbering."""
-    def to_id(row: int, col: int) -> int:
-        _require(0 <= row < k and 0 <= col < k, f"({row},{col}) outside [0,{k})^2")
-        return row * k + col
-
-    def to_coords(v: int) -> Tuple[int, int]:
-        _require(0 <= v < k * k, f"vertex {v} outside grid({k})")
-        return divmod(v, k)
-
-    return to_id, to_coords
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import ParseError, RangeError, StructureError
 
@@ -244,20 +244,6 @@ def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Tuple[Graph, list]:
-    """Induced subgraph with vertices relabelled densely.  Returns the new
-    graph and the sorted list mapping new id -> old id."""
-    order = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(order)}
-    edges = [
-        (index[u], index[v])
-        for u in order
-        for v in g.adj[u]
-        if u < v and v in index
-    ]
-    return Graph(len(order), edges), order
 
 
 def is_connected(g: Graph, vertices: Optional[frozenset] = None) -> bool:

@@ -154,33 +154,48 @@ def separate_possibly_disconnected(
 ) -> Separation:
     """Lift a connected-case separator to arbitrary induced subgraphs by
     peeling the smallest component J: either (X\\J, J) is already balanced,
-    or recurse on X\\J and absorb J into the smaller side."""
+    or separate X\\J the same way and absorb J into the smaller side.
+
+    The components of X\\J are those of X minus J, still in
+    `components_within` order, so one call serves every level: a forward
+    loop peels components until the rest is at most 2/3 of its host (or one
+    component is left), and a backward loop orients and absorbs them.  Only
+    side sizes drive the backward loop, so each side is built once."""
     alpha = Fraction(alpha)
     if not (Fraction(2, 3) <= alpha < 1):
         raise RangeError(f"alpha must be in [2/3, 1), got {alpha}")
     X = frozenset(range(g.n)) if X is None else frozenset(X)
     if not X:
         raise PreconditionError("cannot separate the empty set")
-    return _separate_rec(g, X, connected_separator)
-
-
-def _separate_rec(g, X, connected_separator):
     comps = components_within(g, X)
-    if len(comps) == 1:
-        return connected_separator(X)
-    smallest = comps[0]
-    rest = X - smallest
-    n = len(X)
-    if 3 * len(rest) <= 2 * n:
-        return Separation(a=rest, b=smallest, host_size=n)
-    inner = _separate_rec(g, rest, connected_separator)
-    a, b = inner.a, inner.b
-    # Orient so |a| >= n/3; one side qualifies since |a| + |b| >= |rest| >= 2n/3.
-    if 3 * len(a) < n:
+    hosts = [len(X)]  # hosts[i] = |X minus comps[:i]|
+    depth = 0
+    while depth < len(comps) - 1 and 3 * (hosts[depth] - len(comps[depth])) > 2 * hosts[depth]:
+        hosts.append(hosts[depth] - len(comps[depth]))
+        depth += 1
+    if depth == len(comps) - 1:
+        inner = connected_separator(comps[depth])
+    else:
+        rest = frozenset().union(*comps[depth + 1:])
+        inner = Separation(a=rest, b=comps[depth], host_size=hosts[depth])
+    if depth == 0:
+        return inner
+    sides = ([inner.a], [inner.b])
+    sizes = [len(inner.a), len(inner.b)]
+    a_side = 0
+    for level in range(depth - 1, -1, -1):
+        n = hosts[level]
+        # Orient so |a| >= n/3; one side qualifies since |a| + |b| >= 2n/3.
+        if 3 * sizes[a_side] < n:
+            a_side = 1 - a_side
+        if 3 * sizes[a_side] < n:
+            raise InvariantViolationError("oracle returned a separation too small on both sides")
+        sides[1 - a_side].append(comps[level])
+        sizes[1 - a_side] += len(comps[level])
+    a, b = (frozenset().union(*side) for side in sides)
+    if a_side == 1:
         a, b = b, a
-    if 3 * len(a) < n:
-        raise InvariantViolationError("oracle returned a separation too small on both sides")
-    return Separation(a=a, b=b | smallest, host_size=n)
+    return Separation(a=a, b=b, host_size=hosts[0])
 
 
 def iteration_cap(alpha) -> int:

@@ -9,6 +9,7 @@ first vertex and prunes reversed orders.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Optional, Tuple
@@ -53,7 +54,14 @@ def _interleaves(pa, pb, pc, pd) -> bool:
 
 
 def check_stack_layout(g: Graph, layout: StackLayout) -> LayoutVerdict:
-    """O(m^2) interleaving check over same-stack edge pairs."""
+    """Nesting sweep, one stack at a time, in O(m log m).  A stack's spans are
+    sorted by (left, -right) and pushed onto a stack of open spans; before
+    each push, open spans whose right end is at or before the new left end
+    are popped.  The rest then nest, innermost on top, so the new span
+    crosses one of them exactly when it crosses the top: when the top's
+    right end lies strictly inside the new span.  first_crossing is the
+    first such (top edge, new edge) pair on the lowest-numbered stack that
+    has one."""
     if sorted(layout.order) != list(range(g.n)):
         raise StructureError("layout order is not a permutation of the vertices")
     expected = {(u, v) for u, v in g.edges()}
@@ -63,18 +71,22 @@ def check_stack_layout(g: Graph, layout: StackLayout) -> LayoutVerdict:
         if not (1 <= s <= max(layout.k, 1)):
             raise StructureError(f"stack id {s} outside [1,{layout.k}]")
     pos = {v: i for i, v in enumerate(layout.order)}
-    placed = sorted(
-        (min(pos[u], pos[v]), max(pos[u], pos[v]), (u, v), s)
-        for (u, v), s in layout.assignment.items()
-    )
-    for i in range(len(placed)):
-        pa, pb, e1, s1 = placed[i]
-        for jdx in range(i + 1, len(placed)):
-            pc, pd, e2, s2 = placed[jdx]
-            if pc >= pb:
-                break
-            if s1 == s2 and pa < pc < pb < pd:
-                return LayoutVerdict(False, (e1, e2))
+    by_stack: Dict[int, list] = {}
+    for (u, v), s in layout.assignment.items():
+        pu, pv = pos[u], pos[v]
+        left, right = (pu, pv) if pu < pv else (pv, pu)
+        by_stack.setdefault(s, []).append((left, -right, (u, v)))
+    for s in sorted(by_stack):
+        spans = by_stack[s]
+        spans.sort()
+        open_spans = []  # (right, edge), right ends non-increasing upwards
+        for left, neg_right, e in spans:
+            right = -neg_right
+            while open_spans and open_spans[-1][0] <= left:
+                open_spans.pop()
+            if open_spans and open_spans[-1][0] < right:
+                return LayoutVerdict(False, (open_spans[-1][1], e))
+            open_spans.append((right, e))
     return LayoutVerdict(True)
 
 
@@ -176,7 +188,15 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
 def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
     """Heuristic layout: vertex order is the first-visit order of a DFS over
     the decomposition tree (root = largest bag, children ascending); edges
-    are assigned greedily to the lowest conflict-free stack."""
+    are assigned first-fit to the lowest conflict-free stack, in order of
+    (left end ascending, right end descending), which packs nesting chains
+    into one stack.
+
+    That order is the invariant first-fit relies on: every span already on a
+    stack starts at or before the new span's left end pa, and one starting
+    at pa ends after its right end pb.  So (pa, pb) crosses a stack's content
+    exactly when one of its right ends lies strictly between pa and pb, which
+    one bisect over the stack's sorted right ends decides."""
     report = check_tree_decomposition(g, td)
     if not report.valid:
         raise PreconditionError(f"invalid tree decomposition: {report.first_failure}")
@@ -207,24 +227,21 @@ def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
             order.append(v)
 
     pos = {v: i for i, v in enumerate(order)}
-    # Sorting by (left, right descending) packs nesting chains into one stack.
-    edges = sorted(
-        g.edges(),
-        key=lambda e: (min(pos[e[0]], pos[e[1]]), -max(pos[e[0]], pos[e[1]])),
+    spans = sorted(
+        (min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in g.edges()
     )
-    spans = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges]
-    stacks: list = []  # per stack: list of spans already placed
+    ends: list = []  # per stack: sorted right ends of the spans placed on it
     assignment = {}
-    for idx, e in enumerate(edges):
-        pa, pb = spans[idx]
-        target = None
-        for s, content in enumerate(stacks):
-            if all(not _interleaves(pa, pb, pc, pd) for pc, pd in content):
-                target = s
-                break
-        if target is None:
-            stacks.append([])
-            target = len(stacks) - 1
-        stacks[target].append((pa, pb))
-        assignment[e] = target + 1
-    return StackLayout(order=tuple(order), assignment=assignment, k=len(stacks))
+    for pa, neg_pb, e in spans:
+        pb = -neg_pb
+        for s, stack_ends in enumerate(ends):
+            i = bisect_right(stack_ends, pa)
+            if i < len(stack_ends) and stack_ends[i] < pb:
+                continue  # a right end strictly inside (pa, pb): a crossing
+            insort(stack_ends, pb)
+            break
+        else:
+            s = len(ends)
+            ends.append([pb])
+        assignment[e] = s + 1
+    return StackLayout(order=tuple(order), assignment=assignment, k=len(ends))

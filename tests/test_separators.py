@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -15,7 +16,7 @@ from growthtw.errors import (
 )
 from growthtw.decomposition import build_tree_decomposition
 from growthtw.generators import cycle, grid, path, random_cubic, star
-from growthtw.graphs import Graph, bfs_distances
+from growthtw.graphs import Graph, bfs_distances, components_within
 from growthtw.growth import growth_constant
 from growthtw.separators import (
     Separation,
@@ -222,3 +223,86 @@ def test_layer_split_and_builder_share_the_layering(g, c):
         assert seen[0] == (X, layering)
     else:
         assert not seen
+
+
+# ------------------------------------------- lifting to disconnected sets
+
+def recursive_lift(g, X, connected_separator):
+    """The lifting written as plain recursion: peel the smallest component
+    J, stop if (X\\J, J) is 2/3-balanced, else recurse on X\\J, orient so
+    |A| >= n/3 and absorb J into B."""
+    comps = components_within(g, X)
+    if len(comps) == 1:
+        return connected_separator(X)
+    smallest = comps[0]
+    rest = X - smallest
+    n = len(X)
+    if 3 * len(rest) <= 2 * n:
+        return Separation(a=rest, b=smallest, host_size=n)
+    inner = recursive_lift(g, rest, connected_separator)
+    a, b = inner.a, inner.b
+    if 3 * len(a) < n:
+        a, b = b, a
+    if 3 * len(a) < n:
+        raise InvariantViolationError("too small on both sides")
+    return Separation(a=a, b=b | smallest, host_size=n)
+
+
+def layer_split_oracle(g, c):
+    def oracle(Y):
+        if len(Y) == 1:
+            return Separation(a=Y, b=Y, host_size=1)
+        return bfs_layer_separation(g, Y, c)[0]
+
+    return oracle
+
+
+@st.composite
+def disconnected_sets(draw):
+    """A disjoint union of random connected pieces (some single vertices),
+    and a random vertex subset of it that keeps at least one vertex."""
+    edges, n = [], 0
+    for size in draw(st.lists(st.integers(1, 9), min_size=1, max_size=12)):
+        tree = [(n + v, n + draw(st.integers(0, v - 1))) for v in range(1, size)]
+        chords = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                               max_size=size))
+        edges += tree + [(n + u, n + v) for u, v in chords if u != v]
+        n += size
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    X = frozenset(v for v in range(n) if keep[v]) or frozenset({0})
+    return Graph(n, edges), X
+
+
+@settings(max_examples=100, deadline=None)
+@given(disconnected_sets(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(3)]))
+def test_lifting_equals_the_recursive_reference(case, c):
+    g, X = case
+    alpha = max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
+    oracle = layer_split_oracle(g, c)
+    sep = separate_possibly_disconnected(g, X, alpha, oracle)
+    assert sep == recursive_lift(g, X, oracle)
+    assert check_separation(g, X, sep, alpha).valid
+
+
+def test_lifting_rejects_an_oracle_too_small_on_both_sides():
+    # P_12 plus an isolated vertex peels the vertex and asks the oracle to
+    # split the path; an oracle that drops most of it is caught on the way out.
+    g = Graph(13, [(i, i + 1) for i in range(11)])
+
+    def lossy_oracle(Y):
+        return Separation(a=frozenset({min(Y)}), b=frozenset({max(Y)}), host_size=len(Y))
+
+    with pytest.raises(InvariantViolationError):
+        separate_possibly_disconnected(g, None, Fraction(11, 12), lossy_oracle)
+
+
+def test_perfect_matching_separates_without_recursion():
+    # 2500 components: the lifting peels 2497 of them before the rest is
+    # balanced, far past the default recursion limit.
+    limit = sys.getrecursionlimit()
+    g = Graph(5000, [(2 * i, 2 * i + 1) for i in range(2500)])
+    sep = linear_growth_separator(g, None, 3)
+    report = check_separation(g, None, sep, Fraction(11, 12))
+    assert report.valid
+    assert 3 * max(*sep.exclusive_sides) <= 2 * g.n
+    assert sys.getrecursionlimit() == limit

@@ -1,10 +1,20 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growthtw.decomposition import build_tree_decomposition, exact_treewidth
 from growthtw.errors import CapacityError, PreconditionError, StructureError
-from growthtw.generators import complete, complete_binary_tree, cycle, grid, path, star
+from growthtw.generators import (
+    complete,
+    complete_binary_tree,
+    cycle,
+    grid,
+    path,
+    random_cubic,
+    star,
+    strong_product,
+)
 from growthtw.graphs import Graph
 from growthtw.growth import growth_constant
 from growthtw.stacklayout import (
@@ -132,12 +142,22 @@ def test_exact_stack_number_edge_cases():
 
 
 def test_layout_from_decomposition_valid():
-    for g in [path(20), cycle(12), grid(4), complete(5), complete_binary_tree(15)]:
+    for g in [
+        path(20),
+        cycle(12),
+        grid(4),
+        complete(5),
+        complete_binary_tree(15),
+        complete(9),
+        random_cubic(40, seed=5),
+        strong_product(path(12), complete(3)),
+    ]:
         c = growth_constant(g)
         td = build_tree_decomposition(g, c)
         layout = layout_from_decomposition(g, td)
         assert check_stack_layout(g, layout).valid
         assert layout.k >= 1
+        assert (layout.assignment, layout.k) == reference_first_fit(g, layout.order)
 
 
 def test_layout_requires_valid_decomposition():
@@ -156,3 +176,107 @@ def test_layout_json_shape():
     assert data["k"] == k
     assert sorted((d["u"], d["v"]) for d in data["stacks"]) == list(g.edges())
     assert sorted(data["order"]) == [0, 1, 2, 3]
+
+
+# ------------------------------------------------ references for the fast paths
+
+def crosses(pos, e1, e2):
+    """Pairwise interleaving of two edges under the positions pos."""
+    pa, pb = sorted((pos[e1[0]], pos[e1[1]]))
+    pc, pd = sorted((pos[e2[0]], pos[e2[1]]))
+    return pa < pc < pb < pd or pc < pa < pd < pb
+
+
+def reference_first_fit(g, order):
+    """O(m^2) first-fit: edges by (left ascending, right descending), each to
+    the lowest stack holding no edge it crosses."""
+    pos = {v: i for i, v in enumerate(order)}
+    edges = sorted(
+        g.edges(),
+        key=lambda e: (min(pos[e[0]], pos[e[1]]), -max(pos[e[0]], pos[e[1]])),
+    )
+    stacks = []
+    assignment = {}
+    for e in edges:
+        for s, content in enumerate(stacks):
+            if not any(crosses(pos, e, f) for f in content):
+                break
+        else:
+            s = len(stacks)
+            stacks.append([])
+        stacks[s].append(e)
+        assignment[e] = s + 1
+    return assignment, len(stacks)
+
+
+def pairwise_valid(g, layout):
+    pos = {v: i for i, v in enumerate(layout.order)}
+    edges = list(layout.assignment)
+    return not any(
+        layout.assignment[e1] == layout.assignment[e2] and crosses(pos, e1, e2)
+        for i, e1 in enumerate(edges)
+        for e2 in edges[i + 1:]
+    )
+
+
+@st.composite
+def graphs(draw, max_n=16):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    return Graph(n, edges)
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_first_fit_matches_quadratic_reference(g):
+    layout = layout_from_decomposition(g, build_tree_decomposition(g, growth_constant(g)))
+    assert sorted(layout.order) == list(range(g.n))
+    assert (layout.assignment, layout.k) == reference_first_fit(g, layout.order)
+    assert check_stack_layout(g, layout).valid
+
+
+@st.composite
+def random_layouts(draw):
+    g = draw(graphs(max_n=16))
+    order = draw(st.permutations(range(g.n)))
+    k = draw(st.integers(min_value=1, max_value=3))
+    stacks = draw(st.lists(st.integers(1, k), min_size=g.m, max_size=g.m))
+    layout = StackLayout(order=tuple(order), assignment=dict(zip(g.edges(), stacks)), k=k)
+    return g, layout
+
+
+@given(random_layouts())
+@settings(max_examples=200, deadline=None)
+def test_checker_agrees_with_pairwise_interleaving(case):
+    g, layout = case
+    verdict = check_stack_layout(g, layout)
+    assert verdict.valid == pairwise_valid(g, layout)
+    if verdict.valid:
+        assert verdict.first_crossing is None
+    else:
+        # The reported pair is two edges on one stack that really interleave,
+        # so in particular it never shares an endpoint.
+        e1, e2 = verdict.first_crossing
+        pos = {v: i for i, v in enumerate(layout.order)}
+        assert layout.assignment[e1] == layout.assignment[e2]
+        assert len(set(e1) | set(e2)) == 4
+        assert crosses(pos, e1, e2)
+
+
+@pytest.mark.parametrize("g", [star(2), star(4), star(6), complete(3)])
+def test_edges_sharing_an_endpoint_never_cross(g):
+    # Every two edges of a star or a triangle share an endpoint, so one stack
+    # holds them under every order.
+    for order in permutations(range(g.n)):
+        assert check_stack_layout(g, one_stack(g, order)).valid
+
+
+def test_checker_reports_the_crossing_pair():
+    # Spans 0-2 and 2-4 touch at 2 on stack 1; 1-3 crosses 0-2 and 2-4.
+    g = Graph(6, [(0, 2), (1, 3), (2, 4), (3, 5)])
+    stacks = {(0, 2): 1, (2, 4): 1, (1, 3): 2, (3, 5): 2}
+    assert check_stack_layout(g, StackLayout(tuple(range(6)), stacks, 2)).valid
+    verdict = check_stack_layout(g, StackLayout(tuple(range(6)), {**stacks, (1, 3): 1}, 2))
+    assert not verdict.valid
+    assert verdict.first_crossing == ((0, 2), (1, 3))
