@@ -15,7 +15,7 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .graphs import Graph, bfs_distances, is_tree
+from .graphs import Graph, bfs_distances, is_connected, is_tree, json_int, json_ints
 
 SUBDIVISION_VERTEX_BUDGET = 500_000
 SUPERLINEAR_SCAN_BUDGET = 1_000_000
@@ -45,11 +45,22 @@ class HostEmbedding:
 
     @staticmethod
     def from_json_dict(data: dict) -> "HostEmbedding":
-        n = int(data.get("tree_n", 1 + max((max(e) for e in data["tree_edges"]), default=0)))
-        tree = Graph(n, [tuple(e) for e in data["tree_edges"]])
-        vmap = {int(d["v"]): (int(d["node"]), int(d["copy"])) for d in data["map"]}
-        return HostEmbedding(host_tree=tree, root=int(data["root"]), k=int(data["k"]),
-                             vertex_map=vmap)
+        """Inverse of `to_json_dict`; without "tree_n" the tree has the
+        nodes up to the largest edge end.  Every number must be a JSON
+        integer and each tree edge a pair (ParseError)."""
+        edges = [tuple(json_ints(e, "tree edge", 2)) for e in data["tree_edges"]]
+        if "tree_n" in data:
+            n = json_int(data["tree_n"], "tree_n")
+        else:
+            n = 1 + max((max(e) for e in edges), default=0)
+        tree = Graph(n, edges)
+        vmap = {
+            json_int(d["v"], "map v"): (json_int(d["node"], "map node"),
+                                        json_int(d["copy"], "map copy"))
+            for d in data["map"]
+        }
+        return HostEmbedding(host_tree=tree, root=json_int(data["root"], "root"),
+                             k=json_int(data["k"], "k"), vertex_map=vmap)
 
 
 @dataclass(frozen=True)
@@ -205,15 +216,12 @@ def subdivide_in_host(g: Graph, emb: HostEmbedding, epsilon) -> SubdivisionRecor
 def subdivide_uniform_superlinear(
     g: Graph,
     f: Callable[[int], Fraction],
-    f_monotone_declared: bool = True,
     scan_budget: int = SUPERLINEAR_SCAN_BUDGET,
 ) -> SubdivisionRecord:
     """Uniform subdivision with growth at most f: find the least ell with
     f(ell) >= 2 * ell * m + n and subdivide every edge 2 * ell times.  f must
     be nondecreasing and satisfy f(r) >= max_degree * r + 1 (checked up to
     ell, violations named); superlinearity failures exhaust the scan budget."""
-    if not f_monotone_declared:
-        raise PreconditionError("f must be declared nondecreasing")
     if g.n == 0:
         raise PreconditionError("cannot subdivide the empty graph")
     delta = g.max_degree()
@@ -287,7 +295,7 @@ def contract_minor_map(h: Graph, minor_map: Dict[int, int]) -> Graph:
     for v, lab in minor_map.items():
         preimages[lab].add(v)
     for lab, pre in preimages.items():
-        if not _connected_subset(h, pre):
+        if not is_connected(h, pre):
             raise ModelError(f"preimage of label {lab} is disconnected")
     edges = set()
     for u, v in h.edges():
@@ -296,10 +304,3 @@ def contract_minor_map(h: Graph, minor_map: Dict[int, int]) -> Graph:
             edges.add((min(lu, lv), max(lu, lv)))
     return Graph(len(labels), edges)
 
-
-def _connected_subset(g: Graph, vertices: set) -> bool:
-    if len(vertices) <= 1:
-        return True
-    start = next(iter(vertices))
-    allowed = frozenset(vertices)
-    return len(bfs_distances(g, start, allowed)) == len(vertices)

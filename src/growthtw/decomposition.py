@@ -13,7 +13,7 @@ from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
-from .graphs import Graph, components_within, is_connected, iter_bits
+from .graphs import Graph, components_within, is_connected, iter_bits, json_int, json_ints
 from .separators import bfs_layering
 
 EXACT_TREEWIDTH_VERTEX_BUDGET = 18
@@ -39,11 +39,13 @@ class TreeDecomposition:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TreeDecomposition":
-        nodes = sorted(data["nodes"], key=lambda d: d["id"])
+        """Inverse of `to_json_dict`.  Node ids, bag members and edge
+        endpoints must be JSON integers and each edge a pair (ParseError)."""
+        nodes = sorted(data["nodes"], key=lambda d: json_int(d["id"], "node id"))
         if [d["id"] for d in nodes] != list(range(len(nodes))):
             raise RangeError("decomposition node ids must be exactly 0..k-1")
-        bags = tuple(frozenset(d["bag"]) for d in nodes)
-        edges = tuple((int(a), int(b)) for a, b in data["edges"])
+        bags = tuple(frozenset(json_ints(d["bag"], "bag")) for d in nodes)
+        edges = tuple(tuple(json_ints(e, "tree edge", 2)) for e in data["edges"])
         return TreeDecomposition(bags=bags, edges=edges)
 
 
@@ -260,12 +262,20 @@ def _min_fill_order(adjm) -> list:
     order = []
     while left:
         v = min(iter_bits(left), key=lambda v: (twice_fill(v), v))
-        nbrs = adj[v]
-        for u in iter_bits(nbrs):
-            adj[u] = (adj[u] | nbrs) & ~(1 << u) & ~(1 << v)
+        _eliminate(adj, v)
         left &= ~(1 << v)
         order.append(v)
     return order
+
+
+def _eliminate(adj, v: int) -> int:
+    """One step of the elimination game on the bitmask adjacency `adj`: v's
+    neighbours become a clique and v leaves the graph.  Returns v's
+    neighbourhood, which is Q(S, v) for the set S eliminated before v."""
+    nbrs = adj[v]
+    for u in iter_bits(nbrs):
+        adj[u] = (adj[u] | nbrs) & ~(1 << u) & ~(1 << v)
+    return nbrs
 
 
 def _minor_min_width(adjm) -> int:
@@ -359,12 +369,8 @@ def _order_decomposition(adjm, order) -> TreeDecomposition:
     """Tree-decomposition of an elimination order: bag i is order[i] with its
     later neighbours in the fill graph, hung below the bag of the earliest
     of them (or of order[i+1] when there is none)."""
-    bags = []
-    eliminated = 0
-    for v in order:
-        q_mask = _elimination_neighborhood(adjm, eliminated, v)
-        bags.append(frozenset(iter_bits(q_mask | (1 << v))))
-        eliminated |= 1 << v
+    adj = list(adjm)
+    bags = [frozenset(iter_bits(_eliminate(adj, v) | (1 << v))) for v in order]
     position = {v: i for i, v in enumerate(order)}
     edges = []
     for i, v in enumerate(order[:-1]):
@@ -372,24 +378,6 @@ def _order_decomposition(adjm, order) -> TreeDecomposition:
         parent = min((position[w] for w in later), default=i + 1)
         edges.append((i, parent))
     return TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
-
-
-def _elimination_neighborhood(adjm, T: int, v: int) -> int:
-    """Vertices outside T+{v} reachable from v by paths internal to T."""
-    visited = 1 << v
-    frontier = 1 << v
-    nbrs = 0
-    while frontier:
-        fa = 0
-        f = frontier
-        while f:
-            u = (f & -f).bit_length() - 1
-            fa |= adjm[u]
-            f &= f - 1
-        nbrs |= fa
-        frontier = fa & T & ~visited
-        visited |= frontier
-    return nbrs & ~T & ~(1 << v)
 
 
 @dataclass(frozen=True)

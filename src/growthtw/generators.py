@@ -7,12 +7,9 @@ from __future__ import annotations
 import random
 
 from .errors import CapacityError, GenerationError, RangeError
-from .graphs import Graph
+from .graphs import VERTEX_BUDGET, Graph
 
 FAMILIES = ("path", "cycle", "star", "complete", "complete_binary_tree", "grid")
-
-# Largest vertex count a product or blow-up may produce.
-PRODUCT_VERTEX_BUDGET = 2_000_000
 
 
 def path(k: int) -> Graph:
@@ -76,10 +73,9 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: vertex (v, w) numbered v*|V(h)| + w; (v,w)~(v',w') iff
     each coordinate is equal or adjacent and the pairs differ."""
     _require(g.n >= 1 and h.n >= 1, "strong product needs nonempty factors")
-    if g.n * h.n > PRODUCT_VERTEX_BUDGET:
-        raise CapacityError(
-            f"product would have {g.n * h.n} vertices (budget {PRODUCT_VERTEX_BUDGET})"
-        )
+    # Checked here too, so that the refusal comes before the edge list is built.
+    if g.n * h.n > VERTEX_BUDGET:
+        raise CapacityError(f"product would have {g.n * h.n} vertices (budget {VERTEX_BUDGET})")
     nh = h.n
     edges = []
     h_edges = list(h.edges())

@@ -1,21 +1,28 @@
 """Immutable simple undirected graphs with dense integer vertex ids, plus
-BFS primitives (layers, balls, components, eccentricities) and edge-list I/O.
+BFS primitives (layers, balls, components, eccentricities), edge-list I/O,
+and the integer checks of JSON input.
 """
 
 from __future__ import annotations
 
+import reprlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .errors import ParseError, RangeError, StructureError
+from .errors import CapacityError, ParseError, RangeError, StructureError
+
+# Largest vertex count of any graph.  A larger n is refused before n
+# adjacency lists are allocated, so a short header cannot exhaust memory.
+VERTEX_BUDGET = 2_000_000
 
 
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
     Adjacency lists are strictly increasing tuples; the structure is
-    immutable and hashable, so instances can be shared freely.
+    immutable and hashable, so instances can be shared freely.  More than
+    VERTEX_BUDGET vertices is a CapacityError.
     """
 
     __slots__ = ("n", "adj", "m", "_hash")
@@ -23,6 +30,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise RangeError(f"vertex count must be nonnegative, got {n}")
+        if n > VERTEX_BUDGET:
+            raise CapacityError(f"graph would have {n} vertices (budget {VERTEX_BUDGET})")
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -84,10 +93,6 @@ class LayerStructure:
     def eccentricity(self) -> int:
         return len(self.layers) - 1
 
-    @property
-    def component_size(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
 
 def parse_edge_list(text) -> Graph:
     """Parse the edge-list format: '#' comments, header "p <n> <m>", then one
@@ -131,6 +136,25 @@ def parse_edge_list(text) -> Graph:
             f"header declares {declared_m} edges but {len(edges)} distinct edges given"
         )
     return Graph(n, edges)
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer.  Floats, strings and booleans are a
+    ParseError, so that no caller truncates 1.5 to 1 or reads true as 1."""
+    if type(value) is not int:
+        raise ParseError(f"malformed {what}: {reprlib.repr(value)} is not an integer")
+    return value
+
+
+def json_ints(values, what: str, length: Optional[int] = None) -> list:
+    """`values` if it is a JSON array of integers, of exactly `length` of
+    them when given; anything else is a ParseError."""
+    if type(values) is not list or length not in (None, len(values)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise ParseError(f"malformed {what}: {reprlib.repr(values)} is not {shape}")
+    for value in values:
+        json_int(value, what)
+    return values
 
 
 def serialize_edge_list(g: Graph) -> str:

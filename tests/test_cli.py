@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 from fractions import Fraction
@@ -7,9 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthtw.cli import main
+from growthtw.decomposition import build_tree_decomposition
 from growthtw.generators import complete, grid, path
-from growthtw.graphs import Graph, parse_edge_list, serialize_edge_list
+from growthtw.graphs import VERTEX_BUDGET, Graph, parse_edge_list, serialize_edge_list
 from growthtw.separators import Separation, check_separation
+
+
+# A decomposition of path(3), and an embedding of path(2) into the tree path(2).
+TWO_BAGS = {"nodes": [{"id": 0, "bag": [0, 1]}, {"id": 1, "bag": [1, 2]}], "edges": [[0, 1]]}
+EMBEDDING = {
+    "tree_edges": [[0, 1]], "tree_n": 2, "root": 0, "k": 1,
+    "map": [{"v": 0, "node": 0, "copy": 1}, {"v": 1, "node": 1, "copy": 1}],
+}
 
 
 def write_graph(tmp_path, g, name="g.el"):
@@ -46,6 +56,18 @@ def test_separate_json(tmp_path, capsys):
     assert data["valid"] is True
     assert data["order"] < 6
     assert "trace" in data and data["trace"]["c"] == "3"
+
+
+@pytest.mark.parametrize("g", [Graph(1), path(9)])
+def test_separate_trace_keeps_the_separation(tmp_path, capsys, g):
+    # A single vertex has no layer split, so --trace reports no trace there.
+    src = write_graph(tmp_path, g)
+    assert main(["separate", src, "--c", "3"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["separate", src, "--c", "3", "--trace"]) == 0
+    traced = json.loads(capsys.readouterr().out)
+    assert (traced["A"], traced["B"]) == (plain["A"], plain["B"])
+    assert ("trace" in traced) == (g.n > 1)
 
 
 def test_separate_perfect_matching(tmp_path, capsys):
@@ -110,10 +132,7 @@ def test_subdivide_host(tmp_path, capsys):
     g = path(2)
     src = write_graph(tmp_path, g)
     emb_file = tmp_path / "emb.json"
-    emb_file.write_text(json.dumps({
-        "tree_edges": [[0, 1]], "tree_n": 2, "root": 0, "k": 1,
-        "map": [{"v": 0, "node": 0, "copy": 1}, {"v": 1, "node": 1, "copy": 1}],
-    }))
+    emb_file.write_text(json.dumps(EMBEDDING))
     assert main(["subdivide", src, "--mode", "host",
                  "--embedding", str(emb_file), "--epsilon", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -160,7 +179,15 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("content", ["{not json", '{"nodes": []}'])
+@pytest.mark.parametrize("content", [
+    "{not json",
+    '{"nodes": []}',
+    json.dumps({"nodes": [{"id": 0, "bag": [0.5, 0, 1, 2]}], "edges": []}),
+    json.dumps({"nodes": [{"id": 0, "bag": "ab"}], "edges": []}),
+    json.dumps({"nodes": [{"id": 0, "bag": [True, 0, 1, 2]}], "edges": []}),
+    json.dumps({"nodes": [{"id": 0.0, "bag": [0, 1, 2]}], "edges": []}),
+    json.dumps({**TWO_BAGS, "edges": [[0, 1.5]]}),
+])
 def test_checktd_malformed_decomposition_is_input_error(tmp_path, capsys, content):
     src = write_graph(tmp_path, path(3))
     td_file = tmp_path / "td.json"
@@ -169,7 +196,15 @@ def test_checktd_malformed_decomposition_is_input_error(tmp_path, capsys, conten
     assert "malformed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ["{not json", '{"nodes": []}'])
+@pytest.mark.parametrize("content", [
+    "{not json",
+    '{"nodes": []}',
+    "[]",
+    json.dumps({**EMBEDDING, "tree_n": 2.0}),
+    json.dumps({**EMBEDDING, "root": 0.5}),
+    json.dumps({**EMBEDDING, "map": [{"v": "0", "node": 0, "copy": 1},
+                                     {"v": 1, "node": 1, "copy": True}]}),
+])
 def test_subdivide_malformed_embedding_is_input_error(tmp_path, capsys, content):
     src = write_graph(tmp_path, path(2))
     emb_file = tmp_path / "emb.json"
@@ -179,6 +214,18 @@ def test_subdivide_malformed_embedding_is_input_error(tmp_path, capsys, content)
     assert "malformed" in capsys.readouterr().err
 
 
+def test_vertex_budget_is_a_budget_error(tmp_path, capsys):
+    # Both counts are refused before any adjacency list is allocated.
+    src = tmp_path / "huge.el"
+    src.write_text("p 1000000000 0\n")
+    assert main(["separate", str(src)]) == 3
+    emb_file = tmp_path / "emb.json"
+    emb_file.write_text(json.dumps({**EMBEDDING, "tree_n": 2_000_000_000}))
+    assert main(["subdivide", write_graph(tmp_path, path(2)), "--mode", "host",
+                 "--embedding", str(emb_file)]) == 3
+    assert capsys.readouterr().err.count("budget error") == 2
+
+
 def test_unwritable_output_is_input_error(tmp_path, capsys):
     src = write_graph(tmp_path, path(4))
     target = tmp_path / "missing-dir" / "x.json"
@@ -186,11 +233,15 @@ def test_unwritable_output_is_input_error(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+# Integers for the fuzzers: small ones, and counts past the vertex budget,
+# which must be refused before anything is allocated.  Counts just under the
+# budget are valid input that takes seconds, so they are not drawn.
+INTEGERS = st.integers(-3, 12) | st.integers(min_value=VERTEX_BUDGET + 1)
+
 # Edge-list lines built from header, comment and number tokens, some of them
-# broken.  Integers stay small: the header's n sizes the graph before any edge
-# is read.
+# broken.
 TOKENS = st.one_of(
-    st.integers(-3, 12).map(str),
+    INTEGERS.map(str),
     st.sampled_from(["p", "#", "x", "1.5", "0x1", "-", "p2", "1e3", "\u0663", "\t"]),
 )
 LINES = st.lists(TOKENS, max_size=4).map(" ".join)
@@ -198,8 +249,9 @@ LINES = st.lists(TOKENS, max_size=4).map(" ".join)
 
 @st.composite
 def malformed_edge_lists(draw):
-    """A valid edge list with lines replaced, inserted or deleted, a list of
-    token lines, or short free text."""
+    """A valid edge list, its header's vertex count perhaps redrawn, with
+    lines replaced, inserted or deleted; a list of token lines; or short
+    free text."""
     kind = draw(st.sampled_from(["mutated", "lines", "text"]))
     if kind == "text":
         return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
@@ -208,7 +260,9 @@ def malformed_edge_lists(draw):
     n = draw(st.integers(1, 9))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
-    lines = serialize_edge_list(Graph(n, [(u, v) for u, v in pairs if u != v])).splitlines()
+    g = Graph(n, [(u, v) for u, v in pairs if u != v])
+    lines = serialize_edge_list(g).splitlines()
+    lines[0] = f"p {draw(st.just(n) | INTEGERS)} {g.m}"
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(lines)))
         action = draw(st.sampled_from(["replace", "insert", "delete"]))
@@ -226,14 +280,83 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    output = out.getvalue() + err.getvalue()
+    assert "Traceback" not in output, (argv, output)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=100, deadline=None)
 @given(malformed_edge_lists())
 def test_malformed_edge_lists_exit_cleanly(fuzz_dir, text):
     src = fuzz_dir / "g.el"
     src.write_text(text, encoding="utf-8")
     for command in ("separate", "treedecomp", "stack"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(src)])
-        assert code in (0, 2), (command, text, err.getvalue())
-        assert "Traceback" not in out.getvalue() + err.getvalue()
+        code, _, err = run_quietly([command, str(src)])
+        assert code in (0, 2, 3), (command, text, err)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INTEGERS | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+FUZZ_GRAPH = path(4)
+VALID_TD = build_tree_decomposition(FUZZ_GRAPH, 3).to_json_dict()
+VALID_EMBEDDING = {
+    "tree_edges": [[0, 1], [1, 2], [2, 3]], "tree_n": 4, "root": 1, "k": 2,
+    "map": [{"v": v, "node": v, "copy": 1 + v % 2} for v in range(4)],
+}
+
+
+def value_slots(value):
+    """(container, key) for every value nested inside `value`."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return []
+    slots = []
+    for key, item in items:
+        slots.append((value, key))
+        slots.extend(value_slots(item))
+    return slots
+
+
+@st.composite
+def json_documents(draw, valid):
+    """Any JSON value, or `valid` with one to three nested values replaced by
+    arbitrary JSON or deleted."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = value_slots(doc)
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            container[key] = draw(JSON_VALUES)
+        else:
+            del container[key]
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_documents(VALID_TD), json_documents(VALID_EMBEDDING))
+def test_malformed_json_inputs_exit_cleanly(fuzz_dir, td_doc, emb_doc):
+    src = write_graph(fuzz_dir, FUZZ_GRAPH)
+    td_file, emb_file = fuzz_dir / "td.json", fuzz_dir / "emb.json"
+    td_file.write_text(json.dumps(td_doc))
+    emb_file.write_text(json.dumps(emb_doc))
+    code, out, err = run_quietly(["checktd", src, "--td", str(td_file)])
+    assert code in (0, 1, 2), (td_doc, err)
+    assert (code == 1) == out.startswith("invalid:"), (td_doc, out)
+    code, _, err = run_quietly(["subdivide", src, "--mode", "host",
+                                "--embedding", str(emb_file)])
+    assert code in (0, 2, 3), (emb_doc, err)

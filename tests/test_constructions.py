@@ -15,6 +15,7 @@ from growthtw.constructions import (
 )
 from growthtw.errors import (
     CapacityError,
+    GrowthTWError,
     ModelError,
     PreconditionError,
     RangeError,
@@ -123,6 +124,14 @@ def test_embedding_json_round_trip():
     assert (again.root, again.k) == (emb.root, emb.k)
 
 
+@pytest.mark.parametrize("edges", [[[0, 1, 1]], [[0]], [[0, 1.0]], [[False, 1]]])
+def test_embedding_json_edges_must_be_integer_pairs(edges):
+    data = identity_embedding(path(2)).to_json_dict()
+    data["tree_edges"] = edges
+    with pytest.raises(GrowthTWError):
+        HostEmbedding.from_json_dict(data)
+
+
 # ---------------------------------------------------------------- host subdivision
 
 def test_host_plan_single_edge():
@@ -228,9 +237,7 @@ def test_uniform_two_vertices():
 
 def test_uniform_rejects_decreasing_bound():
     with pytest.raises(PreconditionError):
-        subdivide_uniform_superlinear(
-            path(2), lambda r: Fraction(100 - r if r > 1 else 3), f_monotone_declared=True
-        )
+        subdivide_uniform_superlinear(path(2), lambda r: Fraction(100 - r if r > 1 else 3))
 
 
 def test_uniform_scan_budget():

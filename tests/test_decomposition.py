@@ -17,7 +17,12 @@ from growthtw.decomposition import (
     grid_identity_model,
     verify_grid_minor_model,
 )
-from growthtw.errors import CapacityError, InvariantViolationError, PreconditionError
+from growthtw.errors import (
+    CapacityError,
+    GrowthTWError,
+    InvariantViolationError,
+    PreconditionError,
+)
 from growthtw.generators import complete, complete_binary_tree, cycle, grid, path, random_cubic, star
 from growthtw.graphs import Graph
 from growthtw.growth import growth_constant
@@ -75,6 +80,13 @@ def test_json_round_trip():
     again = TreeDecomposition.from_json_dict(built.to_json_dict())
     assert again == built
     assert built.to_json_dict()["width"] == built.width
+
+
+@pytest.mark.parametrize("edges", [[[0, 1, 1]], [[0]], [[0, 1.5]], [[0, True]], [[0, "1"]]])
+def test_json_edges_must_be_integer_pairs(edges):
+    data = {"nodes": [{"id": 0, "bag": [0, 1]}, {"id": 1, "bag": [1, 2]}], "edges": edges}
+    with pytest.raises(GrowthTWError):
+        TreeDecomposition.from_json_dict(data)
 
 
 # ---------------------------------------------------------------- exact treewidth

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from growthtw.errors import ParseError, RangeError, StructureError
+from growthtw.errors import CapacityError, ParseError, RangeError, StructureError
 from growthtw.generators import cycle, path
 from growthtw.graphs import (
+    VERTEX_BUDGET,
     Graph,
     ball,
     bfs_distances,
@@ -50,6 +51,8 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(RangeError):
         Graph(-1)
+    with pytest.raises(CapacityError):
+        Graph(VERTEX_BUDGET + 1)
 
 
 def test_equality_and_hash():
@@ -79,6 +82,8 @@ def test_parse_errors():
         parse_edge_list("p 2 1\n0 5\n")
     with pytest.raises(StructureError):
         parse_edge_list("p 2 1\n1 1\n")
+    with pytest.raises(CapacityError):
+        parse_edge_list("p 1000000000 0\n")  # refused before n lists are allocated
     err = None
     try:
         parse_edge_list("p 2 1\nx y\n")
