@@ -26,7 +26,12 @@ from .errors import CapacityError, GrowthTWError
 from .generators import FAMILIES, generate, random_cubic
 from .graphs import is_connected, parse_edge_list, serialize_edge_list
 from .growth import growth_constant, growth_profile
-from .separators import bfs_layer_separation, check_separation, linear_growth_separator
+from .separators import (
+    bfs_layer_separation,
+    check_separation,
+    linear_growth_separator,
+    separation_alpha,
+)
 from .stacklayout import exact_stack_number, layout_from_decomposition
 
 
@@ -64,7 +69,8 @@ def _read_json(path: str, loader):
         raise GrowthTWError(f"cannot read {path}: {exc}") from exc
     except GrowthTWError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # json.load raises RecursionError on arrays nested past the limit.
         raise GrowthTWError(f"malformed {path}: {exc!r}") from exc
 
 
@@ -113,7 +119,7 @@ def _growth(args) -> int:
 def _separate(args) -> int:
     g = _read_graph(args.input)
     c = _effective_c(args, g)
-    alpha = max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
+    alpha = separation_alpha(c)
     # A single vertex has no layer split and so no trace; it is separated
     # as the untraced form separates it.
     if args.trace and g.n > 1 and is_connected(g):

@@ -5,6 +5,7 @@ and the integer checks of JSON input.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from collections import deque
 from dataclasses import dataclass
@@ -234,6 +235,31 @@ def eccentricity(g: Graph, v: int, allowed: Optional[frozenset] = None) -> int:
     return max(bfs_distances(g, v, allowed).values())
 
 
+def moore_steps(delta: int, size: int, level: int, target: int):
+    """Least j >= 0 such that a ball B_r(v), r >= 1, of `size` vertices,
+    `level` of them at distance exactly r, may reach `target` vertices by
+    radius r + j in a graph of maximum degree `delta`; math.inf if it never
+    can.
+
+    This is the Moore bound: a vertex at distance i >= 1 from v has a
+    neighbour at distance i - 1, so at most delta - 1 at distance i + 1, and
+    |B_{r+j}(v)| <= size + level * ((delta-1) + ... + (delta-1)**j).  It
+    runs in O(1) time for delta <= 2 and O(log target) otherwise."""
+    if size >= target:
+        return 0
+    fan = delta - 1
+    if fan <= 0 or level == 0:
+        return math.inf
+    if fan == 1:
+        return -(-(target - size) // level)
+    steps = 0
+    while size < target:
+        level *= fan
+        size += level
+        steps += 1
+    return steps
+
+
 def min_eccentricity_vertex(g: Graph, X: Optional[frozenset] = None) -> int:
     """The smallest-id vertex of minimum eccentricity in g[X], each vertex's
     eccentricity taken within its component of g[X].
@@ -241,13 +267,19 @@ def min_eccentricity_vertex(g: Graph, X: Optional[frozenset] = None) -> int:
     Exact, with the bound pruning of Takes & Kosters ("Computing the
     eccentricity distribution of large graphs", Algorithms 2013): a BFS from
     u of eccentricity e gives ecc(v) >= max(d, e - d) for every v at
-    distance d from u.  Sources are taken in order of least lower bound,
-    then least id, and a vertex is dropped once its (lower bound, id) is
-    above the best (eccentricity, id) found, so it can neither beat the
-    best nor tie it with a smaller id."""
+    distance d from u.  The same BFS gives the size of u's component C, and
+    no vertex of C reaches all of C before its Moore ball does (see
+    `moore_steps`), with delta the largest degree over X: so every v in C
+    has ecc(v) >= the least radius whose Moore ball holds |C| vertices.  On
+    a cycle that bound is |C|/2 rounded down, every vertex's eccentricity,
+    and one BFS settles it.  Sources are taken in order of least lower
+    bound, then least id, and a vertex is dropped once its (lower bound,
+    id) is above the best (eccentricity, id) found, so it can neither beat
+    the best nor tie it with a smaller id."""
     X = frozenset(range(g.n)) if X is None else frozenset(X)
     if not X:
         raise RangeError("no vertex in an empty set")
+    delta = max(len(g.adj[v]) for v in X)
     lower = dict.fromkeys(X, 0)
     candidates = set(X)
     best = (len(X), -1)
@@ -257,8 +289,10 @@ def min_eccentricity_vertex(g: Graph, X: Optional[frozenset] = None) -> int:
         dist = bfs_distances(g, u, X)
         e = max(dist.values())
         best = min(best, (e, u))
+        # A ball of radius 1 holds at most delta + 1 vertices.
+        floor = 0 if len(dist) == 1 else 1 + moore_steps(delta, delta + 1, delta, len(dist))
         for v, d in dist.items():
-            lower[v] = max(lower[v], d, e - d)
+            lower[v] = max(lower[v], d, e - d, floor)
         candidates = {v for v in candidates if (lower[v], v) < best}
     return best[1]
 

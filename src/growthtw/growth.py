@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
-from .graphs import Graph
+from .graphs import Graph, moore_steps
 
 # Exhaustive enumeration refuses beyond these sizes.
 BRUTE_FORCE_EDGE_BUDGET = 20
@@ -44,10 +44,10 @@ class GrowthProfile:
 
 
 def _ball_sizes(adj, v: int, seen: list):
-    """Yield |B_1(v)|, |B_2(v)|, ... by level-synchronous BFS, stopping once
-    the ball holds v's whole component.  `seen` is a visit-stamp list shared
-    across sources: seen[w] == v marks w as reached from v, so it is never
-    cleared."""
+    """Yield (|B_r(v)|, number of vertices at distance exactly r) for
+    r = 1, 2, ... by level-synchronous BFS, stopping once the ball holds v's
+    whole component.  `seen` is a visit-stamp list shared across sources:
+    seen[w] == v marks w as reached from v, so it is never cleared."""
     seen[v] = v
     frontier = [v]
     size = 1
@@ -61,7 +61,7 @@ def _ball_sizes(adj, v: int, seen: list):
         if not level:
             return
         size += len(level)
-        yield size
+        yield size, len(level)
         frontier = level
 
 
@@ -80,7 +80,7 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
     seen = [-1] * g.n
     for v in range(g.n):
         r, size = 0, 1
-        for r, size in zip(range(1, r_max + 1), _ball_sizes(g.adj, v, seen)):
+        for r, (size, _) in zip(range(1, r_max + 1), _ball_sizes(g.adj, v, seen)):
             if size > largest[r]:
                 largest[r] = size
         if r < r_max and size > whole[r]:
@@ -101,19 +101,35 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
 
 def growth_constant(g: Graph) -> Fraction:
     """Exact c_G = max_v max_r |B_r(v)|/r in one pass of BFS.  The best ratio
-    starts at f(1)/1 = max degree + 1, and each source's BFS stops before
-    radius r once r * best >= n: a ball never exceeds n vertices, so no
-    radius from r on can beat the best.  Ratios are compared in integers."""
+    starts at f(1)/1 = max degree + 1, and each source's BFS stops after
+    radius r once no later radius can beat the best.
+
+    A ball never exceeds n vertices, so radii r + i with (r + i) * best >= n
+    cannot; let r + j be the last radius below that.  With s = |B_r(v)|,
+    L vertices at distance exactly r and maximum degree delta, the Moore
+    bound (`graphs.moore_steps`) gives |B_{r+i}(v)| <= s + L*((delta-1) +
+    ... + (delta-1)**i) =: B_i.  The slack best*(r + i) - B_i is concave in
+    i (its increments best - L*(delta-1)**(i+1) never grow) and nonnegative
+    at i = 0, so it is nonnegative on 0..j as soon as it is at i = j.  With
+    delta <= 2 that holds once L*(delta-1) <= best, at r = 1 on every path
+    and cycle; with delta >= 3 the bound grows geometrically and mostly
+    stops a source only a few radii before n does.  Ratios are compared in
+    integers, and a stopped source could at most tie the best, so the
+    result is exact."""
     n = g.n
     if n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
-    num, den = g.max_degree() + 1, 1
+    delta = g.max_degree()
+    num, den = delta + 1, 1
     seen = [-1] * n
     for v in range(n):
-        for r, size in enumerate(_ball_sizes(g.adj, v, seen), start=1):
+        for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
             if size * den > num * r:
                 num, den = size, r
-            if (r + 1) * num >= n * den:
+            j = -(-n * den // num) - r - 1
+            # B_j <= best*(r + j) iff the bound needs more than j radii to
+            # pass num*(r + j)//den vertices.
+            if j <= 0 or moore_steps(delta, size, level, num * (r + j) // den + 1) > j:
                 break
     return Fraction(num, den)
 

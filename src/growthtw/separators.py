@@ -299,11 +299,20 @@ def check_separation(g: Graph, X: Optional[frozenset], s: Separation, alpha) -> 
     )
 
 
+def separation_alpha(c) -> Fraction:
+    """The balance max(2/3, 1 - 1/(4c)) of the layer split for a growth
+    parameter c, which must be at least 1."""
+    c = Fraction(c)
+    if c < 1:
+        raise RangeError(f"c must be >= 1, got {c}")
+    return max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
+
+
 def linear_growth_separator(g: Graph, X: Optional[frozenset], c) -> Separation:
     """Composition used throughout: the layer split lifted to possibly
     disconnected sets at alpha = 1 - 1/(4c), with singletons handled directly."""
     c = Fraction(c)
-    alpha = max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
+    alpha = separation_alpha(c)
 
     def connected_oracle(Y: frozenset) -> Separation:
         if len(Y) == 1:
@@ -317,7 +326,7 @@ def linear_growth_separator(g: Graph, X: Optional[frozenset], c) -> Separation:
 def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separation, int]:
     """2/3-balanced separation via the layer-split oracle and rebalancing."""
     c = Fraction(c)
-    alpha = max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
+    alpha = separation_alpha(c)
     return rebalance_to_two_thirds(
         g, X, alpha, lambda Y: linear_growth_separator(g, Y, c)
     )

@@ -172,6 +172,12 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_text("p 2 9\n0 1\n")
     assert main(["growth", str(bad)]) == 2
+    # A growth parameter below 1 -> 2, checked before separate divides by 4c.
+    p4 = write_graph(tmp_path, path(4), "p4.el")
+    for command in ("separate", "treedecomp", "stack"):
+        for c in ("0", "-1", "1/2"):
+            assert main([command, p4, "--c", c]) == 2
+            assert "c must be >= 1" in capsys.readouterr().err
     # Budget error -> 3.
     big = write_graph(tmp_path, path(19), "big.el")
     assert main(["tw-exact", big]) == 3
@@ -187,6 +193,7 @@ def test_exit_codes(tmp_path, capsys):
     json.dumps({"nodes": [{"id": 0, "bag": [True, 0, 1, 2]}], "edges": []}),
     json.dumps({"nodes": [{"id": 0.0, "bag": [0, 1, 2]}], "edges": []}),
     json.dumps({**TWO_BAGS, "edges": [[0, 1.5]]}),
+    pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
 ])
 def test_checktd_malformed_decomposition_is_input_error(tmp_path, capsys, content):
     src = write_graph(tmp_path, path(3))
@@ -360,3 +367,36 @@ def test_malformed_json_inputs_exit_cleanly(fuzz_dir, td_doc, emb_doc):
     code, _, err = run_quietly(["subdivide", src, "--mode", "host",
                                 "--embedding", str(emb_file)])
     assert code in (0, 2, 3), (emb_doc, err)
+
+
+# Tokens for the numeric options: integers (0 and negatives among them),
+# fractions (over 0 too), floats and their overflows, and free text.
+NUMBERS = st.one_of(
+    st.integers(-5, 25).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(-3, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-400", "-1e400", "2.5", "1_000",
+                     "0x10", "", " ", "1/2/3", "3,", ",1"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+# Cubic sizes past 20 are valid input that takes long to run.
+SIZES = st.one_of(st.integers(-5, 20).map(str), NUMBERS.filter(lambda t: not t.isdigit()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(NUMBERS, NUMBERS, st.lists(NUMBERS, min_size=1, max_size=3),
+       st.lists(SIZES, max_size=2), st.lists(NUMBERS, max_size=2))
+def test_numeric_options_exit_cleanly(fuzz_dir, c, epsilon, poly, sizes, seeds):
+    src = write_graph(fuzz_dir, path(4))
+    for command in ("separate", "treedecomp", "stack"):
+        code, _, err = run_quietly([command, src, f"--c={c}"])
+        assert code in (0, 1, 2, 3), (command, c, err)
+    # On a graph with an edge, a polynomial of slope in [max degree, 2m)
+    # is valid input whose superlinearity scan runs for seconds; on one
+    # vertex the scan ends at r = 1.
+    one_vertex = write_graph(fuzz_dir, Graph(1), "k1.el")
+    code, _, err = run_quietly(["subdivide", one_vertex, "--mode", "uniform",
+                                f"--epsilon={epsilon}", "--poly", *poly])
+    assert code in (0, 1, 2, 3), (epsilon, poly, err)
+    code, _, err = run_quietly(["explore-lower-bound", f"--sizes={','.join(sizes)}",
+                                f"--seeds={','.join(seeds)}"])
+    assert code in (0, 1, 2, 3), (sizes, seeds, err)

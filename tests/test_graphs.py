@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+import growthtw.graphs
 from growthtw.errors import CapacityError, ParseError, RangeError, StructureError
-from growthtw.generators import cycle, path
+from growthtw.generators import complete_binary_tree, cycle, path, star
 from growthtw.graphs import (
     VERTEX_BUDGET,
     Graph,
@@ -15,6 +18,7 @@ from growthtw.graphs import (
     is_connected,
     is_tree,
     min_eccentricity_vertex,
+    moore_steps,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -180,8 +184,8 @@ def test_min_eccentricity_vertex_matches_brute_force(case):
 
 
 def test_min_eccentricity_vertex_ties_and_cycles():
-    # Cycles: every vertex has the same eccentricity, so no bound prunes
-    # and the smallest id wins.
+    # Cycles: every vertex has the same eccentricity, which the Moore
+    # bound gives after the first BFS, and the smallest id wins.
     for n in range(3, 13):
         assert min_eccentricity_vertex(cycle(n)) == 0
     # Even paths have two centers; the smaller id wins, also when the
@@ -195,3 +199,55 @@ def test_min_eccentricity_vertex_ties_and_cycles():
     assert min_eccentricity_vertex(Graph(1)) == 0
     with pytest.raises(RangeError):
         min_eccentricity_vertex(Graph(3), frozenset())
+
+
+def test_center_search_on_a_cycle_runs_one_bfs(monkeypatch):
+    # Every vertex of C_500 has eccentricity 250, and so has every Moore
+    # lower bound once the first BFS has measured the component.
+    calls = []
+    real = growthtw.graphs.bfs_distances
+    monkeypatch.setattr(growthtw.graphs, "bfs_distances",
+                        lambda *args: calls.append(args) or real(*args))
+    assert min_eccentricity_vertex(cycle(500)) == 0
+    assert len(calls) == 1
+
+
+def union(*parts):
+    n, edges = 0, []
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    return Graph(n, edges)
+
+
+@given(st.lists(st.sampled_from([path, cycle, star, complete_binary_tree]), min_size=1,
+                max_size=4),
+       st.lists(st.integers(3, 12), min_size=4, max_size=4))
+def test_min_eccentricity_vertex_over_components(families, sizes):
+    # Each component gets its own Moore bound, from the largest degree over
+    # all of X, and keeps its own eccentricities.
+    g = union(*(family(size) for family, size in zip(families, sizes)))
+    assert min_eccentricity_vertex(g) == brute_force_center(g, frozenset(range(g.n)))
+
+
+def test_moore_steps_values():
+    assert moore_steps(2, 3, 2, 500) == 249      # a path gains 2 vertices a level
+    assert moore_steps(3, 4, 3, 10) == 1         # 4 + 3*2
+    assert moore_steps(3, 4, 3, 11) == 2         # 10 + 3*4
+    assert moore_steps(5, 6, 5, 6) == 0
+    assert moore_steps(1, 2, 1, 3) == math.inf   # a matching never grows
+    assert moore_steps(4, 5, 0, 6) == math.inf   # an empty level ends the ball
+
+
+@given(small_graphs(max_n=10))
+def test_moore_steps_never_undercounts_a_ball(g):
+    # From any ball B_r(v), r >= 1, the ball B_{r+j}(v) is reachable in at
+    # most j steps of the bound.
+    delta = g.max_degree()
+    for v in range(g.n):
+        dist = bfs_distances(g, v)
+        sizes = [sum(d <= r for d in dist.values()) for r in range(max(dist.values()) + 1)]
+        for r in range(1, len(sizes)):
+            level = sizes[r] - sizes[r - 1]
+            for j, target in enumerate(sizes[r:]):
+                assert moore_steps(delta, sizes[r], level, target) <= j

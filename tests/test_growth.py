@@ -175,3 +175,53 @@ def test_growth_profile_matches_balls(g, r_max):
     profile = growth_profile(g, r_max)
     for r in range(1, r_max + 1):
         assert profile.f(r) == max(len(ball(g, v, r)) for v in range(g.n))
+
+
+def ball_growth_constant(g: Graph) -> Fraction:
+    """max_v max_r |B_r(v)|/r from graphs.ball, radius by radius until v's
+    ball holds its whole component (past that the ratio only falls)."""
+    best = Fraction(0)
+    for v in range(g.n):
+        size, r = 1, 0
+        while True:
+            r += 1
+            grown = len(ball(g, v, r))
+            best = max(best, Fraction(grown, r))
+            if grown == size:
+                break
+            size = grown
+    return best
+
+
+@st.composite
+def disjoint_unions(draw, max_n=80):
+    """Disjoint unions of paths and cycles (maximum degree <= 2), some with
+    binary trees or small arbitrary graphs beside them (degree >= 3)."""
+    parts = draw(st.lists(
+        st.one_of(
+            st.builds(path, st.integers(1, 40)),
+            st.builds(cycle, st.integers(3, 40)),
+            st.builds(complete_binary_tree, st.integers(1, 31)),
+            graphs_with_isolated_vertices(max_n=8),
+        ),
+        min_size=1, max_size=5,
+    ))
+    g = parts[0]
+    for part in parts[1:]:
+        if g.n + part.n > max_n:
+            break
+        g = two_components(g, part)
+    return g
+
+
+@given(disjoint_unions())
+@example(path(2))
+@example(cycle(3))
+@example(star(5))
+@example(two_components(path(60), complete(4)))
+@example(two_components(cycle(41), star(4)))
+@settings(max_examples=60, deadline=None)
+def test_growth_constant_equals_ball_maximum(g):
+    # The degree-bounded cutoff stops sources early; the balls here come
+    # from graphs.ball, which shares nothing with growth.py.
+    assert growth_constant(g) == ball_growth_constant(g)

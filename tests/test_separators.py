@@ -53,6 +53,11 @@ def test_layer_split_edge_cases():
         bfs_layer_separation(Graph(4, [(0, 1), (2, 3)]), None, 1)
     with pytest.raises(RangeError):
         bfs_layer_separation(path(4), None, Fraction(1, 2))
+    # c is checked before the balance 1 - 1/(4c) is formed, on every input.
+    for c in (0, -1, Fraction(1, 2)):
+        for separator in (linear_growth_separator, two_thirds_separation):
+            with pytest.raises(RangeError):
+                separator(Graph(1), None, c)
     # Two vertices: single layer pair, split at j=1.
     sep, trace = bfs_layer_separation(path(2), None, 1)
     assert sep.order <= 1 and sep.a | sep.b == frozenset({0, 1})
