@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -35,7 +36,22 @@ from .separators import (
 from .stacklayout import exact_stack_number, layout_from_decomposition
 
 
+# Fraction("1e<N>") expands 10**N into an exact integer, in time and memory
+# that grow without limit in N; 4300 is the digit cap Python 3.11 puts on
+# int parsing.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _fraction(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0") or "0"
+        # Lengths first, so that a long exponent is never parsed as an int.
+        if len(digits) > 4 or int(digits) > MAX_DECIMAL_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"decimal exponent past {MAX_DECIMAL_EXPONENT} in absolute value: {text!r}"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -193,6 +209,13 @@ def _subdivide(args) -> int:
         if not args.poly:
             raise GrowthTWError("--mode uniform requires --poly COEFF...")
         coeffs = list(args.poly)
+        # For f(r) = a*r + b with a <= 2m, f(r) - 2rm - n never grows with r,
+        # so f reaches 2rm + n at some radius only if it does at r = 1.
+        a, b = ([0, 0] + coeffs)[-2:]
+        if not any(coeffs[:-2]) and a <= 2 * g.m and a + b < 2 * g.m + g.n:
+            raise GrowthTWError(
+                f"f(r) = {a}*r + {b} never reaches 2*r*m + n (m = {g.m}, n = {g.n})"
+            )
 
         def bound(r):
             total = Fraction(0)

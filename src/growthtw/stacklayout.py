@@ -4,7 +4,8 @@ graphs, and a decomposition-driven heuristic layout.
 Two edges conflict under an order when their endpoints interleave; a layout
 is valid when no two edges on the same stack conflict.  Conflicts depend
 only on the cyclic order up to reflection, so the exact search fixes the
-first vertex and prunes reversed orders.
+first vertex and prunes reversed orders; it stops at the first order that
+reaches a certified lower bound.
 """
 
 from __future__ import annotations
@@ -116,44 +117,77 @@ def _greedy_coloring(masks) -> list:
     return colors
 
 
-def _chromatic_exact(masks, upper: int) -> Tuple[int, list]:
-    """Exact chromatic number (<= upper known) via k-colorability search."""
+def stack_number_lower_bound(g: Graph) -> int:
+    """A certified lower bound on the stack number: 0 without edges, else the
+    largest of 1, of 2 when the 3-core is non-empty, and for n >= 4 of
+    ceil((m - n) / (n - 3)).  One-stack graphs are the outerplanar graphs,
+    which are 2-degenerate, so a graph whose 3-core survives needs two.  A
+    k-stack graph has at most n + k(n - 3) edges: the n sides of the spine's
+    cycle fit on any stack, and each stack's other edges are non-crossing
+    chords of an n-gon, at most n - 3 of them (Bernhart & Kainen, JCTB 1979).
+    """
+    if g.m == 0:
+        return 0
+    lb = 1
+    if g.n >= 4:
+        lb = max(lb, -((g.n - g.m) // (g.n - 3)))
+    # Peel vertices of degree <= 2; each is peeled once, when its degree
+    # first drops to 2 (or at the start).
+    degree = [len(a) for a in g.adj]
+    low = [v for v in range(g.n) if degree[v] <= 2]
+    peeled = len(low)
+    while low:
+        for w in g.adj[low.pop()]:
+            degree[w] -= 1
+            if degree[w] == 2:
+                low.append(w)
+                peeled += 1
+    if peeled < g.n:
+        lb = max(lb, 2)
+    return lb
+
+
+def _colorable(masks, k) -> Optional[list]:
+    """A colouring of the conflict graph with at most k colours, or None.
+    Backtracking over the edges by falling degree; each takes the least free
+    colour first and at most one colour above those already used, so the
+    colouring found for given masks and k is always the same."""
     m = len(masks)
-    if m == 0:
-        return 0, []
     order = sorted(range(m), key=lambda i: -masks[i].bit_count())
+    colors = [0] * m
 
-    def colorable(k):
-        colors = [0] * m
+    def place(idx, top):
+        if idx == m:
+            return True
+        i = order[idx]
+        used = {colors[j] for j in iter_bits(masks[i]) if colors[j]}
+        for c in range(1, min(k, top + 1) + 1):
+            if c not in used:
+                colors[i] = c
+                if place(idx + 1, max(top, c)):
+                    return True
+                colors[i] = 0
+        return False
 
-        def place(idx):
-            if idx == m:
-                return True
-            i = order[idx]
-            used = {colors[j] for j in iter_bits(masks[i]) if colors[j]}
-            limit = min(k, max((colors[order[t]] for t in range(idx)), default=0) + 1)
-            for c in range(1, limit + 1):
-                if c not in used:
-                    colors[i] = c
-                    if place(idx + 1):
-                        return True
-                    colors[i] = 0
-            return False
-
-        return place(0), colors
-
-    for k in range(1, upper + 1):
-        ok, colors = colorable(k)
-        if ok:
-            return k, colors
-    raise AssertionError("upper bound was not actually achievable")
+    return colors if place(0, 0) else None
 
 
 def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
     """Minimum stacks over all vertex orders.  The first vertex is pinned and
     reversals pruned (conflicts are invariant under rotation and reflection
     of the spine); per order the minimum equals the chromatic number of the
-    edge conflict graph, computed exactly."""
+    edge conflict graph.
+
+    The search keeps the first order, in enumeration order, whose chromatic
+    number beats every earlier one, coloured by `_colorable` at that number.
+    An order is asked once whether it colours with min(best - 1, greedy)
+    colours; only if it does is the count stepped down, one colour at a time
+    while it still colours, to its chromatic number or to
+    lb = `stack_number_lower_bound(g)`.  The search stops at the first order
+    that reaches lb.  No order can go below lb, and an order that cannot
+    beat the best so far is never recorded, so the result is the one a
+    full search over every order, with the exact chromatic number of each,
+    returns."""
     if g.n > EXACT_STACK_VERTEX_BUDGET:
         raise CapacityError(
             f"exact stack number refuses n={g.n} > {EXACT_STACK_VERTEX_BUDGET}"
@@ -161,26 +195,29 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
     edges = list(g.edges())
     if not edges:
         return 0, StackLayout(order=tuple(range(g.n)), assignment={}, k=0)
+    lb = stack_number_lower_bound(g)
     best_k = len(edges) + 1
     best_layout = None
-    rest = list(range(1, g.n))
-    for perm in permutations(rest) if rest else [()]:
+    for perm in permutations(range(1, g.n)):
         if len(perm) >= 2 and perm[0] > perm[-1]:
             continue
         order = (0,) + perm
         pos = {v: i for i, v in enumerate(order)}
         masks = _conflict_masks(edges, pos)
-        greedy = _greedy_coloring(masks)
-        k, colors = _chromatic_exact(masks, max(greedy))
-        if k < best_k:
-            best_k = k
-            best_layout = StackLayout(
-                order=order,
-                assignment={e: colors[i] for i, e in enumerate(edges)},
-                k=k,
-            )
-            if best_k == 1:
-                break
+        k = min(best_k - 1, max(_greedy_coloring(masks)))
+        colors = _colorable(masks, k)
+        if colors is None:
+            continue
+        while k > lb and (fewer := _colorable(masks, k - 1)) is not None:
+            k, colors = k - 1, fewer
+        best_k = k
+        best_layout = StackLayout(
+            order=order,
+            assignment={e: colors[i] for i, e in enumerate(edges)},
+            k=k,
+        )
+        if best_k == lb:
+            break
     assert best_layout is not None
     return best_k, best_layout
 

@@ -181,8 +181,49 @@ def test_exit_codes(tmp_path, capsys):
     # Budget error -> 3.
     big = write_graph(tmp_path, path(19), "big.el")
     assert main(["tw-exact", big]) == 3
+    assert main(["stack-exact", write_graph(tmp_path, path(9), "p9.el")]) == 3
     assert main(["explore-lower-bound", "--sizes", "20", "--seeds", "1"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "-1e10000000", "1e-10000000",
+                                   "1e4301", "1E-4301", "2.5e+0_4301", "1e" + "9" * 5000])
+def test_huge_decimal_exponents_are_input_errors(tmp_path, capsys, value):
+    # Refused before Fraction expands 10**exponent into an exact integer.
+    p4 = write_graph(tmp_path, path(4))
+    assert main(["separate", p4, f"--c={value}"]) == 2
+    assert main(["subdivide", p4, "--mode", "uniform", f"--epsilon={value}",
+                 "--poly", "1", "0", "0"]) == 2
+    assert main(["subdivide", p4, "--mode", "uniform", "--poly", value]) == 2
+    assert "decimal exponent past 4300" in capsys.readouterr().err
+
+
+def test_decimal_exponents_up_to_the_cap_are_valid(tmp_path, capsys):
+    p4 = write_graph(tmp_path, path(4))
+    assert main(["separate", p4, "--c=1e400"]) == 0
+    assert main(["treedecomp", p4, "--c=1e4300"]) == 0
+    capsys.readouterr()
+    # Parsed, then refused by the library as c < 1.
+    assert main(["treedecomp", p4, "--c=1e-4299"]) == 2
+    assert "c must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("poly", [["3", "1"], ["0", "0", "3", "1"], ["6", "3"], ["9"],
+                                  ["-1", "2"]])
+def test_subdivide_refuses_a_linear_bound_that_never_suffices(tmp_path, capsys, poly):
+    # path(4): m = 3 and n = 4, so a*r + b needs a > 6, or a + b >= 10.
+    p4 = write_graph(tmp_path, path(4))
+    assert main(["subdivide", p4, "--mode", "uniform", "--poly", *poly]) == 2
+    assert "never reaches 2*r*m + n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("poly,subdivisions", [
+    (["6", "4"], 2), (["0", "10"], 2), (["7", "0"], 8), (["0", "0", "1", "100"], 2),
+])
+def test_subdivide_accepts_a_linear_bound_that_suffices(tmp_path, capsys, poly, subdivisions):
+    p4 = write_graph(tmp_path, path(4))
+    assert main(["subdivide", p4, "--mode", "uniform", "--poly", *poly]) == 0
+    assert json.loads(capsys.readouterr().out)["uniform_subdivisions"] == subdivisions
 
 
 @pytest.mark.parametrize("content", [
@@ -390,9 +431,9 @@ def test_numeric_options_exit_cleanly(fuzz_dir, c, epsilon, poly, sizes, seeds):
     for command in ("separate", "treedecomp", "stack"):
         code, _, err = run_quietly([command, src, f"--c={c}"])
         assert code in (0, 1, 2, 3), (command, c, err)
-    # On a graph with an edge, a polynomial of slope in [max degree, 2m)
-    # is valid input whose superlinearity scan runs for seconds; on one
-    # vertex the scan ends at r = 1.
+    # On a graph with an edge, a polynomial with a tiny positive leading
+    # coefficient (1e-400 r^2) is valid input whose superlinearity scan runs
+    # for seconds; on one vertex the scan ends at r = 1.
     one_vertex = write_graph(fuzz_dir, Graph(1), "k1.el")
     code, _, err = run_quietly(["subdivide", one_vertex, "--mode", "uniform",
                                 f"--epsilon={epsilon}", "--poly", *poly])

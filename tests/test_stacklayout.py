@@ -1,4 +1,5 @@
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +18,13 @@ from growthtw.generators import (
 )
 from growthtw.graphs import Graph
 from growthtw.growth import growth_constant
+import growthtw.stacklayout as stacklayout
 from growthtw.stacklayout import (
     StackLayout,
     check_stack_layout,
     exact_stack_number,
     layout_from_decomposition,
+    stack_number_lower_bound,
 )
 
 
@@ -280,3 +283,90 @@ def test_checker_reports_the_crossing_pair():
     verdict = check_stack_layout(g, StackLayout(tuple(range(6)), {**stacks, (1, 3): 1}, 2))
     assert not verdict.valid
     assert verdict.first_crossing == ((0, 2), (1, 3))
+
+
+# ------------------------------------------ the exact search's lower bound
+
+@pytest.mark.parametrize(
+    "g,expected",
+    [
+        (Graph(4), 0),
+        (path(5), 1),
+        (cycle(8), 1),
+        (complete(3), 1),
+        (complete(4), 2),  # 3-core and density both give 2
+        (complete(5), 3),
+        (complete(8), 4),  # ceil(n/2) on every clique with n >= 4
+        (random_cubic(8, 0), 2),  # 3-core; density gives only 1
+        (grid(3), 1),  # 2-degenerate, so no 3-core
+    ],
+)
+def test_stack_number_lower_bound_values(g, expected):
+    assert stack_number_lower_bound(g) == expected
+
+
+@given(graphs(max_n=7))
+@settings(max_examples=60, deadline=None)
+def test_stack_number_lower_bound_is_a_lower_bound(g):
+    k, _ = exact_stack_number(g)
+    assert stack_number_lower_bound(g) <= k
+
+
+def test_exact_stack_number_stops_at_the_lower_bound(monkeypatch):
+    calls = []
+    real = stacklayout._conflict_masks
+
+    def counted(edges, pos):
+        calls.append(pos)
+        return real(edges, pos)
+
+    monkeypatch.setattr(stacklayout, "_conflict_masks", counted)
+    # sn(K8) = 4 = ceil((m - n) / (n - 3)): the first order reaches it.
+    assert exact_stack_number(complete(8))[0] == 4
+    assert len(calls) == 1
+    # A cubic graph has a 3-core, so 2 stacks stop the search; a full one
+    # builds 7!/2 = 2520 conflict graphs.
+    calls.clear()
+    assert exact_stack_number(random_cubic(8, 0))[0] == 2
+    assert 1 <= len(calls) < 50
+
+
+def full_search_stack_number(g):
+    """The search without a lower bound: every order, in the same enumeration
+    order, gets its exact chromatic number by ascending k, and the first
+    order to beat all earlier ones is kept with its colouring at that k."""
+    edges = list(g.edges())
+    if not edges:
+        return 0, tuple(range(g.n)), {}
+    best = None
+    for perm in permutations(range(1, g.n)):
+        if len(perm) >= 2 and perm[0] > perm[-1]:
+            continue
+        order = (0,) + perm
+        masks = stacklayout._conflict_masks(edges, {v: i for i, v in enumerate(order)})
+        k = 1
+        while (colors := stacklayout._colorable(masks, k)) is None:
+            k += 1
+        if best is None or k < best[0]:
+            best = (k, order, dict(zip(edges, colors)))
+    return best
+
+
+def identity_graphs():
+    """Every labelled graph on at most 5 vertices, then seeded random graphs
+    on 6 and 7 vertices."""
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    rng = random.Random(9)
+    for n in (6, 6, 6, 6, 7, 7):
+        density = rng.random()
+        yield Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
+def test_exact_stack_number_equals_the_full_search():
+    for g in identity_graphs():
+        k, layout = exact_stack_number(g)
+        assert (k, layout.order, layout.assignment) == full_search_stack_number(g), g
+        assert layout.k == k
