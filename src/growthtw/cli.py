@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import harness
 from .constructions import (
+    SUPERLINEAR_SCAN_BUDGET,
     HostEmbedding,
     expand_to_degree3,
     subdivide_in_host,
@@ -41,6 +42,11 @@ from .stacklayout import exact_stack_number, layout_from_decomposition
 # int parsing.
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+# Python 3.11 also refuses to print an int of more than 4300 digits, that is,
+# of absolute value 10**4300 or more.  A rational p/q is printed back as
+# itself (the "c must be >= 1" message) and as alpha = 1 - 1/(4c) =
+# (4p - q)/(4p), so 4|p| and q must stay below this.
+PRINTABLE_INT_LIMIT = 10 ** MAX_DECIMAL_EXPONENT
 
 
 def _fraction(text: str) -> Fraction:
@@ -53,9 +59,15 @@ def _fraction(text: str) -> Fraction:
                 f"decimal exponent past {MAX_DECIMAL_EXPONENT} in absolute value: {text!r}"
             )
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected an integer or p/q, got {text!r}")
+    if 4 * abs(value.numerator) >= PRINTABLE_INT_LIMIT or value.denominator >= PRINTABLE_INT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"numerator or denominator too large to print (4|p| and q must stay "
+            f"below 10**{MAX_DECIMAL_EXPONENT}): {text!r}"
+        )
+    return value
 
 
 def _int_list(text: str):
@@ -222,6 +234,19 @@ def _subdivide(args) -> int:
             for coef in coeffs:
                 total = total * r + coef
             return total
+
+        # With nonnegative coefficients f, and so p(r) = f(r) - 2rm - n, is
+        # convex on r >= 1: p < 0 at r = 1 and at the scan budget means p < 0
+        # at every radius the scan tries.  If also f(1) >= delta + 1 and
+        # f'(1) >= delta, then f(r) >= delta*r + 1 at every radius, so the
+        # scan could only end at its budget.
+        budget, delta = SUPERLINEAR_SCAN_BUDGET, g.max_degree()
+        slope = sum(i * coef for i, coef in enumerate(reversed(coeffs)))
+        if (min(coeffs) >= 0 and bound(1) >= delta + 1 and slope >= delta
+                and all(bound(r) < 2 * r * g.m + g.n for r in (1, budget))):
+            raise GrowthTWError(
+                f"f(r) < 2*r*m + n for all r <= {budget}; f is not superlinear enough"
+            )
 
         record = subdivide_uniform_superlinear(g, bound)
     _write_json(args.out, record.to_json_dict())

@@ -116,7 +116,9 @@ def check_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRe
         if len(reached) != len(member):
             return fail(f"vertex {v}'s bags do not induce a connected subtree")
     for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in td.bags):
+        # Scan the bags of the end that lies in fewer of them.
+        a, b = (u, v) if len(trace[u]) <= len(trace[v]) else (v, u)
+        if not any(b in td.bags[i] for i in trace[a]):
             return fail(f"edge ({u},{v}) covered by no bag")
     return DecompositionReport(valid=True, width=width)
 
@@ -306,29 +308,37 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
     backpointers.  It is one byte per prefix, 256 KiB at n = 18 whatever the
     graph; a dict of the reached prefixes grew with the graph to megabytes.
     Prefixes are expanded newest first, so a pass that succeeds goes deep at
-    once and `todo` holds at most n prefixes per level.  It succeeds on
+    once and `todo` holds at most n prefixes per level.  Each entry carries
+    the components of g[S], each with its border (the vertices outside S
+    adjacent to it): v merges the components it touches into one whose
+    border is Q(S, v), and the others keep theirs.  It succeeds on
     reaching a prefix with n - |S| - 1 <= k: the remaining vertices then go
     in any order, since each has at most k later neighbours."""
     n = len(adjm)
     full = (1 << n) - 1
     last = bytearray(1 << n)
-    todo = [0]
+    todo = [(0, [])]
     while todo:
-        S = todo.pop()
-        parts = _components_with_borders(adjm, S)
-        # Q(S, v) is N(v) plus the borders of the components v touches.
+        S, parts = todo.pop()
         # Bits are walked inline: this is the search's inner loop.
         free = full & ~S
         while free:
             low = free & -free
             free ^= low
+            T = S | low
+            if last[T]:
+                continue
             v = low.bit_length() - 1
+            # Q(S, v) is N(v) plus the borders of the components v touches,
+            # minus T.
             nbrs = q = adjm[v]
+            merged = low
             for comp, border in parts:
                 if nbrs & comp:
                     q |= border
-            T = S | low
-            if (q & ~T).bit_count() <= k and not last[T]:
+                    merged |= comp
+            q &= ~T
+            if q.bit_count() <= k:
                 last[T] = v + 1
                 if n - T.bit_count() - 1 <= k:
                     # Built back to front: the other vertices, then T's prefix.
@@ -339,30 +349,8 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
                         T ^= 1 << u
                     order.reverse()
                     return order
-                todo.append(T)
+                todo.append((T, [(merged, q)] + [p for p in parts if not p[0] & nbrs]))
     return None
-
-
-def _components_with_borders(adjm, S: int) -> list:
-    """(component, border) for each component of g[S], where the border is
-    the set of vertices outside S adjacent to the component."""
-    parts = []
-    rest = S
-    while rest:
-        comp = frontier = rest & -rest
-        touched = 0
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown |= adjm[low.bit_length() - 1]
-            touched |= grown
-            frontier = grown & rest & ~comp
-            comp |= frontier
-        rest &= ~comp
-        parts.append((comp, touched & ~S))
-    return parts
 
 
 def _order_decomposition(adjm, order) -> TreeDecomposition:

@@ -218,8 +218,18 @@ def brute_force_growth_edge_subsets(g: Graph, r: int) -> int:
         raise PreconditionError("growth is undefined for the empty graph")
     if g.m > 14:
         raise CapacityError(f"edge-subset enumeration refuses m={g.m} > 14")
+    table = _edge_subset_radius_table(g)
+    return max((size for rad, size in table if rad <= r), default=1)
+
+
+@lru_cache(maxsize=256)
+def _edge_subset_radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
+    """(radius, max vertex count) pairs over the subgraphs formed by every
+    nonempty edge subset, plus the single vertex (radius 0), computed once
+    per graph by plain 2^m enumeration.  Like `_radius_table`, its cache is
+    per process: a later call on an equal graph skips the enumeration."""
     edges = list(g.edges())
-    best = 1
+    best = {0: 1}
     for size in range(1, len(edges) + 1):
         for subset in combinations(edges, size):
             verts = sorted({u for e in subset for u in e})
@@ -230,9 +240,9 @@ def brute_force_growth_edge_subsets(g: Graph, r: int) -> int:
                 adj[index[v]] |= 1 << index[u]
             mask = (1 << len(verts)) - 1
             rad = _mask_radius(adj, mask, len(verts))
-            if rad is not None and rad <= r and len(verts) > best:
-                best = len(verts)
-    return best
+            if rad is not None and best.get(rad, 0) < len(verts):
+                best[rad] = len(verts)
+    return tuple(sorted(best.items()))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import growthtw.cli as cli_mod
 from growthtw.cli import main
+from growthtw.constructions import subdivide_uniform_superlinear
 from growthtw.decomposition import build_tree_decomposition
-from growthtw.generators import complete, grid, path
+from growthtw.errors import PreconditionError
+from growthtw.generators import complete, grid, path, star
 from growthtw.graphs import VERTEX_BUDGET, Graph, parse_edge_list, serialize_edge_list
 from growthtw.separators import Separation, check_separation
 
@@ -201,11 +204,35 @@ def test_huge_decimal_exponents_are_input_errors(tmp_path, capsys, value):
 def test_decimal_exponents_up_to_the_cap_are_valid(tmp_path, capsys):
     p4 = write_graph(tmp_path, path(4))
     assert main(["separate", p4, "--c=1e400"]) == 0
-    assert main(["treedecomp", p4, "--c=1e4300"]) == 0
+    assert main(["treedecomp", p4, "--c=1e4299"]) == 0
     capsys.readouterr()
     # Parsed, then refused by the library as c < 1.
     assert main(["treedecomp", p4, "--c=1e-4299"]) == 2
     assert "c must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e4300", "9e4299", "-1e4300", "1e-4300",
+                                   "3" + "0" * 4299])
+def test_rationals_too_large_to_print_are_input_errors(tmp_path, value):
+    # Printed back as alpha = 1 - 1/(4c) or in "c must be >= 1", a numerator
+    # or denominator past 4300 digits would raise inside str().
+    p4 = write_graph(tmp_path, path(4))
+    for command in ("separate", "treedecomp"):
+        code, _, err = run_quietly([command, p4, f"--c={value}"])
+        assert code == 2 and "too large to print" in err, (command, err)
+
+
+def test_rationals_just_below_the_print_cap_are_valid(tmp_path):
+    p4 = write_graph(tmp_path, path(4))
+    # 4 * 2.5e4299 would reach 10**4300, so 2e4299 is near the largest c.
+    code, out, _ = run_quietly(["separate", p4, "--c=2e4299"])
+    assert code == 0
+    assert json.loads(out)["alpha"] == f"{8 * 10**4299 - 1}/{8 * 10**4299}"
+    # A 4299-digit denominator is parsed, then refused by the library as c < 1.
+    nines = "1/" + "9" * 4299
+    for command in ("separate", "treedecomp"):
+        code, _, err = run_quietly([command, p4, f"--c={nines}"])
+        assert code == 2 and "c must be >= 1, got " + nines in err, (command, err)
 
 
 @pytest.mark.parametrize("poly", [["3", "1"], ["0", "0", "3", "1"], ["6", "3"], ["9"],
@@ -224,6 +251,59 @@ def test_subdivide_accepts_a_linear_bound_that_suffices(tmp_path, capsys, poly, 
     p4 = write_graph(tmp_path, path(4))
     assert main(["subdivide", p4, "--mode", "uniform", "--poly", *poly]) == 0
     assert json.loads(capsys.readouterr().out)["uniform_subdivisions"] == subdivisions
+
+
+def test_subdivide_refuses_a_hopeless_convex_bound_at_once(tmp_path, monkeypatch):
+    # On path(4), r^2/10^6 + 3r + 1 stays below 2rm + n = 6r + 4 for every
+    # r <= 10^6; the scan of all those radii used to take about 17 s.
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli_mod, "subdivide_uniform_superlinear", scan)
+    p4 = write_graph(tmp_path, path(4))
+    code, _, err = run_quietly(["subdivide", p4, "--mode", "uniform",
+                                "--poly", "1/1000000", "3", "1"])
+    assert code == 2
+    assert err == "error: f(r) < 2*r*m + n for all r <= 1000000; f is not superlinear enough\n"
+
+
+SCAN_BUDGET = 40
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(0, 1, max_denominator=2000).filter(bool),
+       st.lists(st.one_of(st.fractions(0, 12, max_denominator=20),
+                          st.integers(-2, -1).map(Fraction)), min_size=2, max_size=3),
+       st.sampled_from([path(4), star(5), complete(4)]))
+@example(Fraction(1, 1000), [Fraction(3), Fraction(1)], path(4))  # refused at once
+@example(Fraction(1, 1000), [Fraction(1), Fraction(5)], path(4))  # f(5) < 2*5 + 1
+@example(Fraction(1, 1000), [Fraction(2), Fraction(0)], path(4))  # f(1) < 2*1 + 1
+@example(Fraction(1, 100), [Fraction(-1), Fraction(10), Fraction(0)], path(4))  # ell = 2
+def test_early_refusal_agrees_with_the_scan(fuzz_dir, leading, rest, g):
+    # With the budget cut to SCAN_BUDGET radii, the CLI's exit code and
+    # message equal those of the scan alone, for bounds of degree >= 2.
+    # Negative coefficients are integers: argparse takes "-1/2" for an option.
+    coeffs = [leading] + rest
+
+    def bound(r):
+        total = Fraction(0)
+        for coef in coeffs:
+            total = total * r + coef
+        return total
+
+    try:
+        subdivide_uniform_superlinear(g, bound, scan_budget=SCAN_BUDGET)
+        expected = (0, "")
+    except PreconditionError as exc:
+        expected = (2, f"error: {exc}\n")
+    src = write_graph(fuzz_dir, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_mod, "SUPERLINEAR_SCAN_BUDGET", SCAN_BUDGET)
+        mp.setattr(cli_mod, "subdivide_uniform_superlinear",
+                   lambda g, f: subdivide_uniform_superlinear(g, f, SCAN_BUDGET))
+        code, _, err = run_quietly(["subdivide", src, "--mode", "uniform",
+                                    "--poly", *map(str, coeffs)])
+    assert (code, err) == expected
 
 
 @pytest.mark.parametrize("content", [

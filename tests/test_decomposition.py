@@ -55,6 +55,17 @@ def test_checker_rejects_uncovered_edge():
     assert "covered by no bag" in check_tree_decomposition(g, bad).first_failure
 
 
+def test_checker_names_an_edge_whose_ends_share_no_bag():
+    # 0 lies in three bags and 3 in two, all valid subtrees, but never together.
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (2, 3), (3, 4)])
+    bad = td([{0, 1}, {0, 5}, {0, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3), (3, 4)])
+    report = check_tree_decomposition(g, bad)
+    assert not report.valid
+    assert report.first_failure == "edge (0,3) covered by no bag"
+    covered = td([{0, 1}, {0, 5}, {0, 2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
+    assert check_tree_decomposition(g, covered).valid
+
+
 def test_checker_rejects_disconnected_trace():
     g = Graph(3, [(0, 1), (1, 2)])
     bad = td([{0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2)])
@@ -235,6 +246,20 @@ def small_graphs(draw, max_n=10):
 @settings(max_examples=60, deadline=None)
 def test_exact_treewidth_matches_subset_dp_reference_hypothesis(g):
     assert_exact_against_reference(g)
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_decision_pass_at_every_k(g):
+    # exact_treewidth asks only for lb <= k < ub; the pass must hold for any k.
+    adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    tw = subset_dp_treewidth(g)
+    for k in range(g.n + 1):
+        order = decomposition_mod._elimination_order_within(adjm, k)
+        assert (order is None) == (k < tw), (k, tw)
+        if order is not None:
+            assert sorted(order) == list(range(g.n))
+            assert decomposition_mod._order_decomposition(adjm, order).width <= k
 
 
 def treewidth_bounds(g):

@@ -81,6 +81,15 @@ def test_vertex_and_edge_subset_oracles_agree():
             assert brute_force_growth(g, r) == brute_force_growth_edge_subsets(g, r)
 
 
+def test_edge_subset_oracle_keeps_the_most_vertices_per_radius():
+    # K4 (6 edges, 4 vertices) beside star(6) (5 edges, 6 vertices): the
+    # radius-1 subgraph with the most edges is not the one with the most
+    # vertices.  Every radius is answered from one enumeration.
+    g = Graph(10, list(complete(4).edges()) + [(u + 4, v + 4) for u, v in star(6).edges()])
+    assert [brute_force_growth_edge_subsets(g, r) for r in range(-1, 4)] == [1, 1, 6, 6, 6]
+    assert [brute_force_growth(g, r) for r in range(1, 4)] == [6, 6, 6]
+
+
 def test_brute_force_budget():
     with pytest.raises(CapacityError):
         brute_force_growth(complete(8), 1)  # 28 edges
