@@ -84,10 +84,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class LayerStructure:
-    """BFS layering of the component of `center`: layers[i] holds the
+    """BFS layering of the component of `root`: layers[i] holds the
     vertices at distance exactly i."""
 
-    center: int
+    root: int
     layers: Tuple[frozenset, ...]
 
     @property
@@ -219,7 +219,7 @@ def bfs_layers(g: Graph, v: int, allowed: Optional[frozenset] = None) -> LayerSt
     layers = [set() for _ in range(ecc + 1)]
     for w, d in dist.items():
         layers[d].add(w)
-    return LayerStructure(center=v, layers=tuple(frozenset(s) for s in layers))
+    return LayerStructure(root=v, layers=tuple(frozenset(s) for s in layers))
 
 
 def ball(g: Graph, v: int, r: int) -> frozenset:
@@ -258,43 +258,6 @@ def moore_steps(delta: int, size: int, level: int, target: int):
         size += level
         steps += 1
     return steps
-
-
-def min_eccentricity_vertex(g: Graph, X: Optional[frozenset] = None) -> int:
-    """The smallest-id vertex of minimum eccentricity in g[X], each vertex's
-    eccentricity taken within its component of g[X].
-
-    Exact, with the bound pruning of Takes & Kosters ("Computing the
-    eccentricity distribution of large graphs", Algorithms 2013): a BFS from
-    u of eccentricity e gives ecc(v) >= max(d, e - d) for every v at
-    distance d from u.  The same BFS gives the size of u's component C, and
-    no vertex of C reaches all of C before its Moore ball does (see
-    `moore_steps`), with delta the largest degree over X: so every v in C
-    has ecc(v) >= the least radius whose Moore ball holds |C| vertices.  On
-    a cycle that bound is |C|/2 rounded down, every vertex's eccentricity,
-    and one BFS settles it.  Sources are taken in order of least lower
-    bound, then least id, and a vertex is dropped once its (lower bound,
-    id) is above the best (eccentricity, id) found, so it can neither beat
-    the best nor tie it with a smaller id."""
-    X = frozenset(range(g.n)) if X is None else frozenset(X)
-    if not X:
-        raise RangeError("no vertex in an empty set")
-    delta = max(len(g.adj[v]) for v in X)
-    lower = dict.fromkeys(X, 0)
-    candidates = set(X)
-    best = (len(X), -1)
-    while candidates:
-        u = min(candidates, key=lambda v: (lower[v], v))
-        candidates.remove(u)
-        dist = bfs_distances(g, u, X)
-        e = max(dist.values())
-        best = min(best, (e, u))
-        # A ball of radius 1 holds at most delta + 1 vertices.
-        floor = 0 if len(dist) == 1 else 1 + moore_steps(delta, delta + 1, delta, len(dist))
-        for v, d in dist.items():
-            lower[v] = max(lower[v], d, e - d, floor)
-        candidates = {v for v in candidates if (lower[v], v) < best}
-    return best[1]
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -1,15 +1,19 @@
 """Balanced separations from BFS layerings.
 
-The layer split takes the layering V_0, ..., V_p from a center of minimum
-eccentricity, classifies layers as thick (|V_i| >= 2c) or thin, and cuts at
+The layer split takes the layering V_0, ..., V_p from the smallest vertex
+of the set, classifies layers as thick (|V_i| >= 2c) or thin, and cuts at
 the minimum thin index j whose prefix holds at least half of the thin
 indices.  Whenever f(r) <= c*r holds for the induced subgraph this yields a
 separation of order < 2c whose exclusive sides have size at most
 (1 - 1/(4c)) * n; the code asserts only validity and reports the numbers.
+Any root serves: the ball of radius p = ecc(root) around it holds all n
+vertices, so n <= f(p) <= c*p and at most p/2 layers are thick, whichever
+vertex the root is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
@@ -20,13 +24,7 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .graphs import (
-    Graph,
-    bfs_layers,
-    components_within,
-    is_connected,
-    min_eccentricity_vertex,
-)
+from .graphs import Graph, bfs_layers, components_within, is_connected
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,10 @@ class SeparationReport:
 
 @dataclass(frozen=True)
 class Layering:
-    """BFS layering V_0, ..., V_p of a connected g[X] from its center."""
+    """BFS layering V_0, ..., V_p of a connected g[X] from its smallest
+    vertex.  Any root serves, since B_p(root) = X gives n <= f(p) <= c*p."""
 
-    center: int
+    root: int
     layer_of: Dict[int, int]          # vertex -> i with the vertex in V_i
     layers: Tuple[frozenset, ...]
     thin: Tuple[int, ...]             # S: indices in [1,p] with |V_i| < 2c
@@ -74,7 +73,7 @@ class Layering:
 
 @dataclass(frozen=True)
 class LayerSplitTrace:
-    center: int
+    root: int
     p: int
     layer_sizes: Tuple[int, ...]      # |V_0|, ..., |V_p|
     thick: Tuple[int, ...]            # R: indices in [1,p] with |V_i| >= 2c
@@ -84,15 +83,18 @@ class LayerSplitTrace:
 
 
 def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
-    """Layering of the connected induced subgraph g[X] from its smallest-id
-    minimum-eccentricity center, with the thin layers and the median thin
-    index; the one layering behind both the layer split and the builder."""
-    center = min_eccentricity_vertex(g, X)
-    layers = bfs_layers(g, center, allowed=X).layers
+    """Layering of the connected induced subgraph g[X] from min(X), with the
+    thin layers and the median thin index; the one layering behind both the
+    layer split and the builder.  Any root serves: the thick-layer count
+    rests on n = |B_p(root)| <= f(p) <= c*p, true from every root."""
+    root = min(X)
+    layers = bfs_layers(g, root, allowed=X).layers
     p = len(layers) - 1
-    thin = tuple(i for i in range(1, p + 1) if len(layers[i]) < 2 * c)
+    # A layer size is an integer, so it is below 2c exactly when below ceil(2c).
+    thick_size = math.ceil(2 * c)
+    thin = tuple(i for i in range(1, p + 1) if len(layers[i]) < thick_size)
     return Layering(
-        center=center,
+        root=root,
         layer_of={v: i for i, layer in enumerate(layers) for v in layer},
         layers=layers,
         thin=thin,
@@ -104,7 +106,9 @@ def bfs_layer_separation(
     g: Graph, X: Optional[frozenset], c
 ) -> Tuple[Separation, LayerSplitTrace]:
     """Layer split of the connected induced subgraph g[X]:
-    A = layers 0..j, B = layers j..p from a minimum-eccentricity center."""
+    A = layers 0..j, B = layers j..p from the root min(X).  Its guarantees
+    hold from any root, since n <= f(p) <= c*p with p the root's
+    eccentricity bounds the thick layers whichever root is taken."""
     c = Fraction(c)
     if c < 1:
         raise RangeError(f"c must be >= 1, got {c}")
@@ -121,10 +125,10 @@ def bfs_layer_separation(
     a = frozenset().union(*layers[: j + 1])
     b = frozenset().union(*layers[j:])
     sep = Separation(a=a, b=b, host_size=len(X))
-    sizes = tuple(len(layer) for layer in layers)
+    thin = set(layering.thin)
     trace = LayerSplitTrace(
-        center=layering.center, p=p, layer_sizes=sizes,
-        thick=tuple(i for i in range(1, p + 1) if sizes[i] >= 2 * c),
+        root=layering.root, p=p, layer_sizes=tuple(len(layer) for layer in layers),
+        thick=tuple(i for i in range(1, p + 1) if i not in thin),
         thin=layering.thin, chosen_j=j, c=c,
     )
     return sep, trace

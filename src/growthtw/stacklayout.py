@@ -247,10 +247,10 @@ def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
     placed = set()
     visited = [False] * k_nodes
     stack = [root]
+    # The checked index graph is a tree, so each node is pushed once, and
+    # every vertex lies in some bag.
     while stack:
         node = stack.pop()
-        if visited[node]:
-            continue
         visited[node] = True
         for v in sorted(td.bags[node]):
             if v not in placed:
@@ -259,9 +259,6 @@ def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
         for child in sorted(neigh[node], reverse=True):
             if not visited[child]:
                 stack.append(child)
-    for v in range(g.n):
-        if v not in placed:
-            order.append(v)
 
     pos = {v: i for i, v in enumerate(order)}
     spans = sorted(

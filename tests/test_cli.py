@@ -59,6 +59,7 @@ def test_separate_json(tmp_path, capsys):
     assert data["valid"] is True
     assert data["order"] < 6
     assert "trace" in data and data["trace"]["c"] == "3"
+    assert data["trace"]["root"] == 0 and "center" not in data["trace"]
 
 
 @pytest.mark.parametrize("g", [Graph(1), path(9)])
@@ -159,6 +160,14 @@ def test_verify_small(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines
     assert all(json.loads(line)["passed"] for line in lines)
+
+
+def test_verify_prints_one_line_per_report_and_the_total(capsys):
+    assert main(["verify", "--suite", "t3.1", "--small"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) >= 2
+    assert all(line.startswith("[pass] t3.1 ") for line in lines[:-1])
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
 
 
 def test_explore_lower_bound(capsys):
@@ -267,6 +276,16 @@ def test_subdivide_refuses_a_hopeless_convex_bound_at_once(tmp_path, monkeypatch
     assert err == "error: f(r) < 2*r*m + n for all r <= 1000000; f is not superlinear enough\n"
 
 
+def test_subdivide_names_a_failing_radius_without_printing_f(tmp_path):
+    # Each coefficient passes the print cap, but f(1) = 1/a + 1/b + 1 has a
+    # denominator of about 8600 digits, which str() refuses to print.
+    p4 = write_graph(tmp_path, path(4))
+    poly = ["1/" + "9" * 4299, "1/" + "9" * 4298 + "7", "1"]
+    code, _, err = run_quietly(["subdivide", p4, "--mode", "uniform", "--poly", *poly])
+    assert code == 2
+    assert err == "error: f(1) < max_degree * r + 1 = 3\n"
+
+
 SCAN_BUDGET = 40
 
 
@@ -322,6 +341,16 @@ def test_checktd_malformed_decomposition_is_input_error(tmp_path, capsys, conten
     td_file.write_text(content)
     assert main(["checktd", src, "--td", str(td_file)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ids", [[0, 2], [1, 2], [0, 0], [-1, 0]])
+def test_checktd_node_ids_must_be_0_to_k_minus_1(tmp_path, capsys, ids):
+    src = write_graph(tmp_path, path(3))
+    td_file = tmp_path / "td.json"
+    nodes = [{**node, "id": i} for node, i in zip(TWO_BAGS["nodes"], ids)]
+    td_file.write_text(json.dumps({"nodes": nodes, "edges": [[0, 1]]}))
+    assert main(["checktd", src, "--td", str(td_file)]) == 2
+    assert capsys.readouterr().err == "error: decomposition node ids must be exactly 0..k-1\n"
 
 
 @pytest.mark.parametrize("content", [

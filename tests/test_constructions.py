@@ -112,7 +112,23 @@ def test_embedding_same_node_needs_distinct_copies():
     assert check_product_embedding(g, emb).valid
     bad = HostEmbedding(host_tree=tree, root=0, k=1,
                         vertex_map={0: (0, 1), 1: (0, 1)})
-    assert not check_product_embedding(g, bad).valid
+    # Both ends of the edge at one product vertex: the map is not injective.
+    assert check_product_embedding(g, bad).first_failure == "image (0,1) used twice"
+
+
+def test_embedding_names_each_bad_image():
+    tree, g = path(2), path(2)
+
+    def verdict(vertex_map, k=1):
+        emb = HostEmbedding(host_tree=tree, root=0, k=k, vertex_map=vertex_map)
+        return check_product_embedding(g, emb).first_failure
+
+    assert verdict({0: (0, 1), 1: (2, 1)}) == "vertex 1 maps to missing tree node 2"
+    assert verdict({0: (-1, 1), 1: (1, 1)}) == "vertex 0 maps to missing tree node -1"
+    assert verdict({0: (0, 1), 1: (1, 2)}) == "vertex 1 maps to copy 2 outside [1,1]"
+    assert verdict({0: (0, 0), 1: (1, 1)}) == "vertex 0 maps to copy 0 outside [1,1]"
+    with pytest.raises(RangeError, match="copies per node must be >= 1, got 0"):
+        verdict({0: (0, 1), 1: (1, 1)}, k=0)
 
 
 def test_embedding_json_round_trip():

@@ -47,6 +47,19 @@ def test_checker_rejects_non_tree():
     assert "tree needs" in check_tree_decomposition(g, cycle_shape).first_failure
     forest = td([{0, 1}, {1, 2}], [])
     assert "needs 1 edges" in check_tree_decomposition(g, forest).first_failure
+    for a, b in [(0, 2), (-1, 0), (1, 1)]:
+        report = check_tree_decomposition(g, td([{0, 1}, {1, 2}], [(a, b)]))
+        assert report.first_failure == f"bad tree edge ({a},{b})"
+    # Two edges on three nodes, but both join nodes 1 and 2.
+    split = td([{0, 1}, {1, 2}, {1, 2}], [(1, 2), (2, 1)])
+    assert check_tree_decomposition(g, split).first_failure == "index graph is disconnected"
+
+
+def test_checker_names_an_out_of_range_bag_vertex():
+    bad = td([{0, 1}, {1, 2, 7}], [(0, 1)])
+    report = check_tree_decomposition(path(3), bad)
+    assert not report.valid
+    assert report.first_failure == "bag 1 contains out-of-range vertex 7"
 
 
 def test_checker_rejects_uncovered_edge():
@@ -361,7 +374,7 @@ def test_builder_larger_c_still_valid():
 @pytest.mark.parametrize(
     "g,c,width",
     [
-        (grid(4), 1, 9),                              # an interior thick layer
+        (grid(4), 1, 6),                              # an interior thick layer
         (cycle(12), 1, 3),                            # an interior thick layer
         (complete(5), 1, 4),                          # peels the last layer
         (star(9), 1, 8),                              # peels the last layer
@@ -377,6 +390,34 @@ def test_builder_later_rank_classes_below_growth_constant(g, c, width):
     report = check_tree_decomposition(g, build_tree_decomposition(g, c))
     assert report.valid, report.first_failure
     assert report.width == width
+
+
+@pytest.mark.parametrize(
+    "g,c,rank_class",
+    [
+        (grid(4), 1, 1),
+        (cycle(12), 1, 1),
+        (complete(5), 1, 2),
+        (star(9), 1, 2),
+        (complete_binary_tree(15), Fraction(3, 2), 0),
+    ],
+)
+def test_builder_reaches_the_rank_class_each_case_names(monkeypatch, g, c, rank_class):
+    # The cases of the test above, with the latest rank class of
+    # `_choose_split` that any of their splits falls to: 0 thin, 1 an
+    # interior thick layer, 2 the last layer.
+    choose = decomposition_mod._choose_split
+    classes = []
+
+    def recording(W, layering):
+        a_side, b_side, sep = choose(W, layering)
+        j = layering.layers.index(sep)
+        classes.append(2 if j == layering.p else 0 if j in layering.thin else 1)
+        return a_side, b_side, sep
+
+    monkeypatch.setattr(decomposition_mod, "_choose_split", recording)
+    build_tree_decomposition(g, c)
+    assert max(classes) == rank_class
 
 
 def test_builder_needs_no_recursion_headroom(monkeypatch):

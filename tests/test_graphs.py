@@ -3,9 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-import growthtw.graphs
 from growthtw.errors import CapacityError, ParseError, RangeError, StructureError
-from growthtw.generators import complete_binary_tree, cycle, path, star
+from growthtw.generators import path
 from growthtw.graphs import (
     VERTEX_BUDGET,
     Graph,
@@ -17,7 +16,6 @@ from growthtw.graphs import (
     eccentricity,
     is_connected,
     is_tree,
-    min_eccentricity_vertex,
     moore_steps,
     parse_edge_list,
     serialize_edge_list,
@@ -115,6 +113,7 @@ def test_bfs_and_ball():
     assert ball(g, 0, 0) == frozenset({0})
     assert eccentricity(g, 2) == 2
     layers = bfs_layers(g, 2)
+    assert layers.root == 2
     assert layers.eccentricity == 2
     assert layers.layers[0] == frozenset({2})
     assert layers.layers[2] == frozenset({0, 4})
@@ -155,79 +154,6 @@ def test_components_within_induced_subgraph():
         frozenset({0}), frozenset({4}), frozenset({6}), frozenset({2, 3}),
     ]
     assert components_within(g, frozenset()) == []
-
-
-@st.composite
-def connected_graph_and_subset(draw, max_n=12):
-    """A random connected graph (a random tree plus extra edges, relabelled
-    by a random permutation) and a random connected vertex subset of it."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    label = draw(st.permutations(range(n)))
-    edges = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=2 * n))
-    g = Graph(n, edges + [(u, v) for u, v in extra if u != v])
-    chosen = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    X = draw(st.sampled_from(components_within(g, chosen)))
-    return g, X
-
-
-def brute_force_center(g, X):
-    return min((eccentricity(g, v, X), v) for v in X)[1]
-
-
-@given(connected_graph_and_subset())
-def test_min_eccentricity_vertex_matches_brute_force(case):
-    g, X = case
-    assert min_eccentricity_vertex(g, X) == brute_force_center(g, X)
-    assert min_eccentricity_vertex(g) == brute_force_center(g, frozenset(range(g.n)))
-
-
-def test_min_eccentricity_vertex_ties_and_cycles():
-    # Cycles: every vertex has the same eccentricity, which the Moore
-    # bound gives after the first BFS, and the smallest id wins.
-    for n in range(3, 13):
-        assert min_eccentricity_vertex(cycle(n)) == 0
-    # Even paths have two centers; the smaller id wins, also when the
-    # path is labelled backwards or restricted to an arc of a cycle.
-    for n in range(2, 13, 2):
-        assert min_eccentricity_vertex(path(n)) == n // 2 - 1
-        backwards = Graph(n, [(n - 1 - u, n - 1 - v) for u, v in path(n).edges()])
-        assert min_eccentricity_vertex(backwards) == n // 2 - 1
-    arc = frozenset({7, 8, 9, 0, 1, 2})          # the path 7-8-9-0-1-2 in C_10
-    assert min_eccentricity_vertex(cycle(10), arc) == 0
-    assert min_eccentricity_vertex(Graph(1)) == 0
-    with pytest.raises(RangeError):
-        min_eccentricity_vertex(Graph(3), frozenset())
-
-
-def test_center_search_on_a_cycle_runs_one_bfs(monkeypatch):
-    # Every vertex of C_500 has eccentricity 250, and so has every Moore
-    # lower bound once the first BFS has measured the component.
-    calls = []
-    real = growthtw.graphs.bfs_distances
-    monkeypatch.setattr(growthtw.graphs, "bfs_distances",
-                        lambda *args: calls.append(args) or real(*args))
-    assert min_eccentricity_vertex(cycle(500)) == 0
-    assert len(calls) == 1
-
-
-def union(*parts):
-    n, edges = 0, []
-    for part in parts:
-        edges += [(u + n, v + n) for u, v in part.edges()]
-        n += part.n
-    return Graph(n, edges)
-
-
-@given(st.lists(st.sampled_from([path, cycle, star, complete_binary_tree]), min_size=1,
-                max_size=4),
-       st.lists(st.integers(3, 12), min_size=4, max_size=4))
-def test_min_eccentricity_vertex_over_components(families, sizes):
-    # Each component gets its own Moore bound, from the largest degree over
-    # all of X, and keeps its own eccentricities.
-    g = union(*(family(size) for family, size in zip(families, sizes)))
-    assert min_eccentricity_vertex(g) == brute_force_center(g, frozenset(range(g.n)))
 
 
 def test_moore_steps_values():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from growthtw.errors import (
     DegenerateInputError,
@@ -14,10 +14,11 @@ from growthtw.errors import (
     PreconditionError,
     RangeError,
 )
-from growthtw.decomposition import build_tree_decomposition
+from growthtw.decomposition import build_tree_decomposition, check_tree_decomposition
 from growthtw.generators import cycle, grid, path, random_cubic, star
 from growthtw.graphs import Graph, bfs_distances, components_within
 from growthtw.growth import growth_constant
+from growthtw.harness import treewidth_bound
 from growthtw.separators import (
     Separation,
     bfs_layer_separation,
@@ -32,18 +33,18 @@ from growthtw.separators import (
 
 
 def test_layer_split_on_p7():
-    # Worked through by hand: center 3, layers {3},{2,4},{1,5},{0,6}; all thin
-    # at c=3, the median thin index is 2, so A = layers 0..2, B = layers 2..3.
+    # Worked through by hand: root 0, layers {0},{1},...,{6}; all thin at
+    # c=3, the median thin index is 3, so A = layers 0..3, B = layers 3..6.
     sep, trace = bfs_layer_separation(path(7), None, 3)
-    assert trace.center == 3
-    assert trace.p == 3
-    assert trace.layer_sizes == (1, 2, 2, 2)
+    assert trace.root == 0
+    assert trace.p == 6
+    assert trace.layer_sizes == (1,) * 7
     assert trace.thick == ()
-    assert trace.thin == (1, 2, 3)
-    assert trace.chosen_j == 2
-    assert sep.a == frozenset({1, 2, 3, 4, 5})
-    assert sep.b == frozenset({0, 1, 5, 6})
-    assert sep.order == 2
+    assert trace.thin == (1, 2, 3, 4, 5, 6)
+    assert trace.chosen_j == 3
+    assert sep.a == frozenset({0, 1, 2, 3})
+    assert sep.b == frozenset({3, 4, 5, 6})
+    assert sep.order == 1
 
 
 def test_layer_split_edge_cases():
@@ -199,18 +200,20 @@ def connected_graphs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(connected_graphs(), st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(2)]))
+@given(connected_graphs(),
+       st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(2)]))
+@example(star(4), Fraction(7, 4))  # a layer of 3 < 2c = 7/2 vertices is thin
 def test_layer_split_and_builder_share_the_layering(g, c):
     c = growth_constant(g) if c is None else c
     X = frozenset(range(g.n))
     layering = bfs_layering(g, X, c)
     _, trace = bfs_layer_separation(g, None, c)
-    assert trace.center == layering.center
+    assert trace.root == layering.root == min(X)
     assert trace.layer_sizes == tuple(len(layer) for layer in layering.layers)
     assert trace.thin == layering.thin
     assert trace.chosen_j == layering.median
-    # The layering agrees with a plain BFS from its center.
-    dist = bfs_distances(g, layering.center)
+    # The layering agrees with a plain BFS from its root.
+    dist = bfs_distances(g, layering.root)
     assert layering.layer_of == dist
     counts = Counter(dist.values())
     assert layering.thin == tuple(i for i in range(1, layering.p + 1) if counts[i] < 2 * c)
@@ -228,6 +231,33 @@ def test_layer_split_and_builder_share_the_layering(g, c):
         assert seen[0] == (X, layering)
     else:
         assert not seen
+
+
+@st.composite
+def relabelled_connected_graphs(draw):
+    """A connected graph from `connected_graphs` under a random relabelling,
+    so that vertex 0, the root of every layering, lies anywhere in it."""
+    g = draw(connected_graphs())
+    label = draw(st.permutations(range(g.n)))
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_connected_graphs())
+def test_guarantees_hold_from_the_smallest_root(g):
+    # n <= f(p) <= c*p holds with p the eccentricity of any root, so the
+    # layer split keeps its order and balance, and the builder its width
+    # bound, with no center search.
+    c = growth_constant(g)
+    sep, trace = bfs_layer_separation(g, None, c)
+    report = check_separation(g, None, sep, 1 - Fraction(1, 4 * c))
+    assert report.valid, report.failure
+    assert report.order < 2 * c
+    assert report.exclusive_ratio <= 1 - Fraction(1, 4 * c)
+    assert trace.root == 0
+    td_report = check_tree_decomposition(g, build_tree_decomposition(g, c))
+    assert td_report.valid, td_report.first_failure
+    assert td_report.width <= treewidth_bound(c)
 
 
 # ------------------------------------------- lifting to disconnected sets
