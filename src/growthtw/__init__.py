@@ -4,9 +4,7 @@ subdivision constructions."""
 
 from .graphs import (
     Graph,
-    LayerStructure,
     ball,
-    bfs_layers,
     components,
     parse_edge_list,
     serialize_edge_list,

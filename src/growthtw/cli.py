@@ -24,9 +24,9 @@ from .decomposition import (
     check_tree_decomposition,
     exact_treewidth,
 )
-from .errors import CapacityError, GrowthTWError
+from .errors import CapacityError, GrowthTWError, PreconditionError
 from .generators import FAMILIES, generate, random_cubic
-from .graphs import is_connected, parse_edge_list, serialize_edge_list
+from .graphs import parse_edge_list, serialize_edge_list
 from .growth import growth_constant, growth_profile
 from .separators import (
     bfs_layer_separation,
@@ -148,12 +148,16 @@ def _separate(args) -> int:
     g = _read_graph(args.input)
     c = _effective_c(args, g)
     alpha = separation_alpha(c)
-    # A single vertex has no layer split and so no trace; it is separated
-    # as the untraced form separates it.
-    if args.trace and g.n > 1 and is_connected(g):
-        sep, trace = bfs_layer_separation(g, None, c)
-    else:
-        sep, trace = linear_growth_separator(g, None, c), None
+    # A single vertex or a disconnected graph has no layer split, so no
+    # trace; the untraced form separates it (and refuses the empty graph).
+    trace = None
+    if args.trace and g.n > 0:
+        try:
+            sep, trace = bfs_layer_separation(g, None, c)
+        except PreconditionError as exc:
+            print(f"# no trace: {exc}", file=sys.stderr)
+    if trace is None:
+        sep = linear_growth_separator(g, None, c)
     report = check_separation(g, None, sep, alpha)
     payload = {
         "valid": report.valid,
@@ -332,6 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("stack-exact", _stack_exact, "exact stack number (small graphs)", graph, out)
 
     p = command("subdivide", _subdivide, "growth-certified subdivision", graph, out)
+    # No option here looks like a number, so -1/2 and -1e3 are --poly
+    # coefficients (argparse itself reads only -N and -N.N as numbers).
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("--mode", choices=("host", "uniform"), required=True)
     p.add_argument("--embedding", help="HostEmbedding JSON file (host mode)")
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1))

@@ -126,16 +126,15 @@ def check_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRe
 def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
     """Boundary-tracking construction: a node (X, W) keeps a boundary W
     contained in X separating X\\W from the rest of the graph.  Sets with
-    |X\\W| <= max(2, ceil(2c)) become single bags.  The components of a
-    disconnected g[X] hang below a bag W, or form a path when W is empty.  A
-    connected g[X] is cut at the layer V_j of `separators.bfs_layering` that
-    `_choose_split` ranks first: bag W+V_j, children (A, (W&A)+V_j) and
-    (B, (W&B)+V_j).  Its rank key puts thin layers first, by boundary
-    imbalance; the later classes (thick interior layers, then the last
-    layer) were seen to run only with c below the growth constant, where the
-    result is still valid but the 49c^2 + 30c width bound does not hold.
-    Bag ids come in post-order from an explicit work stack: children before
-    their parent, A before B, components in `components_within` order."""
+    |X\\W| <= max(2, ceil(2c)) become single bags.  Any other X is laid out
+    by `separators.bfs_layering`; if that misses part of X, the components
+    of g[X] hang below a bag W, or form a path when W is empty.  Otherwise
+    g[X] is cut at the layer V_j that `_choose_split` ranks first: bag
+    W+V_j, children (A, (W&A)+V_j) and (B, (W&B)+V_j).  With c below the
+    growth constant the result is still valid, but the 49c^2 + 30c width
+    bound does not hold.  Bag ids come in post-order from an explicit work
+    stack: children before their parent, A before B, components in
+    `components_within` order."""
     c = Fraction(c)
     if c < 1:
         raise RangeError(f"c must be >= 1, got {c}")
@@ -168,12 +167,13 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
             bags.append(X)
             roots.append(len(bags) - 1)
             continue
-        comps = components_within(g, X)
-        if len(comps) > 1:
+        layering = bfs_layering(g, X, c)
+        if len(layering.layer_of) < len(X):
+            comps = components_within(g, X)
             work.append(("join", W or None, len(comps)))
             work.extend(("node", comp, W & comp) for comp in reversed(comps))
             continue
-        a_side, b_side, sep = _choose_split(W, bfs_layering(g, X, c))
+        a_side, b_side, sep = _choose_split(W, layering)
         work.append(("join", W | sep, 2))
         work.append(("node", b_side, (W & b_side) | sep))
         work.append(("node", a_side, (W & a_side) | sep))
@@ -186,14 +186,14 @@ def _choose_split(W, layering):
     |side \\ W \\ V_j|, where A = layers 0..j and B = layers j..p:
 
     - (0, max(|W&A|, |W&B|), |j - median thin index|, j) for thin j < p;
-    - (1, |j - ceil(p/2)|, j) for the other interior j;
-    - (2,) for j = p, which peels the last layer: (X, V_p, V_p).
+    - (1, |j - ceil(p/2)|, j) for every other j, seen to run only with c
+      below the growth constant.
 
-    The classes after the first were seen to run only with c below the
-    growth constant.  Candidates are scored from per-layer counts of W and
-    non-W vertices; the sides are built for the chosen j only.  Some j always
-    qualifies: the last layer holding a non-W vertex, since |X\\W| > 1 puts
-    one outside V_0."""
+    No j < p is farther from ceil(p/2) than j = p, which peels the last
+    layer (X, V_p, V_p), and ties go to the smaller j, so j = p wins only
+    when no other j qualifies; the last layer holding a non-W vertex always
+    does, since |X\\W| > 1 puts one outside V_0.  Candidates are scored from
+    per-layer counts of W and non-W vertices."""
     layers, p = layering.layers, layering.p
     in_w = [0] * (p + 1)
     for v in W:
@@ -204,9 +204,7 @@ def _choose_split(W, layering):
     thin = set(layering.thin)
 
     def rank(j):
-        if j == p:
-            return (2,)
-        if j in thin:
+        if j < p and j in thin:
             imbalance = max(w_upto[j], len(W) - w_upto[j - 1])
             return (0, imbalance, abs(j - layering.median), j)
         return (1, abs(j - (p + 1) // 2), j)
@@ -217,7 +215,7 @@ def _choose_split(W, layering):
         (j for j in range(1, p + 1) if free_upto[j - 1] < free_upto[p] and free_upto[j] > 0),
         key=rank,
     )
-    return frozenset().union(*layers[: j + 1]), frozenset().union(*layers[j:]), layers[j]
+    return layering.sides(j)
 
 
 def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:

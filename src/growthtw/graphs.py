@@ -1,6 +1,6 @@
 """Immutable simple undirected graphs with dense integer vertex ids, plus
-BFS primitives (layers, balls, components, eccentricities), edge-list I/O,
-and the integer checks of JSON input.
+BFS primitives (distances, balls, components), edge-list I/O, and the
+integer checks of JSON input.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import reprlib
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import CapacityError, ParseError, RangeError, StructureError
@@ -80,19 +79,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class LayerStructure:
-    """BFS layering of the component of `root`: layers[i] holds the
-    vertices at distance exactly i."""
-
-    root: int
-    layers: Tuple[frozenset, ...]
-
-    @property
-    def eccentricity(self) -> int:
-        return len(self.layers) - 1
 
 
 def parse_edge_list(text) -> Graph:
@@ -212,27 +198,12 @@ def bfs_distances(g: Graph, source: int, allowed: Optional[frozenset] = None) ->
     return dist
 
 
-def bfs_layers(g: Graph, v: int, allowed: Optional[frozenset] = None) -> LayerStructure:
-    """Exact BFS layering of v's component (within `allowed` if given)."""
-    dist = bfs_distances(g, v, allowed)
-    ecc = max(dist.values())
-    layers = [set() for _ in range(ecc + 1)]
-    for w, d in dist.items():
-        layers[d].add(w)
-    return LayerStructure(root=v, layers=tuple(frozenset(s) for s in layers))
-
-
 def ball(g: Graph, v: int, r: int) -> frozenset:
     """B_r(v): vertices at distance at most r from v."""
     if r < 0:
         raise RangeError(f"radius must be nonnegative, got {r}")
     dist = bfs_distances(g, v)
     return frozenset(w for w, d in dist.items() if d <= r)
-
-
-def eccentricity(g: Graph, v: int, allowed: Optional[frozenset] = None) -> int:
-    """Eccentricity of v within its component (of the induced subgraph)."""
-    return max(bfs_distances(g, v, allowed).values())
 
 
 def moore_steps(delta: int, size: int, level: int, target: int):

@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constructions import (
     HostEmbedding,
-    host_subdivision_plan,
     subdivide_in_host,
     subdivide_uniform_superlinear,
 )
@@ -24,7 +23,7 @@ from .decomposition import (
     verify_grid_minor_model,
 )
 from .errors import InvariantViolationError, RangeError
-from .generators import complete, complete_binary_tree, cycle, generate, grid, path, random_cubic, star, strong_product
+from .generators import complete, complete_binary_tree, cycle, grid, path, random_cubic, star, strong_product
 from .graphs import Graph
 from .growth import growth_constant, growth_profile, verify_growth_bound
 from .stacklayout import check_stack_layout, layout_from_decomposition

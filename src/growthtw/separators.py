@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .graphs import Graph, bfs_layers, components_within, is_connected
+from .graphs import Graph, components_within
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,9 @@ class SeparationReport:
 
 @dataclass(frozen=True)
 class Layering:
-    """BFS layering V_0, ..., V_p of a connected g[X] from its smallest
-    vertex.  Any root serves, since B_p(root) = X gives n <= f(p) <= c*p."""
+    """BFS layering V_0, ..., V_p of the component of min(X) in g[X], rooted
+    at that smallest vertex; g[X] is connected exactly when the layering
+    covers X.  Any root serves, since B_p(root) = X gives n <= f(p) <= c*p."""
 
     root: int
     layer_of: Dict[int, int]          # vertex -> i with the vertex in V_i
@@ -69,6 +70,11 @@ class Layering:
     @property
     def p(self) -> int:
         return len(self.layers) - 1
+
+    def sides(self, j: int) -> Tuple[frozenset, frozenset, frozenset]:
+        """The split at layer j: (layers 0..j, layers j..p, V_j)."""
+        layers = self.layers
+        return frozenset().union(*layers[: j + 1]), frozenset().union(*layers[j:]), layers[j]
 
 
 @dataclass(frozen=True)
@@ -83,20 +89,34 @@ class LayerSplitTrace:
 
 
 def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
-    """Layering of the connected induced subgraph g[X] from min(X), with the
-    thin layers and the median thin index; the one layering behind both the
-    layer split and the builder.  Any root serves: the thick-layer count
+    """Layering of g[X] from min(X), with the thin layers and the median
+    thin index; the one layering behind both the layer split and the
+    builder.  One level-by-level BFS fills `layer_of` and the layers
+    together; it reaches only the component of min(X), so it covers X
+    exactly when g[X] is connected.  Any root serves: the thick-layer count
     rests on n = |B_p(root)| <= f(p) <= c*p, true from every root."""
     root = min(X)
-    layers = bfs_layers(g, root, allowed=X).layers
+    g._check_vertex(root)
+    layer_of = {root: 0}
+    layers = []
+    frontier = [root]
+    while frontier:
+        layers.append(frozenset(frontier))
+        reached = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w in X and w not in layer_of:
+                    layer_of[w] = len(layers)
+                    reached.append(w)
+        frontier = reached
     p = len(layers) - 1
     # A layer size is an integer, so it is below 2c exactly when below ceil(2c).
     thick_size = math.ceil(2 * c)
     thin = tuple(i for i in range(1, p + 1) if len(layers[i]) < thick_size)
     return Layering(
         root=root,
-        layer_of={v: i for i, layer in enumerate(layers) for v in layer},
-        layers=layers,
+        layer_of=layer_of,
+        layers=tuple(layers),
         thin=thin,
         median=median_thin_index(thin, p),
     )
@@ -106,9 +126,9 @@ def bfs_layer_separation(
     g: Graph, X: Optional[frozenset], c
 ) -> Tuple[Separation, LayerSplitTrace]:
     """Layer split of the connected induced subgraph g[X]:
-    A = layers 0..j, B = layers j..p from the root min(X).  Its guarantees
-    hold from any root, since n <= f(p) <= c*p with p the root's
-    eccentricity bounds the thick layers whichever root is taken."""
+    A = layers 0..j, B = layers j..p from the root min(X), any root serving
+    since n <= f(p) <= c*p bounds the thick layers.  The one BFS of
+    `bfs_layering` decides connectivity: g[X] is connected iff it covers X."""
     c = Fraction(c)
     if c < 1:
         raise RangeError(f"c must be >= 1, got {c}")
@@ -117,13 +137,11 @@ def bfs_layer_separation(
         raise DegenerateInputError("no layer split exists for a single vertex")
     if len(X) == 0:
         raise PreconditionError("cannot separate the empty set")
-    if not is_connected(g, X):
-        raise PreconditionError("bfs_layer_separation requires a connected set")
-
     layering = bfs_layering(g, X, c)
+    if len(layering.layer_of) < len(X):
+        raise PreconditionError("bfs_layer_separation requires a connected set")
     layers, p, j = layering.layers, layering.p, layering.median
-    a = frozenset().union(*layers[: j + 1])
-    b = frozenset().union(*layers[j:])
+    a, b, _ = layering.sides(j)
     sep = Separation(a=a, b=b, host_size=len(X))
     thin = set(layering.thin)
     trace = LayerSplitTrace(

@@ -74,6 +74,20 @@ def test_separate_trace_keeps_the_separation(tmp_path, capsys, g):
     assert ("trace" in traced) == (g.n > 1)
 
 
+@pytest.mark.parametrize("g,reason", [
+    (Graph(1), "no layer split exists for a single vertex"),
+    (Graph(4, [(0, 1), (2, 3)]), "bfs_layer_separation requires a connected set"),
+], ids=["single-vertex", "disconnected"])
+def test_separate_says_why_it_wrote_no_trace(tmp_path, capsys, g, reason):
+    src = write_graph(tmp_path, g)
+    assert main(["separate", src, "--c", "3"]) == 0
+    plain = capsys.readouterr()
+    assert main(["separate", src, "--c", "3", "--trace"]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out
+    assert (plain.err, traced.err) == ("", f"# no trace: {reason}\n")
+
+
 def test_separate_perfect_matching(tmp_path, capsys):
     # 2500 components once overflowed the recursion of the disconnected lifting.
     g = Graph(5000, [(2 * i, 2 * i + 1) for i in range(2500)])
@@ -262,6 +276,16 @@ def test_subdivide_accepts_a_linear_bound_that_suffices(tmp_path, capsys, poly, 
     assert json.loads(capsys.readouterr().out)["uniform_subdivisions"] == subdivisions
 
 
+def test_subdivide_takes_negative_fractions_as_separate_tokens(tmp_path, capsys):
+    p4 = write_graph(tmp_path, path(4))
+    assert main(["subdivide", p4, "--mode", "uniform", "--poly", "1", "-1/2", "5"]) == 0
+    record = subdivide_uniform_superlinear(path(4), lambda r: r * r - Fraction(r, 2) + 5)
+    assert capsys.readouterr().out == json.dumps(record.to_json_dict(), indent=2) + "\n"
+    args = cli_mod.build_parser().parse_args(
+        ["subdivide", p4, "--mode", "uniform", "--poly", "1", "-1e3", "5"])
+    assert args.poly == [1, -1000, 5]
+
+
 def test_subdivide_refuses_a_hopeless_convex_bound_at_once(tmp_path, monkeypatch):
     # On path(4), r^2/10^6 + 3r + 1 stays below 2rm + n = 6r + 4 for every
     # r <= 10^6; the scan of all those radii used to take about 17 s.
@@ -292,7 +316,8 @@ SCAN_BUDGET = 40
 @settings(max_examples=80, deadline=None)
 @given(st.fractions(0, 1, max_denominator=2000).filter(bool),
        st.lists(st.one_of(st.fractions(0, 12, max_denominator=20),
-                          st.integers(-2, -1).map(Fraction)), min_size=2, max_size=3),
+                          st.fractions(-2, 0, max_denominator=20).filter(bool)),
+                min_size=2, max_size=3),
        st.sampled_from([path(4), star(5), complete(4)]))
 @example(Fraction(1, 1000), [Fraction(3), Fraction(1)], path(4))  # refused at once
 @example(Fraction(1, 1000), [Fraction(1), Fraction(5)], path(4))  # f(5) < 2*5 + 1
@@ -301,7 +326,8 @@ SCAN_BUDGET = 40
 def test_early_refusal_agrees_with_the_scan(fuzz_dir, leading, rest, g):
     # With the budget cut to SCAN_BUDGET radii, the CLI's exit code and
     # message equal those of the scan alone, for bounds of degree >= 2.
-    # Negative coefficients are integers: argparse takes "-1/2" for an option.
+    # Negative coefficients, fractions such as -1/2 among them, are separate
+    # tokens.
     coeffs = [leading] + rest
 
     def bound(r):

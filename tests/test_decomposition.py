@@ -24,7 +24,7 @@ from growthtw.errors import (
     PreconditionError,
 )
 from growthtw.generators import complete, complete_binary_tree, cycle, grid, path, random_cubic, star
-from growthtw.graphs import Graph
+from growthtw.graphs import Graph, components_within
 from growthtw.growth import growth_constant
 
 
@@ -420,19 +420,36 @@ def test_builder_reaches_the_rank_class_each_case_names(monkeypatch, g, c, rank_
     assert max(classes) == rank_class
 
 
+# 300 components, each a path on 10 vertices
+MANY_PATHS = Graph(3000, [(v, v + 1) for v in range(2999) if v % 10 != 9])
+
+
 def test_builder_needs_no_recursion_headroom(monkeypatch):
     def refuse(limit):
         raise AssertionError(f"the builder asked for recursion limit {limit}")
 
     limit = sys.getrecursionlimit()
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    many_paths = Graph(
-        3000, [(v, v + 1) for v in range(2999) if v % 10 != 9]
-    )  # 300 components, each a path on 10 vertices
-    for g in (path(3000), many_paths):
+    for g in (path(3000), MANY_PATHS):
         built = build_tree_decomposition(g, 3)
         assert check_tree_decomposition(g, built).valid
     assert sys.getrecursionlimit() == limit
+
+
+def test_builder_finds_components_only_where_the_layering_misses_some(monkeypatch):
+    # The layering of X covers X exactly when g[X] is connected, so only the
+    # root of MANY_PATHS needs its components listed.
+    calls = []
+
+    def counting(g, X):
+        calls.append(X)
+        return components_within(g, X)
+
+    monkeypatch.setattr(decomposition_mod, "components_within", counting)
+    build_tree_decomposition(path(3000), 3)
+    assert calls == []
+    build_tree_decomposition(MANY_PATHS, 3)
+    assert calls == [frozenset(range(3000))]
 
 
 # ---------------------------------------------------------------- grid minors

@@ -10,10 +10,8 @@ from growthtw.graphs import (
     Graph,
     ball,
     bfs_distances,
-    bfs_layers,
     components,
     components_within,
-    eccentricity,
     is_connected,
     is_tree,
     moore_steps,
@@ -111,12 +109,6 @@ def test_bfs_and_ball():
     assert bfs_distances(g, 0) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
     assert ball(g, 2, 1) == frozenset({1, 2, 3})
     assert ball(g, 0, 0) == frozenset({0})
-    assert eccentricity(g, 2) == 2
-    layers = bfs_layers(g, 2)
-    assert layers.root == 2
-    assert layers.eccentricity == 2
-    assert layers.layers[0] == frozenset({2})
-    assert layers.layers[2] == frozenset({0, 4})
 
 
 def test_bfs_restricted():

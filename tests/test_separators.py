@@ -8,6 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import growthtw.graphs as graphs_mod
+import growthtw.separators as separators_mod
 from growthtw.errors import (
     DegenerateInputError,
     InvariantViolationError,
@@ -128,6 +130,16 @@ def test_disconnected_lifting_unbalanced():
     report = check_separation(g, None, sep, Fraction(11, 12))
     assert report.valid
     assert max(len(sep.a), len(sep.b)) <= Fraction(11, 12) * 13
+
+
+def test_layer_split_tests_connectivity_by_its_layering(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("is_connected was called")
+
+    monkeypatch.setattr(graphs_mod, "is_connected", refuse)
+    monkeypatch.setattr(separators_mod, "is_connected", refuse, raising=False)
+    with pytest.raises(PreconditionError, match="requires a connected set"):
+        bfs_layer_separation(Graph(4, [(0, 1), (2, 3)]), None, 1)
 
 
 def test_separate_possibly_disconnected_validates_alpha():
@@ -306,6 +318,24 @@ def disconnected_sets(draw):
     keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     X = frozenset(v for v in range(n) if keep[v]) or frozenset({0})
     return Graph(n, edges), X
+
+
+@settings(max_examples=100, deadline=None)
+@given(disconnected_sets())
+def test_layering_lays_out_the_component_of_the_smallest_vertex(g_and_X):
+    # On any X, connected or not, the layering is a BFS of g[X] from min(X):
+    # it covers the component of min(X) in g[X], and X exactly when g[X] is
+    # connected.
+    g, X = g_and_X
+    layering = bfs_layering(g, X, Fraction(3, 2))
+    assert layering.layer_of == bfs_distances(g, min(X), X)
+    assert layering.layers == tuple(
+        frozenset(v for v, d in layering.layer_of.items() if d == i)
+        for i in range(max(layering.layer_of.values()) + 1)
+    )
+    comps = components_within(g, X)
+    assert set(layering.layer_of) == next(comp for comp in comps if min(X) in comp)
+    assert (len(layering.layer_of) == len(X)) == (len(comps) == 1)
 
 
 @settings(max_examples=100, deadline=None)
