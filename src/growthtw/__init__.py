@@ -30,8 +30,6 @@ from .separators import (
     check_separation,
     iteration_cap,
     linear_growth_separator,
-    rebalance_to_two_thirds,
-    separate_possibly_disconnected,
     two_thirds_separation,
 )
 from .decomposition import (

@@ -40,7 +40,8 @@ class DegenerateInputError(PreconditionError):
 
 
 class InvariantViolationError(GrowthTWError, RuntimeError):
-    """An internal guarantee failed; indicates a bug or a broken oracle."""
+    """An internal guarantee failed; indicates a bug, or a growth parameter c
+    below the growth constant the guarantee assumes."""
 
 
 class ModelError(GrowthTWError, ValueError):

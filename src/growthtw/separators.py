@@ -9,6 +9,11 @@ separation of order < 2c whose exclusive sides have size at most
 Any root serves: the ball of radius p = ecc(root) around it holds all n
 vertices, so n <= f(p) <= c*p and at most p/2 layers are thick, whichever
 vertex the root is.
+
+There is one separator path and no pluggable oracle: `linear_growth_separator`
+lays out its set with `bfs_layering` and lifts the layer split to
+disconnected sets by peeling components, and `two_thirds_separation` calls
+it on the heavy side until both exclusive sides hold at most 2n/3 vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     DegenerateInputError,
@@ -33,7 +38,6 @@ class Separation:
 
     a: frozenset
     b: frozenset
-    host_size: int
 
     @property
     def order(self) -> int:
@@ -129,10 +133,8 @@ def bfs_layer_separation(
     A = layers 0..j, B = layers j..p from the root min(X), any root serving
     since n <= f(p) <= c*p bounds the thick layers.  The one BFS of
     `bfs_layering` decides connectivity: g[X] is connected iff it covers X."""
-    c = Fraction(c)
-    if c < 1:
-        raise RangeError(f"c must be >= 1, got {c}")
-    X = frozenset(range(g.n)) if X is None else frozenset(X)
+    c = _growth_parameter(c)
+    X = _host_set(g, X)
     if len(X) == 1:
         raise DegenerateInputError("no layer split exists for a single vertex")
     if len(X) == 0:
@@ -141,15 +143,13 @@ def bfs_layer_separation(
     if len(layering.layer_of) < len(X):
         raise PreconditionError("bfs_layer_separation requires a connected set")
     layers, p, j = layering.layers, layering.p, layering.median
-    a, b, _ = layering.sides(j)
-    sep = Separation(a=a, b=b, host_size=len(X))
     thin = set(layering.thin)
     trace = LayerSplitTrace(
         root=layering.root, p=p, layer_sizes=tuple(len(layer) for layer in layers),
         thick=tuple(i for i in range(1, p + 1) if i not in thin),
         thin=layering.thin, chosen_j=j, c=c,
     )
-    return sep, trace
+    return _median_split(layering), trace
 
 
 def median_thin_index(thin: Tuple[int, ...], p: int) -> int:
@@ -168,58 +168,6 @@ def median_thin_index(thin: Tuple[int, ...], p: int) -> int:
             return j
 
 
-def separate_possibly_disconnected(
-    g: Graph,
-    X: Optional[frozenset],
-    alpha,
-    connected_separator: Callable[[frozenset], Separation],
-) -> Separation:
-    """Lift a connected-case separator to arbitrary induced subgraphs by
-    peeling the smallest component J: either (X\\J, J) is already balanced,
-    or separate X\\J the same way and absorb J into the smaller side.
-
-    The components of X\\J are those of X minus J, still in
-    `components_within` order, so one call serves every level: a forward
-    loop peels components until the rest is at most 2/3 of its host (or one
-    component is left), and a backward loop orients and absorbs them.  Only
-    side sizes drive the backward loop, so each side is built once."""
-    alpha = Fraction(alpha)
-    if not (Fraction(2, 3) <= alpha < 1):
-        raise RangeError(f"alpha must be in [2/3, 1), got {alpha}")
-    X = frozenset(range(g.n)) if X is None else frozenset(X)
-    if not X:
-        raise PreconditionError("cannot separate the empty set")
-    comps = components_within(g, X)
-    hosts = [len(X)]  # hosts[i] = |X minus comps[:i]|
-    depth = 0
-    while depth < len(comps) - 1 and 3 * (hosts[depth] - len(comps[depth])) > 2 * hosts[depth]:
-        hosts.append(hosts[depth] - len(comps[depth]))
-        depth += 1
-    if depth == len(comps) - 1:
-        inner = connected_separator(comps[depth])
-    else:
-        rest = frozenset().union(*comps[depth + 1:])
-        inner = Separation(a=rest, b=comps[depth], host_size=hosts[depth])
-    if depth == 0:
-        return inner
-    sides = ([inner.a], [inner.b])
-    sizes = [len(inner.a), len(inner.b)]
-    a_side = 0
-    for level in range(depth - 1, -1, -1):
-        n = hosts[level]
-        # Orient so |a| >= n/3; one side qualifies since |a| + |b| >= 2n/3.
-        if 3 * sizes[a_side] < n:
-            a_side = 1 - a_side
-        if 3 * sizes[a_side] < n:
-            raise InvariantViolationError("oracle returned a separation too small on both sides")
-        sides[1 - a_side].append(comps[level])
-        sizes[1 - a_side] += len(comps[level])
-    a, b = (frozenset().union(*side) for side in sides)
-    if a_side == 1:
-        a, b = b, a
-    return Separation(a=a, b=b, host_size=hosts[0])
-
-
 def iteration_cap(alpha) -> int:
     """ceil(log_alpha(2/3)): smallest i >= 1 with alpha^i <= 2/3, found by
     exact rational powering."""
@@ -232,44 +180,6 @@ def iteration_cap(alpha) -> int:
         power *= alpha
         i += 1
     return i
-
-
-def rebalance_to_two_thirds(
-    g: Graph,
-    X: Optional[frozenset],
-    alpha,
-    alpha_separator: Callable[[frozenset], Separation],
-) -> Tuple[Separation, int]:
-    """Iterate the resplitting update until both exclusive sides have size at
-    most 2n/3: while one exceeds it, orient it as B\\A, split g[B\\A] into
-    (C, D) with |D| >= |C|, and set A <- A + C, B <- D + (A & B).  Returns the
-    separation and the number of oracle calls made; exceeding the exact cap
-    ceil(log_alpha(2/3)) means the oracle broke its alpha-balance contract."""
-    alpha = Fraction(alpha)
-    cap = iteration_cap(alpha)
-    X = frozenset(range(g.n)) if X is None else frozenset(X)
-    if not X:
-        raise PreconditionError("cannot separate the empty set")
-    n = len(X)
-    sep = alpha_separator(X)
-    calls = 1
-    while True:
-        a, b = sep.a, sep.b
-        excl_a, excl_b = len(a - b), len(b - a)
-        if 3 * max(excl_a, excl_b) <= 2 * n:
-            return sep, calls
-        if calls >= cap:
-            raise InvariantViolationError(
-                f"not 2/3-balanced after {calls} oracle calls (cap {cap}); "
-                "the alpha-separator violated its balance contract"
-            )
-        if excl_a > excl_b:
-            a, b = b, a
-        heavy = b - a
-        inner = alpha_separator(heavy)
-        calls += 1
-        c_side, d_side = _orient_by_size(inner.a, inner.b)
-        sep = Separation(a=a | c_side, b=d_side | (a & b), host_size=n)
 
 
 def _orient_by_size(x: frozenset, y: frozenset) -> Tuple[frozenset, frozenset]:
@@ -285,7 +195,7 @@ def check_separation(g: Graph, X: Optional[frozenset], s: Separation, alpha) -> 
     """Validity and balance report; all failures are verdicts, never raises
     for bad separations."""
     alpha = Fraction(alpha)
-    X = frozenset(range(g.n)) if X is None else frozenset(X)
+    X = _host_set(g, X)
     a, b = s.a, s.b
     n = len(X)
     failure = None
@@ -324,31 +234,99 @@ def check_separation(g: Graph, X: Optional[frozenset], s: Separation, alpha) -> 
 def separation_alpha(c) -> Fraction:
     """The balance max(2/3, 1 - 1/(4c)) of the layer split for a growth
     parameter c, which must be at least 1."""
-    c = Fraction(c)
-    if c < 1:
-        raise RangeError(f"c must be >= 1, got {c}")
+    c = _growth_parameter(c)
     return max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
 
 
 def linear_growth_separator(g: Graph, X: Optional[frozenset], c) -> Separation:
-    """Composition used throughout: the layer split lifted to possibly
-    disconnected sets at alpha = 1 - 1/(4c), with singletons handled directly."""
-    c = Fraction(c)
-    alpha = separation_alpha(c)
-
-    def connected_oracle(Y: frozenset) -> Separation:
-        if len(Y) == 1:
-            return Separation(a=Y, b=Y, host_size=1)
-        sep, _ = bfs_layer_separation(g, Y, c)
-        return sep
-
-    return separate_possibly_disconnected(g, X, alpha, connected_oracle)
+    """The layer split lifted to possibly disconnected sets, alpha-balanced
+    for alpha = max(2/3, 1 - 1/(4c)) where f(r) <= c*r.  A layering of X that
+    covers X is cut at its median thin index, so one vertex gives (X, X).
+    Otherwise the smallest component J is peeled: either (X\\J, J) is
+    balanced, or X\\J is separated the same way and J joins the smaller side.
+    The components of X\\J are those of X minus J, so one `components_within`
+    call serves every level: a forward loop peels until the rest is at most
+    2/3 of its host (or one component is left, split by its own layering),
+    and a backward loop absorbs by side sizes, building each side once."""
+    c = _growth_parameter(c)
+    X = _host_set(g, X)
+    if not X:
+        raise PreconditionError("cannot separate the empty set")
+    layering = bfs_layering(g, X, c)
+    if len(layering.layer_of) == len(X):
+        return _median_split(layering)
+    comps = components_within(g, X)
+    hosts = [len(X)]  # hosts[i] = |X minus comps[:i]|
+    depth = 0
+    while depth < len(comps) - 1 and 3 * (hosts[depth] - len(comps[depth])) > 2 * hosts[depth]:
+        hosts.append(hosts[depth] - len(comps[depth]))
+        depth += 1
+    if depth == len(comps) - 1:
+        inner = _median_split(bfs_layering(g, comps[depth], c))
+    else:
+        inner = Separation(a=frozenset().union(*comps[depth + 1:]), b=comps[depth])
+    sides = ([inner.a], [inner.b])
+    sizes = [len(inner.a), len(inner.b)]
+    a_side = 0
+    for level in range(depth - 1, -1, -1):
+        # Orient so |a| >= n/3 for n = hosts[level]; one side qualifies,
+        # since the sides cover hosts[level + 1] > 2n/3 vertices.
+        if 3 * sizes[a_side] < hosts[level]:
+            a_side = 1 - a_side
+        sides[1 - a_side].append(comps[level])
+        sizes[1 - a_side] += len(comps[level])
+    a, b = (frozenset().union(*sides[i]) for i in (a_side, 1 - a_side))
+    return Separation(a=a, b=b)
 
 
 def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separation, int]:
-    """2/3-balanced separation via the layer-split oracle and rebalancing."""
+    """Iterate `linear_growth_separator` until both exclusive sides have size
+    at most 2n/3: while one exceeds it, orient it as B\\A, split g[B\\A] into
+    (C, D) with |D| >= |C|, and set A <- A + C, B <- D + (A & B).  Returns the
+    separation and the number of layer splits made.  Exceeding the exact cap
+    ceil(log_alpha(2/3)) means a split was not alpha-balanced, which happens
+    only where f(r) > c*r."""
     c = Fraction(c)
-    alpha = separation_alpha(c)
-    return rebalance_to_two_thirds(
-        g, X, alpha, lambda Y: linear_growth_separator(g, Y, c)
-    )
+    cap = iteration_cap(separation_alpha(c))
+    X = _host_set(g, X)
+    n = len(X)
+    sep = linear_growth_separator(g, X, c)
+    calls = 1
+    while True:
+        a, b = sep.a, sep.b
+        excl_a, excl_b = len(a - b), len(b - a)
+        if 3 * max(excl_a, excl_b) <= 2 * n:
+            return sep, calls
+        if calls >= cap:
+            raise InvariantViolationError(
+                f"not 2/3-balanced after {calls} layer splits (cap {cap}) at c = {c}; "
+                "the layer split is only (1 - 1/(4c))-balanced where f(r) <= c*r"
+            )
+        if excl_a > excl_b:
+            a, b = b, a
+        inner = linear_growth_separator(g, b - a, c)
+        calls += 1
+        c_side, d_side = _orient_by_size(inner.a, inner.b)
+        sep = Separation(a=a | c_side, b=d_side | (a & b))
+
+
+def _median_split(layering: Layering) -> Separation:
+    """(layers 0..j, layers j..p) at the median thin index j."""
+    a, b, _ = layering.sides(layering.median)
+    return Separation(a=a, b=b)
+
+
+def _growth_parameter(c) -> Fraction:
+    c = Fraction(c)
+    if c < 1:
+        raise RangeError(f"c must be >= 1, got {c}")
+    return c
+
+
+def _host_set(g: Graph, X) -> frozenset:
+    """The host set X of a separation, all of V(g) when None; an id outside
+    [0, n) is refused by name."""
+    X = frozenset(range(g.n)) if X is None else frozenset(X)
+    for v in (min(X), max(X)) if X else ():
+        g._check_vertex(v)
+    return X

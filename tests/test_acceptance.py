@@ -11,6 +11,7 @@ from itertools import permutations
 import pytest
 
 import growthtw.decomposition as decomposition_mod
+import growthtw.separators as separators_mod
 from growthtw.constructions import (
     HostEmbedding,
     contract_minor_map,
@@ -54,7 +55,7 @@ from growthtw.separators import (
     check_separation,
     iteration_cap,
     linear_growth_separator,
-    rebalance_to_two_thirds,
+    two_thirds_separation,
 )
 from growthtw.stacklayout import StackLayout, check_stack_layout, exact_stack_number
 
@@ -138,26 +139,29 @@ def _components(g):
     return components(g)
 
 
-def test_criterion_04_rebalancing_terminates_within_cap():
+def test_criterion_04_rebalancing_terminates_within_cap(monkeypatch):
     assert iteration_cap(Fraction(11, 12)) == 5
+    step_orders = []
+
+    def recording(g, Y, c):
+        sep = linear_growth_separator(g, Y, c)
+        step_orders.append(sep.order)
+        return sep
+
+    monkeypatch.setattr(separators_mod, "linear_growth_separator", recording)
     ok = True
     for name in ["path-50", "cycle-50", "star-40", "cbt-63", "grid-8",
                  "random-tree-200", "cubic-100"]:
         g = dict(default_corpus())[name]
         c = growth_constant(g)
         alpha = max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
-        step_orders = []
-
-        def oracle(Y, g=g, c=c, record=step_orders):
-            sep = linear_growth_separator(g, Y, c)
-            record.append(sep.order)
-            return sep
-
-        sep, calls = rebalance_to_two_thirds(g, None, alpha, oracle)
+        step_orders.clear()
+        sep, calls = two_thirds_separation(g, None, c)
         balanced = 3 * max(*sep.exclusive_sides) <= 2 * g.n
         if not (calls <= iteration_cap(alpha)
                 and balanced
                 and check_separation(g, None, sep, Fraction(2, 3)).valid
+                and len(step_orders) == calls
                 and sep.order <= calls * max(step_orders)):
             ok = False
     report(4, "rebalancing: call count within the exact cap, 2/3-balanced, "

@@ -94,7 +94,7 @@ def test_separate_perfect_matching(tmp_path, capsys):
     src = write_graph(tmp_path, g)
     assert main(["separate", src, "--c", "3"]) == 0
     data = json.loads(capsys.readouterr().out)
-    sep = Separation(a=frozenset(data["A"]), b=frozenset(data["B"]), host_size=g.n)
+    sep = Separation(a=frozenset(data["A"]), b=frozenset(data["B"]))
     assert data["valid"] is True
     assert check_separation(g, None, sep, Fraction(data["alpha"])).valid
 

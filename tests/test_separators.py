@@ -28,8 +28,6 @@ from growthtw.separators import (
     check_separation,
     iteration_cap,
     linear_growth_separator,
-    rebalance_to_two_thirds,
-    separate_possibly_disconnected,
     two_thirds_separation,
 )
 
@@ -88,22 +86,22 @@ def test_layer_split_guarantees_on_families():
 
 def test_check_separation_rejects_bad_pairs():
     g = path(5)
-    bad = Separation(a=frozenset({0, 1}), b=frozenset({2, 3, 4}), host_size=5)
+    bad = Separation(a=frozenset({0, 1}), b=frozenset({2, 3, 4}))
     report = check_separation(g, None, bad, Fraction(2, 3))
     assert not report.valid
     assert "crossing edge" in report.failure
 
-    uncovered = Separation(a=frozenset({0, 1}), b=frozenset({3, 4}), host_size=5)
+    uncovered = Separation(a=frozenset({0, 1}), b=frozenset({3, 4}))
     assert "cover" in check_separation(g, None, uncovered, Fraction(2, 3)).failure
 
-    outside = Separation(a=frozenset({0, 9}), b=frozenset({1}), host_size=2)
+    outside = Separation(a=frozenset({0, 9}), b=frozenset({1}))
     report = check_separation(g, frozenset({0, 1}), outside, Fraction(2, 3))
     assert "outside" in report.failure
 
 
 def test_check_separation_numbers():
     g = path(7)
-    sep = Separation(a=frozenset({0, 1, 2, 3}), b=frozenset({3, 4, 5, 6}), host_size=7)
+    sep = Separation(a=frozenset({0, 1, 2, 3}), b=frozenset({3, 4, 5, 6}))
     report = check_separation(g, None, sep, Fraction(2, 3))
     assert report.valid
     assert report.order == 1
@@ -142,12 +140,44 @@ def test_layer_split_tests_connectivity_by_its_layering(monkeypatch):
         bfs_layer_separation(Graph(4, [(0, 1), (2, 3)]), None, 1)
 
 
-def test_separate_possibly_disconnected_validates_alpha():
+def test_linear_growth_separator_validates_c_and_the_set():
     g = path(4)
-    with pytest.raises(RangeError):
-        separate_possibly_disconnected(g, None, Fraction(1, 2), lambda Y: None)
-    with pytest.raises(PreconditionError):
-        separate_possibly_disconnected(g, frozenset(), Fraction(2, 3), lambda Y: None)
+    with pytest.raises(RangeError, match="c must be >= 1"):
+        linear_growth_separator(g, None, Fraction(1, 2))
+    for separator in (linear_growth_separator, two_thirds_separation):
+        with pytest.raises(PreconditionError, match="empty set"):
+            separator(g, frozenset(), 3)
+
+
+def test_separators_name_an_out_of_range_host_vertex():
+    g = path(5)
+    for X, bad in ((frozenset({0, 99}), 99), (frozenset({-1, 2}), -1)):
+        message = f"vertex {bad} out of range"
+        with pytest.raises(RangeError, match=message):
+            linear_growth_separator(g, X, 3)
+        with pytest.raises(RangeError, match=message):
+            two_thirds_separation(g, X, 3)
+        with pytest.raises(RangeError, match=message):
+            bfs_layer_separation(g, X, 3)
+        with pytest.raises(RangeError, match=message):
+            check_separation(g, X, Separation(a=X, b=X), Fraction(2, 3))
+
+
+def test_lifting_finds_components_only_where_the_layering_misses_some(monkeypatch):
+    # The layering of X covers X exactly when g[X] is connected, so only a
+    # disconnected X needs its components listed, once for all its levels.
+    calls = []
+
+    def counting(g, X):
+        calls.append(X)
+        return components_within(g, X)
+
+    monkeypatch.setattr(separators_mod, "components_within", counting)
+    linear_growth_separator(path(3000), None, 3)
+    assert calls == []
+    many_paths = Graph(3000, [(v, v + 1) for v in range(2999) if v % 10 != 9])
+    linear_growth_separator(many_paths, None, 3)
+    assert calls == [frozenset(range(3000))]
 
 
 def test_iteration_cap_values():
@@ -171,15 +201,15 @@ def test_rebalance_terminates_within_cap():
         assert 3 * max(*sep.exclusive_sides) <= 2 * g.n
 
 
-def test_rebalance_detects_broken_oracle():
-    # An oracle that always piles everything on one side can never rebalance.
-    g = path(30)
-
-    def bad_oracle(Y):
-        return Separation(a=frozenset(Y), b=frozenset({min(Y)}), host_size=len(Y))
-
-    with pytest.raises(InvariantViolationError):
-        rebalance_to_two_thirds(g, None, Fraction(11, 12), bad_oracle)
+def test_rebalance_names_c_when_the_cap_is_exceeded():
+    # grid(20) grows faster than 3r, so its layer splits at c = 3 are not
+    # 11/12-balanced and the cap of five splits does not reach 2/3.
+    with pytest.raises(InvariantViolationError) as err:
+        two_thirds_separation(grid(20), None, 3)
+    message = str(err.value)
+    assert "after 5 layer splits (cap 5)" in message
+    assert "c = 3" in message
+    assert "(1 - 1/(4c))-balanced where f(r) <= c*r" in message
 
 
 def test_rebalance_single_call_when_balanced():
@@ -285,20 +315,20 @@ def recursive_lift(g, X, connected_separator):
     rest = X - smallest
     n = len(X)
     if 3 * len(rest) <= 2 * n:
-        return Separation(a=rest, b=smallest, host_size=n)
+        return Separation(a=rest, b=smallest)
     inner = recursive_lift(g, rest, connected_separator)
     a, b = inner.a, inner.b
     if 3 * len(a) < n:
         a, b = b, a
     if 3 * len(a) < n:
         raise InvariantViolationError("too small on both sides")
-    return Separation(a=a, b=b | smallest, host_size=n)
+    return Separation(a=a, b=b | smallest)
 
 
 def layer_split_oracle(g, c):
     def oracle(Y):
         if len(Y) == 1:
-            return Separation(a=Y, b=Y, host_size=1)
+            return Separation(a=Y, b=Y)
         return bfs_layer_separation(g, Y, c)[0]
 
     return oracle
@@ -342,23 +372,19 @@ def test_layering_lays_out_the_component_of_the_smallest_vertex(g_and_X):
 @given(disconnected_sets(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(3)]))
 def test_lifting_equals_the_recursive_reference(case, c):
     g, X = case
-    alpha = max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
-    oracle = layer_split_oracle(g, c)
-    sep = separate_possibly_disconnected(g, X, alpha, oracle)
-    assert sep == recursive_lift(g, X, oracle)
-    assert check_separation(g, X, sep, alpha).valid
+    sep = linear_growth_separator(g, X, c)
+    assert sep == recursive_lift(g, X, layer_split_oracle(g, c))
+    assert check_separation(g, X, sep, max(Fraction(2, 3), 1 - Fraction(1, 4 * c))).valid
 
 
-def test_lifting_rejects_an_oracle_too_small_on_both_sides():
-    # P_12 plus an isolated vertex peels the vertex and asks the oracle to
-    # split the path; an oracle that drops most of it is caught on the way out.
-    g = Graph(13, [(i, i + 1) for i in range(11)])
-
-    def lossy_oracle(Y):
-        return Separation(a=frozenset({min(Y)}), b=frozenset({max(Y)}), host_size=len(Y))
-
-    with pytest.raises(InvariantViolationError):
-        separate_possibly_disconnected(g, None, Fraction(11, 12), lossy_oracle)
+@settings(max_examples=80, deadline=None)
+@given(relabelled_connected_graphs(),
+       st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(3)]))
+def test_lifting_is_the_layer_split_on_connected_sets(g, c):
+    # The traced and untraced forms of `growthtw separate` print the same
+    # sides on a connected graph because of this identity.
+    c = growth_constant(g) if c is None else c
+    assert linear_growth_separator(g, None, c) == bfs_layer_separation(g, None, c)[0]
 
 
 def test_perfect_matching_separates_without_recursion():
