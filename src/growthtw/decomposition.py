@@ -311,15 +311,26 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
     adjacent to it): v merges the components it touches into one whose
     border is Q(S, v), and the others keep theirs.  It succeeds on
     reaching a prefix with n - |S| - 1 <= k: the remaining vertices then go
-    in any order, since each has at most k later neighbours."""
+    in any order, since each has at most k later neighbours.
+
+    No prefix holds a vertex of the clique K = `_greedy_clique(adjm)`, which
+    leaves the search to the prefixes of G - K.  This loses no answer: if
+    tw <= k, a triangulation H of width tw has K as a clique, and a chordal
+    graph that is not complete has two non-adjacent simplicial vertices
+    (Dirac), one of them outside K.  Eliminating such vertices one at a time
+    is an elimination order of H, so of width <= k in G, that ends with K.
+    K may hold every vertex, so n - 1 <= k returns an order at once."""
     n = len(adjm)
+    if n - 1 <= k:
+        return list(range(n))
     full = (1 << n) - 1
+    walk = full & ~_greedy_clique(adjm)
     last = bytearray(1 << n)
     todo = [(0, [])]
     while todo:
         S, parts = todo.pop()
         # Bits are walked inline: this is the search's inner loop.
-        free = full & ~S
+        free = walk & ~S
         while free:
             low = free & -free
             free ^= low
@@ -349,6 +360,23 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
                     return order
                 todo.append((T, [(merged, q)] + [p for p in parts if not p[0] & nbrs]))
     return None
+
+
+def _greedy_clique(adjm) -> int:
+    """Bitmask of the largest of the n greedy cliques, the first on ties:
+    the one from v keeps adding the common neighbour of its members with
+    the most neighbours among the common neighbours, the smallest id on
+    ties."""
+    best = 0
+    for v, nbrs in enumerate(adjm):
+        clique, common = 1 << v, nbrs
+        while common:
+            u = max(iter_bits(common), key=lambda u: ((adjm[u] & common).bit_count(), -u))
+            clique |= 1 << u
+            common &= adjm[u]
+        if clique.bit_count() > best.bit_count():
+            best = clique
+    return best
 
 
 def _order_decomposition(adjm, order) -> TreeDecomposition:

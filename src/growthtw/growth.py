@@ -252,14 +252,29 @@ class BoundVerdict:
 
 
 def verify_growth_bound(g: Graph, bound: Callable[[int], Fraction]) -> BoundVerdict:
-    """Check f_g(r) <= bound(r) for every r in [1, n].  f is constant beyond
-    r = n and in-scope bounds are nondecreasing, so this range suffices."""
-    profile = growth_profile(g, g.n if g.n >= 1 else 1)
+    """Check f_g(r) <= bound(r) for every r in [1, n], past which f stays
+    constant.  The bound need not be monotone: it is evaluated at every r,
+    and since f(r) <= n the profile is computed only up to the last r with
+    bound(r) < n, and not at all when there is none.  The first violation
+    is returned; a bound that cannot be evaluated at r raises
+    PreconditionError only when no radius before r is violated."""
+    if g.n == 0:
+        raise PreconditionError("growth is undefined for the empty graph")
+    limits = []
+    error = None
     for r in range(1, g.n + 1):
         try:
-            limit = Fraction(bound(r))
+            limits.append(Fraction(bound(r)))
         except Exception as exc:
-            raise PreconditionError(f"bound not evaluable at r={r}: {exc}") from exc
-        if profile.values[r - 1] > limit:
-            return BoundVerdict(False, (r, profile.values[r - 1]))
+            error = exc
+            break
+    tight = [r for r, limit in enumerate(limits, start=1) if limit < g.n]
+    if tight:
+        values = growth_profile(g, tight[-1]).values
+        for r in tight:
+            if values[r - 1] > limits[r - 1]:
+                return BoundVerdict(False, (r, values[r - 1]))
+    if error is not None:
+        r = len(limits) + 1
+        raise PreconditionError(f"bound not evaluable at r={r}: {error}") from error
     return BoundVerdict(True)

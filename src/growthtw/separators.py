@@ -98,7 +98,9 @@ def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
     builder.  One level-by-level BFS fills `layer_of` and the layers
     together; it reaches only the component of min(X), so it covers X
     exactly when g[X] is connected.  Any root serves: the thick-layer count
-    rests on n = |B_p(root)| <= f(p) <= c*p, true from every root."""
+    rests on n = |B_p(root)| <= f(p) <= c*p, true from every root.  An id
+    of X outside [0, n) is a RangeError; only a layering that misses part
+    of X needs max(X) checked, since it reaches only ids of g."""
     root = min(X)
     g._check_vertex(root)
     layer_of = {root: 0}
@@ -113,6 +115,8 @@ def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
                     layer_of[w] = len(layers)
                     reached.append(w)
         frontier = reached
+    if len(layer_of) < len(X):
+        g._check_vertex(max(X))
     p = len(layers) - 1
     # A layer size is an integer, so it is below 2c exactly when below ceil(2c).
     thick_size = math.ceil(2 * c)

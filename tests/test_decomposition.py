@@ -275,6 +275,38 @@ def test_decision_pass_at_every_k(g):
             assert decomposition_mod._order_decomposition(adjm, order).width <= k
 
 
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_decision_pass_keeps_the_clique_last(g):
+    adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    clique = decomposition_mod._greedy_clique(adjm)
+    members = [v for v in range(g.n) if clique >> v & 1]
+    assert members and all(adjm[u] >> v & 1 for u, v in combinations(members, 2))
+    for k in range(g.n + 1):
+        order = decomposition_mod._elimination_order_within(adjm, k)
+        if order is not None:
+            assert set(members) <= set(order[-(k + 1):]), (k, order, members)
+
+
+def test_decision_pass_when_the_clique_is_the_whole_graph():
+    # The clique is the whole graph, so the pass must answer before its walk.
+    assert decomposition_mod._elimination_order_within([0], 0) == [0]
+    assert decomposition_mod._elimination_order_within([0b10, 0b01], 0) is None
+    assert decomposition_mod._elimination_order_within([0b10, 0b01], 1) == [0, 1]
+
+
+def test_greedy_clique_is_the_largest_greedy_one():
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    # A triangle and a K4 {3, 4, 5, 6} joined by the edge 2-3: the K4.
+    # Two disjoint triangles: the first.
+    for g, clique in (
+        (Graph(7, triangle + [(2, 3)] + list(combinations(range(3, 7), 2))), 0b1111000),
+        (disjoint_union(Graph(3, triangle), Graph(3, triangle)), 0b000111),
+    ):
+        adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+        assert decomposition_mod._greedy_clique(adjm) == clique
+
+
 def treewidth_bounds(g):
     adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
     ub = decomposition_mod._order_decomposition(adjm, decomposition_mod._min_fill_order(adjm)).width

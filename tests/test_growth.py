@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import growthtw.growth as growth_mod
 from growthtw.errors import CapacityError, PreconditionError, RangeError
 from growthtw.generators import (
     complete,
@@ -17,6 +18,7 @@ from growthtw.generators import (
 )
 from growthtw.graphs import Graph, ball
 from growthtw.growth import (
+    BoundVerdict,
     brute_force_growth,
     brute_force_growth_edge_subsets,
     growth_constant,
@@ -102,6 +104,8 @@ def test_empty_graph_rejected():
         growth_profile(Graph(0), 1)
     with pytest.raises(PreconditionError):
         growth_constant(Graph(0))
+    with pytest.raises(PreconditionError):
+        verify_growth_bound(Graph(0), lambda r: r)
 
 
 def test_product_growth_cube_of_ball():
@@ -129,6 +133,39 @@ def test_verify_growth_bound():
 def test_verify_growth_bound_bad_callable():
     with pytest.raises(PreconditionError):
         verify_growth_bound(path(3), lambda r: 1 / 0)
+
+
+def test_verify_growth_bound_runs_no_bfs_where_the_bound_clears_n(monkeypatch):
+    # f(r) <= n, so a radius with bound(r) >= n cannot fail.
+    calls = []
+    ball_sizes = growth_mod._ball_sizes
+
+    def counting(adj, v, seen):
+        calls.append(v)
+        return ball_sizes(adj, v, seen)
+
+    monkeypatch.setattr(growth_mod, "_ball_sizes", counting)
+    g = cycle(12)
+    assert verify_growth_bound(g, lambda r: Fraction(12 + (r % 3))).holds
+    assert verify_growth_bound(g, lambda r: Fraction(12)).holds
+    assert calls == []
+    profiled = []
+
+    def recording(g, r_max):
+        profiled.append(r_max)
+        return growth_profile(g, r_max)
+
+    monkeypatch.setattr(growth_mod, "growth_profile", recording)
+    # Radii 1..5 are below n = 12; radius 6 on is not checked.
+    assert verify_growth_bound(g, lambda r: Fraction(2 * r + 1)).holds
+    assert profiled == [5]
+
+
+def test_verify_growth_bound_catches_a_late_dip():
+    # A bound that is not monotone: above n everywhere but at r = n - 1.
+    g = path(9)
+    bound = lambda r: Fraction(5 if r == 8 else 100)
+    assert verify_growth_bound(g, bound).first_violation == (8, 9)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -160,6 +197,44 @@ def graphs_with_isolated_vertices(draw, max_n=14):
 
 def two_components(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+@st.composite
+def graphs_and_bounds(draw):
+    """A small graph and one bound value per radius 1..n: integers and
+    half-integers up to n + 1, and in half the cases also None for a radius
+    where the bound raises."""
+    g = draw(graphs_with_isolated_vertices(max_n=10))
+    value = st.integers(min_value=0, max_value=2 * g.n + 2).map(lambda x: Fraction(x, 2))
+    values = draw(st.lists(st.one_of(value, st.none()) if draw(st.booleans()) else value,
+                           min_size=g.n, max_size=g.n))
+    return g, values
+
+
+@given(graphs_and_bounds())
+# A violation at r = 2 comes before the bound fails at r = 4, and without
+# it the failure is raised.
+@example((path(7), [100, 2, 100, None, 100, 100, 100]))
+@example((path(7), [100, 100, 100, None, 100, 100, 100]))
+@settings(max_examples=150)
+def test_verify_growth_bound_matches_a_full_profile(case):
+    g, values = case
+
+    def bound(r):
+        if values[r - 1] is None:
+            raise ValueError(f"no value at {r}")
+        return values[r - 1]
+
+    f = growth_profile(g, g.n).values
+    for r in range(1, g.n + 1):
+        if values[r - 1] is None:
+            with pytest.raises(PreconditionError, match=f"not evaluable at r={r}:"):
+                verify_growth_bound(g, bound)
+            return
+        if f[r - 1] > values[r - 1]:
+            assert verify_growth_bound(g, bound) == BoundVerdict(False, (r, f[r - 1]))
+            return
+    assert verify_growth_bound(g, bound) == BoundVerdict(True)
 
 
 @given(graphs_with_isolated_vertices())

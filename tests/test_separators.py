@@ -17,7 +17,7 @@ from growthtw.errors import (
     RangeError,
 )
 from growthtw.decomposition import build_tree_decomposition, check_tree_decomposition
-from growthtw.generators import cycle, grid, path, random_cubic, star
+from growthtw.generators import complete_binary_tree, cycle, grid, path, random_cubic, star
 from growthtw.graphs import Graph, bfs_distances, components_within
 from growthtw.growth import growth_constant
 from growthtw.harness import treewidth_bound
@@ -163,6 +163,29 @@ def test_separators_name_an_out_of_range_host_vertex():
             check_separation(g, X, Separation(a=X, b=X), Fraction(2, 3))
 
 
+def test_layering_refuses_an_out_of_range_id(monkeypatch):
+    # The root min(X) is always checked; max(X) only when the layering
+    # misses part of X, since a covering layering reaches only ids of g.
+    checked = []
+    check = Graph._check_vertex
+
+    def recording(self, v):
+        checked.append(v)
+        return check(self, v)
+
+    monkeypatch.setattr(Graph, "_check_vertex", recording)
+    with pytest.raises(RangeError, match="vertex 99 out of range"):
+        bfs_layering(path(5), frozenset({0, 99}), 3)
+    assert checked == [0, 99]
+    checked.clear()
+    assert bfs_layering(path(5), frozenset({1, 2, 3}), 3).layers == (
+        frozenset({1}), frozenset({2}), frozenset({3}))
+    assert checked == [1]
+    checked.clear()
+    assert len(bfs_layering(path(5), frozenset({0, 4}), 3).layer_of) == 1
+    assert checked == [0, 4]
+
+
 def test_lifting_finds_components_only_where_the_layering_misses_some(monkeypatch):
     # The layering of X covers X exactly when g[X] is connected, so only a
     # disconnected X needs its components listed, once for all its levels.
@@ -216,6 +239,18 @@ def test_rebalance_single_call_when_balanced():
     g = path(9)
     sep, calls = two_thirds_separation(g, None, 3)
     assert calls == 1
+
+
+def test_rebalance_splits_only_the_exclusive_heavy_side():
+    # cbt-31 at its growth constant 31/4: the first split has A = {0..6},
+    # A & B = {3..6} and 24 > 2n/3 vertices in B\A = {7..30}, so B\A is
+    # split again and its smaller side joins A.  Splitting all of B instead
+    # would lay out {3..6} too and move other leaves.
+    g = complete_binary_tree(31)
+    sep, calls = two_thirds_separation(g, None, growth_constant(g))
+    assert calls == 2
+    assert sorted(sep.a) == [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, *range(19, 27)]
+    assert sorted(sep.b) == [3, 4, 5, 6, 7, 8, *range(13, 19), *range(27, 31)]
 
 
 def test_layer_split_order_bound_random():
