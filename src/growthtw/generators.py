@@ -14,34 +14,40 @@ FAMILIES = ("path", "cycle", "star", "complete", "complete_binary_tree", "grid")
 
 def path(k: int) -> Graph:
     _require(k >= 1, f"path needs size >= 1, got {k}")
+    _within_budget(k)
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def cycle(k: int) -> Graph:
     _require(k >= 3, f"cycle needs size >= 3, got {k}")
+    _within_budget(k)
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def star(k: int) -> Graph:
     """Star on k vertices: center 0, leaves 1..k-1."""
     _require(k >= 1, f"star needs size >= 1, got {k}")
+    _within_budget(k)
     return Graph(k, [(0, i) for i in range(1, k)])
 
 
 def complete(k: int) -> Graph:
     _require(k >= 1, f"complete needs size >= 1, got {k}")
+    _within_budget(k)
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def complete_binary_tree(k: int) -> Graph:
     """Heap-shaped binary tree on k vertices, root 0, children 2i+1, 2i+2."""
     _require(k >= 1, f"complete_binary_tree needs size >= 1, got {k}")
+    _within_budget(k)
     return Graph(k, [(i, (i - 1) // 2) for i in range(1, k)])
 
 
 def grid(k: int) -> Graph:
     """k x k grid, row-major numbering: (row, col) -> row*k + col."""
     _require(k >= 1, f"grid needs side >= 1, got {k}")
+    _within_budget(k * k)
     edges = []
     for r in range(k):
         for c in range(k):
@@ -73,9 +79,7 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: vertex (v, w) numbered v*|V(h)| + w; (v,w)~(v',w') iff
     each coordinate is equal or adjacent and the pairs differ."""
     _require(g.n >= 1 and h.n >= 1, "strong product needs nonempty factors")
-    # Checked here too, so that the refusal comes before the edge list is built.
-    if g.n * h.n > VERTEX_BUDGET:
-        raise CapacityError(f"product would have {g.n * h.n} vertices (budget {VERTEX_BUDGET})")
+    _within_budget(g.n * h.n)
     nh = h.n
     edges = []
     h_edges = list(h.edges())
@@ -105,6 +109,7 @@ def random_cubic(n: int, seed: int, max_attempts: int = 10_000) -> Graph:
     any sample with loops or multi-edges wholesale.  Deterministic in seed."""
     if n < 4 or n % 2 != 0:
         raise RangeError(f"random cubic graph needs even n >= 4, got {n}")
+    _within_budget(n)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(3)]
     for _ in range(max_attempts):
@@ -131,3 +136,11 @@ def random_cubic(n: int, seed: int, max_attempts: int = 10_000) -> Graph:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise RangeError(message)
+
+
+def _within_budget(n: int) -> None:
+    """Refuse n > VERTEX_BUDGET vertices as Graph does, but before the
+    generator builds its edge or stub list.  The edge count is not
+    budgeted: complete(k) under the budget may still exhaust memory."""
+    if n > VERTEX_BUDGET:
+        raise CapacityError(f"graph would have {n} vertices (budget {VERTEX_BUDGET})")

@@ -17,11 +17,15 @@ from itertools import combinations
 from typing import Callable, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
-from .graphs import Graph, moore_steps
+from .graphs import VERTEX_BUDGET, Graph, moore_steps
 
 # Exhaustive enumeration refuses beyond these sizes.
 BRUTE_FORCE_EDGE_BUDGET = 20
 BRUTE_FORCE_VERTEX_BUDGET = 16
+
+# growth_constant grows all balls at once as bitmasks only up to this many
+# vertices: two generations of n masks of n bits each take at most 64 MiB.
+SWEEP_VERTEX_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,16 @@ def _ball_sizes(adj, v: int, seen: list):
 
 def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
     """f(r) = max_v |B_r(v)| for r in [1, r_max], with the growth constant
-    maximised over r in [1, min(r_max, n)]."""
+    maximised over r in [1, min(r_max, n)].  Every source runs its BFS to
+    radius r_max or its whole component; r_max past VERTEX_BUDGET is a
+    CapacityError."""
     if g.n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
     if r_max < 1:
         raise RangeError(f"r_max must be >= 1, got {r_max}")
+    # Refused before the two lists of r_max + 1 entries are allocated.
+    if r_max > VERTEX_BUDGET:
+        raise CapacityError(f"growth profile refuses r_max={r_max} (budget {VERTEX_BUDGET})")
     # largest[r] = max_v |B_r(v)| over sources still growing at r;
     # whole[e] = largest component whose ball is complete at radius e, as
     # it stays for every larger radius.
@@ -100,9 +109,10 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
 
 
 def growth_constant(g: Graph) -> Fraction:
-    """Exact c_G = max_v max_r |B_r(v)|/r in one pass of BFS.  The best ratio
-    starts at f(1)/1 = max degree + 1, and each source's BFS stops after
-    radius r once no later radius can beat the best.
+    """Exact c_G = max_v max_r |B_r(v)|/r.  The best ratio starts at
+    f(1)/1 = max degree + 1, and each source v leaves the search after
+    radius r once its ball is its whole component or no later radius can
+    beat the best.
 
     A ball never exceeds n vertices, so radii r + i with (r + i) * best >= n
     cannot; let r + j be the last radius below that.  With s = |B_r(v)|,
@@ -113,16 +123,36 @@ def growth_constant(g: Graph) -> Fraction:
     at i = 0, so it is nonnegative on 0..j as soon as it is at i = j.  With
     delta <= 2 that holds once L*(delta-1) <= best, at r = 1 on every path
     and cycle; with delta >= 3 the bound grows geometrically and mostly
-    stops a source only a few radii before n does.  Ratios are compared in
-    integers, and a stopped source could at most tie the best, so the
-    result is exact."""
+    stops a source only a few radii before n does.  This holds for any best
+    that some ball attains, as the best only grows, so a source that stops
+    could at most tie the final best; ratios are compared in integers, and
+    the result is exact.
+
+    Radius 1 is decided from degrees alone: |B_1(v)| = deg(v) + 1 with
+    deg(v) vertices at distance 1.  When some source passes it and
+    n <= SWEEP_VERTEX_LIMIT, all sources grow together, radius by radius,
+    as vertex bitmasks: B_{r+1}(v) = B_r(v) | the union of B_r(w) over the
+    neighbours w of v, and |B_r(v)| is a bit count (`_sweep`).  Each mask
+    takes up to n/8 bytes and two generations are kept, so the limit caps
+    them at 64 MiB; above it, each source runs its own BFS (`_ball_sizes`)
+    in O(n) memory."""
     n = g.n
     if n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
     delta = g.max_degree()
     num, den = delta + 1, 1
+    j = -(-n // num) - 2
+    # Whether a source of degree d passes radius 1; no ball there beats the
+    # best, so this depends on d alone.
+    passes = [j > 0 and d > 0 and moore_steps(delta, d + 1, d, num * (1 + j) + 1) <= j
+              for d in range(delta + 1)]
+    active = [v for v in range(n) if passes[len(g.adj[v])]]
+    if not active:
+        return Fraction(num)
+    if n <= SWEEP_VERTEX_LIMIT:
+        return _sweep(g.adj, delta, active)
     seen = [-1] * n
-    for v in range(n):
+    for v in active:
         for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
             if size * den > num * r:
                 num, den = size, r
@@ -131,6 +161,42 @@ def growth_constant(g: Graph) -> Fraction:
             # pass num*(r + j)//den vertices.
             if j <= 0 or moore_steps(delta, size, level, num * (r + j) // den + 1) > j:
                 break
+    return Fraction(num, den)
+
+
+def _sweep(adj, delta: int, active: list) -> Fraction:
+    """The growth constant from radius 2 on, with `active` the sources that
+    pass radius 1 (see `growth_constant`): every ball grows by one radius
+    per round, and a source leaves `active` under the same rules as in the
+    per-source BFS.  The balls of inactive sources keep growing, since their
+    neighbours' balls are built from them."""
+    n = len(adj)
+    num, den = delta + 1, 1
+    balls = [sum(1 << w for w in nbrs) | 1 << v for v, nbrs in enumerate(adj)]
+    sizes = [len(nbrs) + 1 for nbrs in adj]
+    r = 1
+    while active:
+        grown = []
+        for ball, nbrs in zip(balls, adj):
+            for w in nbrs:
+                ball |= balls[w]
+            grown.append(ball)
+        balls = grown
+        r += 1
+        still = []
+        for v in active:
+            size = balls[v].bit_count()
+            level = size - sizes[v]
+            if not level:
+                continue
+            sizes[v] = size
+            if size * den > num * r:
+                num, den = size, r
+            j = -(-n * den // num) - r - 1
+            if j <= 0 or moore_steps(delta, size, level, num * (r + j) // den + 1) > j:
+                continue
+            still.append(v)
+        active = still
     return Fraction(num, den)
 
 

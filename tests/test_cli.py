@@ -12,7 +12,7 @@ from growthtw.cli import main
 from growthtw.constructions import subdivide_uniform_superlinear
 from growthtw.decomposition import build_tree_decomposition
 from growthtw.errors import PreconditionError
-from growthtw.generators import complete, grid, path, star
+from growthtw.generators import FAMILIES, complete, grid, path, star
 from growthtw.graphs import VERTEX_BUDGET, Graph, parse_edge_list, serialize_edge_list
 from growthtw.separators import Separation, check_separation
 
@@ -209,6 +209,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["tw-exact", big]) == 3
     assert main(["stack-exact", write_graph(tmp_path, path(9), "p9.el")]) == 3
     assert main(["explore-lower-bound", "--sizes", "20", "--seeds", "1"]) == 3
+    # Both are refused before their lists are allocated.
+    assert main(["growth", p4, "--r-max", "100000000000"]) == 3
+    assert main(["generate", "path", "1000000000000"]) == 3
+    assert main(["generate", "cubic", "1000000000000"]) == 3
     capsys.readouterr()
 
 
@@ -560,12 +564,18 @@ SIZES = st.one_of(st.integers(-5, 20).map(str), NUMBERS.filter(lambda t: not t.i
 
 @settings(max_examples=60, deadline=None)
 @given(NUMBERS, NUMBERS, st.lists(NUMBERS, min_size=1, max_size=3),
-       st.lists(SIZES, max_size=2), st.lists(NUMBERS, max_size=2))
-def test_numeric_options_exit_cleanly(fuzz_dir, c, epsilon, poly, sizes, seeds):
+       st.lists(SIZES, max_size=2), st.lists(NUMBERS, max_size=2),
+       INTEGERS, st.sampled_from(FAMILIES + ("cubic",)), INTEGERS)
+def test_numeric_options_exit_cleanly(fuzz_dir, c, epsilon, poly, sizes, seeds,
+                                      r_max, family, size):
     src = write_graph(fuzz_dir, path(4))
     for command in ("separate", "treedecomp", "stack"):
         code, _, err = run_quietly([command, src, f"--c={c}"])
         assert code in (0, 1, 2, 3), (command, c, err)
+    code, _, err = run_quietly(["growth", src, f"--r-max={r_max}"])
+    assert code in (0, 1, 2, 3), (r_max, err)
+    code, _, err = run_quietly(["generate", family, str(size)])
+    assert code in (0, 1, 2, 3), (family, size, err)
     # On a graph with an edge, a polynomial with a tiny positive leading
     # coefficient (1e-400 r^2) is valid input whose superlinearity scan runs
     # for seconds; on one vertex the scan ends at r = 1.

@@ -112,6 +112,21 @@ def test_product_budget():
         strong_product(path(2000), path(2000))
 
 
+@pytest.mark.parametrize("build", [path, cycle, star, complete, complete_binary_tree, grid,
+                                   lambda n: random_cubic(n, seed=1)])
+def test_generators_refuse_the_budget_before_allocating(build):
+    # Building the edge or stub list first would exhaust memory here.
+    with pytest.raises(CapacityError):
+        build(10**12)
+
+
+def test_grid_budget_counts_vertices():
+    with pytest.raises(CapacityError):
+        grid(1415)  # 1415**2 = 2_002_225 vertices
+    with pytest.raises(CapacityError):
+        generate("grid", 10**6)
+
+
 def test_random_cubic_regular_and_deterministic():
     g = random_cubic(20, seed=7)
     assert g.n == 20 and g.m == 30

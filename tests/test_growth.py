@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from growthtw.generators import (
     star,
     strong_product,
 )
-from growthtw.graphs import Graph, ball
+from growthtw.graphs import VERTEX_BUDGET, Graph, ball
 from growthtw.growth import (
     BoundVerdict,
     brute_force_growth,
@@ -309,3 +310,97 @@ def test_growth_constant_equals_ball_maximum(g):
     # The degree-bounded cutoff stops sources early; the balls here come
     # from graphs.ball, which shares nothing with growth.py.
     assert growth_constant(g) == ball_growth_constant(g)
+
+
+def gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@st.composite
+def sweep_graphs(draw, max_n=90):
+    """Disjoint unions of paths, cycles, grids, random cubic graphs and
+    small G(n, p): the grids, cubic graphs and denser G(n, p) have sources
+    of degree >= 3 that pass radius 1 and grow for several radii."""
+    parts = draw(st.lists(
+        st.one_of(
+            st.builds(path, st.integers(1, 30)),
+            st.builds(cycle, st.integers(3, 30)),
+            st.builds(grid, st.integers(1, 7)),
+            st.builds(random_cubic, st.integers(2, 20).map(lambda k: 2 * k),
+                      st.integers(0, 1000)),
+            st.builds(gnp, st.integers(1, 16), st.floats(0, 1), st.integers(0, 1000)),
+        ),
+        min_size=1, max_size=4,
+    ))
+    g = parts[0]
+    for part in parts[1:]:
+        if g.n + part.n > max_n:
+            break
+        g = two_components(g, part)
+    return g
+
+
+@given(sweep_graphs())
+@example(grid(7))
+@example(random_cubic(40, 3))
+@example(two_components(grid(5), path(30)))
+@example(two_components(random_cubic(12, 1), Graph(1)))
+@settings(max_examples=80, deadline=None)
+def test_sweep_equals_per_source_bfs(g):
+    swept = growth_constant(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
+        assert growth_constant(g) == swept
+
+
+def forbid(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+def test_growth_constant_runs_bfs_above_the_sweep_limit(monkeypatch):
+    calls = []
+    ball_sizes = growth_mod._ball_sizes
+
+    def counting(adj, v, seen):
+        calls.append(v)
+        return ball_sizes(adj, v, seen)
+
+    g = grid(6)
+    monkeypatch.setattr(growth_mod, "_ball_sizes", counting)
+    monkeypatch.setattr(growth_mod, "_sweep", forbid("_sweep"))
+    monkeypatch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", g.n - 1)
+    assert growth_constant(g) == ball_growth_constant(g)
+    assert calls
+
+
+def test_growth_constant_sweeps_up_to_the_limit(monkeypatch):
+    g = grid(6)
+    monkeypatch.setattr(growth_mod, "_ball_sizes", forbid("_ball_sizes"))
+    monkeypatch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", g.n)
+    assert growth_constant(g) == ball_growth_constant(g)
+
+
+@pytest.mark.parametrize("limit", [growth_mod.SWEEP_VERTEX_LIMIT, 1 << 15])
+@pytest.mark.parametrize("family", [path, cycle])
+def test_paths_and_cycles_stop_at_radius_one_without_masks(monkeypatch, family, limit):
+    # No source of maximum degree 2 passes radius 1.  With the limit at
+    # 2**15 the sweep's branch decides; 20000 masks of 20000 bits would
+    # take about 50 MB.
+    g = family(20000)
+    monkeypatch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", limit)
+    tracemalloc.start()
+    try:
+        assert growth_constant(g) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_growth_profile_refuses_r_max_past_the_budget():
+    with pytest.raises(CapacityError):
+        growth_profile(path(3), VERTEX_BUDGET + 1)
+    assert growth_profile(path(3), 5).values == (3, 3, 3, 3, 3)
