@@ -23,7 +23,7 @@ from .growth import (
     verify_growth_bound,
 )
 from .separators import (
-    LayerSplitTrace,
+    Layering,
     Separation,
     SeparationReport,
     bfs_layer_separation,

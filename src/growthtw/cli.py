@@ -7,7 +7,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import harness
@@ -150,13 +149,13 @@ def _separate(args) -> int:
     alpha = separation_alpha(c)
     # A single vertex or a disconnected graph has no layer split, so no
     # trace; the untraced form separates it (and refuses the empty graph).
-    trace = None
+    layering = None
     if args.trace and g.n > 0:
         try:
-            sep, trace = bfs_layer_separation(g, None, c)
+            sep, layering = bfs_layer_separation(g, None, c)
         except PreconditionError as exc:
             print(f"# no trace: {exc}", file=sys.stderr)
-    if trace is None:
+    if layering is None:
         sep = linear_growth_separator(g, None, c)
     report = check_separation(g, None, sep, alpha)
     payload = {
@@ -169,8 +168,8 @@ def _separate(args) -> int:
         "A": sorted(sep.a),
         "B": sorted(sep.b),
     }
-    if trace is not None:
-        payload["trace"] = {**asdict(trace), "c": str(trace.c)}
+    if layering is not None:
+        payload["trace"] = {**layering.to_json_dict(), "c": str(c)}
     _write_json(args.out, payload)
     return 0 if report.valid else 1
 

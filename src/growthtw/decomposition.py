@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
 from .graphs import Graph, components_within, is_connected, iter_bits, json_int, json_ints
-from .separators import bfs_layering
+from .separators import _growth_parameter, bfs_layering
 
 EXACT_TREEWIDTH_VERTEX_BUDGET = 18
 
@@ -135,9 +134,7 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
     bound does not hold.  Bag ids come in post-order from an explicit work
     stack: children before their parent, A before B, components in
     `components_within` order."""
-    c = Fraction(c)
-    if c < 1:
-        raise RangeError(f"c must be >= 1, got {c}")
+    c = _growth_parameter(c)
     if g.n == 0:
         return TreeDecomposition(bags=(frozenset(),), edges=())
     threshold = max(2, math.ceil(2 * c))

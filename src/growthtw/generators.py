@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 from .errors import CapacityError, GenerationError, RangeError
-from .graphs import VERTEX_BUDGET, Graph
+from .graphs import EDGE_BUDGET, VERTEX_BUDGET, Graph
 
 FAMILIES = ("path", "cycle", "star", "complete", "complete_binary_tree", "grid")
 
@@ -33,7 +33,7 @@ def star(k: int) -> Graph:
 
 def complete(k: int) -> Graph:
     _require(k >= 1, f"complete needs size >= 1, got {k}")
-    _within_budget(k)
+    _within_budget(k, k * (k - 1) // 2)
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
@@ -79,7 +79,7 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: vertex (v, w) numbered v*|V(h)| + w; (v,w)~(v',w') iff
     each coordinate is equal or adjacent and the pairs differ."""
     _require(g.n >= 1 and h.n >= 1, "strong product needs nonempty factors")
-    _within_budget(g.n * h.n)
+    _within_budget(g.n * h.n, g.n * h.m + g.m * h.n + 2 * g.m * h.m)
     nh = h.n
     edges = []
     h_edges = list(h.edges())
@@ -138,9 +138,12 @@ def _require(cond: bool, message: str) -> None:
         raise RangeError(message)
 
 
-def _within_budget(n: int) -> None:
-    """Refuse n > VERTEX_BUDGET vertices as Graph does, but before the
-    generator builds its edge or stub list.  The edge count is not
-    budgeted: complete(k) under the budget may still exhaust memory."""
+def _within_budget(n: int, m: int = 0) -> None:
+    """Refuse n > VERTEX_BUDGET vertices as Graph does, and m > EDGE_BUDGET
+    edges, before the generator builds its edge or stub list.  Only cliques
+    and products pass m: every other family has fewer than 2n edges, so the
+    vertex budget bounds its edges too."""
     if n > VERTEX_BUDGET:
         raise CapacityError(f"graph would have {n} vertices (budget {VERTEX_BUDGET})")
+    if m > EDGE_BUDGET:
+        raise CapacityError(f"graph would have {m} edges (budget {EDGE_BUDGET})")

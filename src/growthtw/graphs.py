@@ -15,6 +15,10 @@ from .errors import CapacityError, ParseError, RangeError, StructureError
 # Largest vertex count of any graph.  A larger n is refused before n
 # adjacency lists are allocated, so a short header cannot exhaust memory.
 VERTEX_BUDGET = 2_000_000
+# Largest edge count that a generator builds or an edge-list header declares,
+# refused before the edges are allocated.  Average degree 4 fits, so paths,
+# trees, grids and cubic graphs reach the vertex budget.
+EDGE_BUDGET = 2 * VERTEX_BUDGET
 
 
 class Graph:
@@ -104,6 +108,10 @@ def parse_edge_list(text) -> Graph:
                 raise ParseError(f"non-integer header field in {raw!r}", lineno) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("negative count in header", lineno)
+            if declared_m > EDGE_BUDGET:
+                raise CapacityError(
+                    f"header declares {declared_m} edges (budget {EDGE_BUDGET})"
+                )
             continue
         if len(parts) != 2:
             raise ParseError(f"expected edge '<u> <v>', got {raw!r}", lineno)

@@ -80,16 +80,18 @@ class Layering:
         layers = self.layers
         return frozenset().union(*layers[: j + 1]), frozenset().union(*layers[j:]), layers[j]
 
-
-@dataclass(frozen=True)
-class LayerSplitTrace:
-    root: int
-    p: int
-    layer_sizes: Tuple[int, ...]      # |V_0|, ..., |V_p|
-    thick: Tuple[int, ...]            # R: indices in [1,p] with |V_i| >= 2c
-    thin: Tuple[int, ...]             # S: the complement in [1,p]
-    chosen_j: int
-    c: Fraction
+    def to_json_dict(self) -> dict:
+        """The layer-split trace: root, p, |V_0|, ..., |V_p|, the thick
+        indices R and thin indices S of [1,p], and the cut j = median."""
+        thin = set(self.thin)
+        return {
+            "root": self.root,
+            "p": self.p,
+            "layer_sizes": [len(layer) for layer in self.layers],
+            "thick": [i for i in range(1, self.p + 1) if i not in thin],
+            "thin": list(self.thin),
+            "chosen_j": self.median,
+        }
 
 
 def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
@@ -130,12 +132,10 @@ def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
     )
 
 
-def bfs_layer_separation(
-    g: Graph, X: Optional[frozenset], c
-) -> Tuple[Separation, LayerSplitTrace]:
-    """Layer split of the connected induced subgraph g[X]:
-    A = layers 0..j, B = layers j..p from the root min(X), any root serving
-    since n <= f(p) <= c*p bounds the thick layers.  The one BFS of
+def bfs_layer_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separation, Layering]:
+    """Layer split of the connected induced subgraph g[X], with the layering
+    it cut: A = layers 0..j, B = layers j..p from the root min(X), any root
+    serving since n <= f(p) <= c*p bounds the thick layers.  The one BFS of
     `bfs_layering` decides connectivity: g[X] is connected iff it covers X."""
     c = _growth_parameter(c)
     X = _host_set(g, X)
@@ -146,14 +146,7 @@ def bfs_layer_separation(
     layering = bfs_layering(g, X, c)
     if len(layering.layer_of) < len(X):
         raise PreconditionError("bfs_layer_separation requires a connected set")
-    layers, p, j = layering.layers, layering.p, layering.median
-    thin = set(layering.thin)
-    trace = LayerSplitTrace(
-        root=layering.root, p=p, layer_sizes=tuple(len(layer) for layer in layers),
-        thick=tuple(i for i in range(1, p + 1) if i not in thin),
-        thin=layering.thin, chosen_j=j, c=c,
-    )
-    return _median_split(layering), trace
+    return _median_split(layering), layering
 
 
 def median_thin_index(thin: Tuple[int, ...], p: int) -> int:
@@ -289,18 +282,20 @@ def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separati
     (C, D) with |D| >= |C|, and set A <- A + C, B <- D + (A & B).  Returns the
     separation and the number of layer splits made.  Exceeding the exact cap
     ceil(log_alpha(2/3)) means a split was not alpha-balanced, which happens
-    only where f(r) > c*r."""
-    c = Fraction(c)
-    cap = iteration_cap(separation_alpha(c))
+    only where f(r) > c*r.  The cap takes O(c) exact multiplications, so it
+    is computed only once a split leaves a side above 2n/3."""
+    c = _growth_parameter(c)
     X = _host_set(g, X)
     n = len(X)
     sep = linear_growth_separator(g, X, c)
-    calls = 1
+    calls, cap = 1, None
     while True:
         a, b = sep.a, sep.b
         excl_a, excl_b = len(a - b), len(b - a)
         if 3 * max(excl_a, excl_b) <= 2 * n:
             return sep, calls
+        if cap is None:
+            cap = iteration_cap(separation_alpha(c))
         if calls >= cap:
             raise InvariantViolationError(
                 f"not 2/3-balanced after {calls} layer splits (cap {cap}) at c = {c}; "

@@ -118,12 +118,12 @@ def test_criterion_03_layer_split_guarantees_on_corpus():
         for comp in comps:
             if len(comp) < 2:
                 continue
-            sep, trace = bfs_layer_separation(g, comp, c)
+            sep, layering = bfs_layer_separation(g, comp, c)
             rep = check_separation(g, comp, sep, alpha)
             checked += 1
             if not (rep.valid and sep.order < 2 * c
                     and rep.exclusive_ratio <= alpha
-                    and 2 * len(trace.thick) <= trace.p):
+                    and 2 * (layering.p - len(layering.thin)) <= layering.p):
                 ok = False
         if not ok:
             break

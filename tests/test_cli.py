@@ -62,6 +62,21 @@ def test_separate_json(tmp_path, capsys):
     assert data["trace"]["root"] == 0 and "center" not in data["trace"]
 
 
+@pytest.mark.parametrize("g,c,trace", [
+    (path(9), "3", {"root": 0, "p": 8, "layer_sizes": [1] * 9, "thick": [],
+                    "thin": [1, 2, 3, 4, 5, 6, 7, 8], "chosen_j": 4, "c": "3"}),
+    (grid(4), "1", {"root": 0, "p": 6, "layer_sizes": [1, 2, 3, 4, 3, 2, 1],
+                    "thick": [1, 2, 3, 4, 5], "thin": [6], "chosen_j": 6, "c": "1"}),
+], ids=["path9", "grid4"])
+def test_separate_trace_object(tmp_path, capsys, g, c, trace):
+    # The trace keys, their order and their values are a CLI contract.
+    src = write_graph(tmp_path, g)
+    assert main(["separate", src, "--c", c, "--trace"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["trace"] == trace
+    assert list(data["trace"]) == list(trace)
+
+
 @pytest.mark.parametrize("g", [Graph(1), path(9)])
 def test_separate_trace_keeps_the_separation(tmp_path, capsys, g):
     # A single vertex has no layer split, so --trace reports no trace there.
@@ -209,10 +224,11 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["tw-exact", big]) == 3
     assert main(["stack-exact", write_graph(tmp_path, path(9), "p9.el")]) == 3
     assert main(["explore-lower-bound", "--sizes", "20", "--seeds", "1"]) == 3
-    # Both are refused before their lists are allocated.
+    # All are refused before their lists are allocated.
     assert main(["growth", p4, "--r-max", "100000000000"]) == 3
     assert main(["generate", "path", "1000000000000"]) == 3
     assert main(["generate", "cubic", "1000000000000"]) == 3
+    assert main(["generate", "complete", "100000"]) == 3  # under the vertex budget
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import growthtw.generators as generators_mod
 from growthtw.errors import CapacityError, RangeError
 from growthtw.generators import (
     blow_up,
@@ -118,6 +119,30 @@ def test_generators_refuse_the_budget_before_allocating(build):
     # Building the edge or stub list first would exhaust memory here.
     with pytest.raises(CapacityError):
         build(10**12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete(2829),  # 4,000,206 edges
+    lambda: strong_product(path(1001), path(1001)),  # 1,002,001 vertices, 4,002,000 edges
+    lambda: blow_up(path(100000), 6),
+], ids=["complete", "product", "blow-up"])
+def test_generators_refuse_the_edge_budget_before_allocating(build):
+    # Each is under the vertex budget; building its edge list first would
+    # take a gigabyte or more.
+    with pytest.raises(CapacityError, match="edges"):
+        build()
+
+
+def test_edge_budget_is_the_exact_edge_count(monkeypatch):
+    # complete(5) has 10 edges; P2 x P3 has 2*2 + 1*3 + 2*1*2 = 11.
+    monkeypatch.setattr(generators_mod, "EDGE_BUDGET", 10)
+    assert complete(5).m == 10
+    with pytest.raises(CapacityError):
+        complete(6)
+    with pytest.raises(CapacityError):
+        strong_product(path(2), path(3))
+    monkeypatch.setattr(generators_mod, "EDGE_BUDGET", 11)
+    assert strong_product(path(2), path(3)).m == 11
 
 
 def test_grid_budget_counts_vertices():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from growthtw.errors import CapacityError, ParseError, RangeError, StructureError
 from growthtw.generators import path
 from growthtw.graphs import (
+    EDGE_BUDGET,
     VERTEX_BUDGET,
     Graph,
     ball,
@@ -84,6 +85,10 @@ def test_parse_errors():
         parse_edge_list("p 2 1\n1 1\n")
     with pytest.raises(CapacityError):
         parse_edge_list("p 1000000000 0\n")  # refused before n lists are allocated
+    with pytest.raises(CapacityError):
+        parse_edge_list(f"p 3 {EDGE_BUDGET + 1}\n")  # refused before any edge is read
+    with pytest.raises(ParseError):
+        parse_edge_list(f"p 3 {EDGE_BUDGET}\n")  # within the budget, but the edges are missing
     err = None
     try:
         parse_edge_list("p 2 1\nx y\n")

@@ -35,13 +35,11 @@ from growthtw.separators import (
 def test_layer_split_on_p7():
     # Worked through by hand: root 0, layers {0},{1},...,{6}; all thin at
     # c=3, the median thin index is 3, so A = layers 0..3, B = layers 3..6.
-    sep, trace = bfs_layer_separation(path(7), None, 3)
-    assert trace.root == 0
-    assert trace.p == 6
-    assert trace.layer_sizes == (1,) * 7
-    assert trace.thick == ()
-    assert trace.thin == (1, 2, 3, 4, 5, 6)
-    assert trace.chosen_j == 3
+    sep, layering = bfs_layer_separation(path(7), None, 3)
+    assert layering.to_json_dict() == {
+        "root": 0, "p": 6, "layer_sizes": [1] * 7, "thick": [],
+        "thin": [1, 2, 3, 4, 5, 6], "chosen_j": 3,
+    }
     assert sep.a == frozenset({0, 1, 2, 3})
     assert sep.b == frozenset({3, 4, 5, 6})
     assert sep.order == 1
@@ -60,14 +58,14 @@ def test_layer_split_edge_cases():
             with pytest.raises(RangeError):
                 separator(Graph(1), None, c)
     # Two vertices: single layer pair, split at j=1.
-    sep, trace = bfs_layer_separation(path(2), None, 1)
+    sep, _ = bfs_layer_separation(path(2), None, 1)
     assert sep.order <= 1 and sep.a | sep.b == frozenset({0, 1})
 
 
 def test_layer_split_restricted_set():
     g = path(9)
     X = frozenset({2, 3, 4, 5, 6})
-    sep, trace = bfs_layer_separation(g, X, 3)
+    sep, _ = bfs_layer_separation(g, X, 3)
     assert sep.a | sep.b == X
     assert check_separation(g, X, sep, Fraction(11, 12)).valid
 
@@ -75,13 +73,13 @@ def test_layer_split_restricted_set():
 def test_layer_split_guarantees_on_families():
     for g in [path(30), cycle(17), grid(4), star(12), random_cubic(30, seed=3)]:
         c = growth_constant(g)
-        sep, trace = bfs_layer_separation(g, None, c)
+        sep, layering = bfs_layer_separation(g, None, c)
         report = check_separation(g, None, sep, 1 - Fraction(1, 4 * c))
         assert report.valid
         assert sep.order < 2 * c
         assert report.exclusive_ratio <= 1 - Fraction(1, 4 * c)
         # Thick layers fill at most half the depth.
-        assert 2 * len(trace.thick) <= trace.p
+        assert 2 * (layering.p - len(layering.thin)) <= layering.p
 
 
 def test_check_separation_rejects_bad_pairs():
@@ -235,10 +233,17 @@ def test_rebalance_names_c_when_the_cap_is_exceeded():
     assert "(1 - 1/(4c))-balanced where f(r) <= c*r" in message
 
 
-def test_rebalance_single_call_when_balanced():
-    g = path(9)
-    sep, calls = two_thirds_separation(g, None, 3)
-    assert calls == 1
+def test_rebalance_single_call_when_balanced(monkeypatch):
+    # The exact cap takes O(c) rational multiplications, seconds at c = 10**4,
+    # so a balanced first split returns without computing it.
+    def no_cap(alpha):
+        raise AssertionError(f"iteration_cap({alpha}) computed for a balanced split")
+
+    monkeypatch.setattr(separators_mod, "iteration_cap", no_cap)
+    for g, c in ((path(9), 3), (path(5), 10**4)):
+        sep, calls = two_thirds_separation(g, None, c)
+        assert calls == 1
+        assert 3 * max(*sep.exclusive_sides) <= 2 * g.n
 
 
 def test_rebalance_splits_only_the_exclusive_heavy_side():
@@ -261,7 +266,7 @@ def test_layer_split_order_bound_random():
         rng.shuffle(extra)
         g = Graph(n, [(i, i + 1) for i in range(n - 1)] + extra[: rng.randint(0, 6)])
         c = growth_constant(g)
-        sep, trace = bfs_layer_separation(g, None, c)
+        sep, _ = bfs_layer_separation(g, None, c)
         assert sep.order < 2 * c
         assert check_separation(g, None, sep, 1 - Fraction(1, 4 * c)).valid
 
@@ -284,11 +289,8 @@ def test_layer_split_and_builder_share_the_layering(g, c):
     c = growth_constant(g) if c is None else c
     X = frozenset(range(g.n))
     layering = bfs_layering(g, X, c)
-    _, trace = bfs_layer_separation(g, None, c)
-    assert trace.root == layering.root == min(X)
-    assert trace.layer_sizes == tuple(len(layer) for layer in layering.layers)
-    assert trace.thin == layering.thin
-    assert trace.chosen_j == layering.median
+    assert layering.root == min(X)
+    assert bfs_layer_separation(g, None, c)[1] == layering
     # The layering agrees with a plain BFS from its root.
     dist = bfs_distances(g, layering.root)
     assert layering.layer_of == dist
@@ -326,12 +328,12 @@ def test_guarantees_hold_from_the_smallest_root(g):
     # layer split keeps its order and balance, and the builder its width
     # bound, with no center search.
     c = growth_constant(g)
-    sep, trace = bfs_layer_separation(g, None, c)
+    sep, layering = bfs_layer_separation(g, None, c)
     report = check_separation(g, None, sep, 1 - Fraction(1, 4 * c))
     assert report.valid, report.failure
     assert report.order < 2 * c
     assert report.exclusive_ratio <= 1 - Fraction(1, 4 * c)
-    assert trace.root == 0
+    assert layering.root == 0
     td_report = check_tree_decomposition(g, build_tree_decomposition(g, c))
     assert td_report.valid, td_report.first_failure
     assert td_report.width <= treewidth_bound(c)
