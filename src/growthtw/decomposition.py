@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
 from .graphs import Graph, components_within, is_connected, iter_bits, json_int, json_ints
@@ -75,15 +75,15 @@ def check_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRe
     for a, b in td.edges:
         neigh[a].append(b)
         neigh[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
+    # One BFS from node 0 roots the index tree; order is queue and reach count.
+    parent = [-1] + [-2] * (k - 1)
+    order = [0]
+    for x in order:
         for y in neigh[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != k:
+            if parent[y] == -2:
+                parent[y] = x
+                order.append(y)
+    if len(order) != k:
         return fail("index graph is disconnected")
     if g.n == 0:
         if k == 1 and not td.bags[0]:
@@ -95,29 +95,21 @@ def check_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRe
         for v in bag:
             if not (0 <= v < g.n):
                 return fail(f"bag {i} contains out-of-range vertex {v}")
-    trace: Dict[int, list] = {v: [] for v in range(g.n)}
+    # v is a top at bag i when i is the root or i's parent bag lacks v.  Each
+    # component of v's bags has exactly one top, so they form a connected
+    # subtree iff v has one top: top[v] is it, -1 for none, -2 for several.
+    top = [-1] * g.n
     for i, bag in enumerate(td.bags):
-        for v in bag:
-            trace[v].append(i)
+        for v in bag if parent[i] < 0 else bag - td.bags[parent[i]]:
+            top[v] = i if top[v] == -1 else -2
     for v in range(g.n):
-        nodes = trace[v]
-        if not nodes:
+        if top[v] == -1:
             return fail(f"vertex {v} appears in no bag")
-        member = set(nodes)
-        reached = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in neigh[x]:
-                if y in member and y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if len(reached) != len(member):
+        if top[v] == -2:
             return fail(f"vertex {v}'s bags do not induce a connected subtree")
     for u, v in g.edges():
-        # Scan the bags of the end that lies in fewer of them.
-        a, b = (u, v) if len(trace[u]) <= len(trace[v]) else (v, u)
-        if not any(b in td.bags[i] for i in trace[a]):
+        # Two subtrees meet iff one holds the other's top.
+        if v not in td.bags[top[u]] and u not in td.bags[top[v]]:
             return fail(f"edge ({u},{v}) covered by no bag")
     return DecompositionReport(valid=True, width=width)
 

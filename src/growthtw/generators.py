@@ -11,6 +11,9 @@ from .graphs import EDGE_BUDGET, VERTEX_BUDGET, Graph
 
 FAMILIES = ("path", "cycle", "star", "complete", "complete_binary_tree", "grid")
 
+# random_cubic gives up with a GenerationError after this many rejected pairings.
+RANDOM_CUBIC_ATTEMPTS = 10_000
+
 
 def path(k: int) -> Graph:
     _require(k >= 1, f"path needs size >= 1, got {k}")
@@ -104,7 +107,7 @@ def blow_up(g: Graph, t: int) -> Graph:
     return strong_product(g, complete(t))
 
 
-def random_cubic(n: int, seed: int, max_attempts: int = 10_000) -> Graph:
+def random_cubic(n: int, seed: int) -> Graph:
     """Simple 3-regular graph on n vertices via the pairing model, rejecting
     any sample with loops or multi-edges wholesale.  Deterministic in seed."""
     if n < 4 or n % 2 != 0:
@@ -112,7 +115,7 @@ def random_cubic(n: int, seed: int, max_attempts: int = 10_000) -> Graph:
     _within_budget(n)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(3)]
-    for _ in range(max_attempts):
+    for _ in range(RANDOM_CUBIC_ATTEMPTS):
         rng.shuffle(stubs)
         pairs = set()
         ok = True
@@ -129,7 +132,7 @@ def random_cubic(n: int, seed: int, max_attempts: int = 10_000) -> Graph:
         if ok:
             return Graph(n, pairs)
     raise GenerationError(
-        f"no simple 3-regular pairing on n={n} after {max_attempts} attempts"
+        f"no simple 3-regular pairing on n={n} after {RANDOM_CUBIC_ATTEMPTS} attempts"
     )
 
 

@@ -88,7 +88,8 @@ class Graph:
 def parse_edge_list(text) -> Graph:
     """Parse the edge-list format: '#' comments, header "p <n> <m>", then one
     "<u> <v>" line per edge.  Duplicate edge lines are deduplicated; the
-    header's n preserves isolated vertices."""
+    header's n preserves isolated vertices.  Reading stops at the first
+    distinct edge past the header's m."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n = None
@@ -124,6 +125,10 @@ def parse_edge_list(text) -> Graph:
         if u == v:
             raise StructureError(f"line {lineno}: self-loop at vertex {u}")
         edges.add((u, v) if u < v else (v, u))
+        if len(edges) > declared_m:
+            raise ParseError(
+                f"header declares {declared_m} edges but more distinct edges given", lineno
+            )
     if n is None:
         raise ParseError("missing header 'p <n> <m>'")
     if len(edges) != declared_m:

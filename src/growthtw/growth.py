@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
@@ -78,34 +78,26 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
         raise PreconditionError("growth is undefined for the empty graph")
     if r_max < 1:
         raise RangeError(f"r_max must be >= 1, got {r_max}")
-    # Refused before the two lists of r_max + 1 entries are allocated.
+    # Refused before the list of r_max + 1 entries is allocated.
     if r_max > VERTEX_BUDGET:
         raise CapacityError(f"growth profile refuses r_max={r_max} (budget {VERTEX_BUDGET})")
-    # largest[r] = max_v |B_r(v)| over sources still growing at r;
-    # whole[e] = largest component whose ball is complete at radius e, as
-    # it stays for every larger radius.
+    # largest[r] = max_v |B_r(v)| over sources still growing at r.  A ball
+    # that stopped growing at an earlier radius e holds at most largest[e],
+    # and f never shrinks, so f(r) is the running maximum of largest[1..r].
     largest = [1] * (r_max + 1)
-    whole = [0] * (r_max + 1)
     seen = [-1] * g.n
     for v in range(g.n):
-        r, size = 0, 1
         for r, (size, _) in zip(range(1, r_max + 1), _ball_sizes(g.adj, v, seen)):
             if size > largest[r]:
                 largest[r] = size
-        if r < r_max and size > whole[r]:
-            whole[r] = size
-    values = []
-    complete = 0
-    for r in range(1, r_max + 1):
-        complete = max(complete, whole[r - 1])
-        values.append(max(largest[r], complete))
+    values = tuple(accumulate(largest[1:], max))
     ratio = Fraction(0)
     ratio_r = 1
     for r in range(1, min(r_max, g.n) + 1):
         if Fraction(values[r - 1], r) > ratio:
             ratio = Fraction(values[r - 1], r)
             ratio_r = r
-    return GrowthProfile(tuple(values), ratio, ratio_r)
+    return GrowthProfile(values, ratio, ratio_r)
 
 
 def growth_constant(g: Graph) -> Fraction:

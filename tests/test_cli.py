@@ -128,6 +128,7 @@ def test_treedecomp_checktd_round_trip(tmp_path, capsys):
         node["bag"] = [v for v in node["bag"] if v != 4]
     td_file.write_text(json.dumps(data))
     assert main(["checktd", src, "--td", str(td_file)]) == 1
+    assert capsys.readouterr().out == "invalid: vertex 4 appears in no bag\n"
 
 
 def test_tw_exact_with_witness(tmp_path, capsys):
@@ -212,6 +213,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["nonsense"]) == 2
     bad = tmp_path / "bad.el"
     bad.write_text("p 2 9\n0 1\n")
+    assert main(["growth", str(bad)]) == 2
+    bad.write_text("p 4 1\n0 1\n1 2\nx y\n")  # refused at line 3
     assert main(["growth", str(bad)]) == 2
     # A growth parameter below 1 -> 2, checked before separate divides by 4c.
     p4 = write_graph(tmp_path, path(4), "p4.el")

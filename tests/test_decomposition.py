@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import growthtw.decomposition as decomposition_mod
 from growthtw.constructions import expand_to_degree3
 from growthtw.decomposition import (
+    DecompositionReport,
     MinorModel,
     TreeDecomposition,
     build_tree_decomposition,
@@ -96,6 +97,111 @@ def test_checker_empty_graph():
     assert check_tree_decomposition(Graph(0), td([set()], [])).valid
     assert not check_tree_decomposition(Graph(0), td([{0}], [])).valid
     assert not check_tree_decomposition(Graph(1), td([set()], [])).valid
+
+
+def reference_check(g, dec):
+    """The same checks in the same order, done directly: a DFS over the
+    index graph, one DFS per vertex over the nodes of its bags, and a scan
+    of every bag per edge."""
+    k = len(dec.bags)
+
+    def fail(msg):
+        return DecompositionReport(valid=False, width=dec.width, first_failure=msg)
+
+    def reach(allowed):
+        seen, stack = set(), [min(allowed)]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(b for a, b in dec.edges if a == x and b in allowed)
+                stack.extend(a for a, b in dec.edges if b == x and a in allowed)
+        return seen
+
+    if k == 0:
+        return fail("decomposition has no nodes")
+    for a, b in dec.edges:
+        if not (0 <= a < k and 0 <= b < k) or a == b:
+            return fail(f"bad tree edge ({a},{b})")
+    if len(dec.edges) != k - 1:
+        return fail(f"tree needs {k - 1} edges, got {len(dec.edges)}")
+    if len(reach(set(range(k)))) != k:
+        return fail("index graph is disconnected")
+    if g.n == 0:
+        if k == 1 and not dec.bags[0]:
+            return DecompositionReport(valid=True, width=-1)
+        return fail("empty graph needs the single empty bag")
+    for i, bag in enumerate(dec.bags):
+        if not bag:
+            return fail(f"bag {i} is empty")
+        for v in bag:
+            if not (0 <= v < g.n):
+                return fail(f"bag {i} contains out-of-range vertex {v}")
+    for v in range(g.n):
+        nodes = {i for i, bag in enumerate(dec.bags) if v in bag}
+        if not nodes:
+            return fail(f"vertex {v} appears in no bag")
+        if reach(nodes) != nodes:
+            return fail(f"vertex {v}'s bags do not induce a connected subtree")
+    for u, v in g.edges():
+        if not any(u in bag and v in bag for bag in dec.bags):
+            return fail(f"edge ({u},{v}) covered by no bag")
+    return DecompositionReport(valid=True, width=dec.width)
+
+
+@st.composite
+def checker_inputs(draw):
+    """(g, td) on n <= 8.  The index graph is a random tree or, for "edge
+    list", a random edge list or that tree with one edge repeated in place of
+    another.  Bags are random, now and then with an empty bag or an
+    out-of-range id; or, for "subtrees", each vertex lies on a path from a
+    node toward the root.  "built" is the builder's decomposition, as
+    built or with one vertex added to or removed from one bag."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(possible), unique=True)) if possible else [])
+    kind = draw(st.sampled_from(["built", "subtrees", "random bags", "edge list"]))
+    if kind == "built" and n:
+        built = build_tree_decomposition(g, growth_constant(g))
+        bags = list(built.bags)
+        if draw(st.booleans()):
+            i = draw(st.integers(min_value=0, max_value=len(bags) - 1))
+            bags[i] ^= {draw(st.integers(min_value=0, max_value=n - 1))}
+        return g, TreeDecomposition(bags=tuple(bags), edges=built.edges)
+    k = draw(st.integers(min_value=1, max_value=6))
+    up = [None] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, k)]
+    label = draw(st.permutations(range(k)))
+    edges = [(label[i], label[up[i]]) for i in range(1, k)]
+    if kind == "subtrees":
+        members = [set() for _ in range(k)]
+        for v in range(n):  # the first k vertices start one at each node
+            x = v if v < k else draw(st.integers(min_value=0, max_value=k - 1))
+            members[label[x]].add(v)
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                if x:
+                    x = up[x]
+                    members[label[x]].add(v)
+        return g, TreeDecomposition(bags=tuple(map(frozenset, members)), edges=tuple(edges))
+    bags = [draw(st.frozensets(st.integers(min_value=0, max_value=max(n - 1, 0)), min_size=1))
+            for _ in range(k)]
+    flaw = draw(st.sampled_from([None, None, None, "empty bag", "out of range"]))
+    if flaw:
+        i = draw(st.integers(min_value=0, max_value=k - 1))
+        bags[i] = frozenset() if flaw == "empty bag" else bags[i] | {draw(st.sampled_from([-1, n]))}
+    if kind == "edge list":
+        if k > 2 and draw(st.booleans()):
+            edges[-1] = edges[0][::-1]
+        else:
+            ends = st.integers(min_value=-1, max_value=k)
+            edges = draw(st.lists(st.tuples(ends, ends), max_size=k + 1))
+    return g, TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
+
+
+@given(checker_inputs())
+@settings(max_examples=300, deadline=None)
+def test_checker_matches_the_reference(case):
+    g, decomposition = case
+    assert check_tree_decomposition(g, decomposition) == reference_check(g, decomposition)
 
 
 def test_json_round_trip():

@@ -1,7 +1,7 @@
 import pytest
 
 import growthtw.generators as generators_mod
-from growthtw.errors import CapacityError, RangeError
+from growthtw.errors import CapacityError, GenerationError, RangeError
 from growthtw.generators import (
     blow_up,
     complete,
@@ -165,6 +165,12 @@ def test_random_cubic_validation():
         random_cubic(7, seed=1)
     with pytest.raises(RangeError):
         random_cubic(2, seed=1)
+
+
+def test_random_cubic_gives_up_after_the_attempt_cap(monkeypatch):
+    monkeypatch.setattr(generators_mod, "RANDOM_CUBIC_ATTEMPTS", 0)
+    with pytest.raises(GenerationError, match="no simple 3-regular pairing on n=8 after 0 attempts"):
+        random_cubic(8, seed=1)
 
 
 def test_random_cubic_small_connected_sample():

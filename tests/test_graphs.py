@@ -97,6 +97,17 @@ def test_parse_errors():
     assert err is not None and err.line == 2
 
 
+def test_parse_stops_at_the_first_edge_past_the_header():
+    # The third line is refused before the malformed fourth is read.
+    with pytest.raises(ParseError, match="header declares 1 edges but more") as exc:
+        parse_edge_list("p 4 1\n0 1\n1 2\nx y\n")
+    assert exc.value.line == 3
+    # Repeated edges count once, and too few still name the count.
+    assert parse_edge_list("p 4 1\n0 1\n1 0\n0 1\n").m == 1
+    with pytest.raises(ParseError, match="header declares 3 edges but 2 distinct edges given"):
+        parse_edge_list("p 4 3\n0 1\n1 2\n")
+
+
 def test_parse_preserves_isolated_vertices():
     g = parse_edge_list("p 6 1\n0 1\n")
     assert g.n == 6

@@ -123,6 +123,14 @@ def test_square_product_growth():
     assert profile.values == (9, 25, 49)
 
 
+def test_profile_keeps_a_finished_component_at_larger_radii():
+    # K6's balls stop at radius 1, so f(2) = 6 comes from the running
+    # maximum; P7's middle ball reaches 7 at radius 3.
+    k6, p7 = complete(6), path(7)
+    g = Graph(13, list(k6.edges()) + [(u + 6, v + 6) for u, v in p7.edges()])
+    assert growth_profile(g, 4).values == (6, 6, 7, 7)
+
+
 def test_verify_growth_bound():
     g = path(9)
     assert verify_growth_bound(g, lambda r: Fraction(3 * r)).holds
