@@ -10,7 +10,6 @@ reaches a certified lower bound.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Optional, Tuple
@@ -46,12 +45,6 @@ class StackLayout:
 class LayoutVerdict:
     valid: bool
     first_crossing: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
-
-
-def _interleaves(pa, pb, pc, pd) -> bool:
-    """Endpoint positions (pa < pb), (pc < pd): true iff pa < pc < pb < pd or
-    pc < pa < pd < pb."""
-    return (pa < pc < pb < pd) or (pc < pa < pd < pb)
 
 
 def check_stack_layout(g: Graph, layout: StackLayout) -> LayoutVerdict:
@@ -100,21 +93,36 @@ def _conflict_masks(edges, pos):
         pa, pb = spans[i]
         for j in range(i + 1, m):
             pc, pd = spans[j]
-            if _interleaves(pa, pb, pc, pd):
+            if pa < pc < pb < pd or pc < pa < pd < pb:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
 
 
-def _greedy_coloring(masks) -> list:
-    colors = [0] * len(masks)
-    for i in range(len(masks)):
-        used = {colors[j] for j in iter_bits(masks[i]) if j < i}
-        c = 1
-        while c in used:
-            c += 1
-        colors[i] = c
-    return colors
+def _first_fit(edges, pos) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Edges by (left end ascending, right end descending), each to the
+    lowest stack it crosses nothing on; returns the map to stacks 1..k and k.
+
+    Every span already placed starts at or before the new left end pa, so a
+    stack's spans still open at pa nest: their right ends are kept as a
+    list, innermost on top.  Ends <= pa are popped (pa never decreases), and
+    then (pa, pb) crosses the stack exactly when the top is below pb."""
+    spans = sorted((min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in edges)
+    stacks: list = []  # per stack: right ends of its open spans, non-increasing
+    assignment = {}
+    for pa, neg_pb, e in spans:
+        pb = -neg_pb
+        for s, ends in enumerate(stacks):
+            while ends and ends[-1] <= pa:
+                ends.pop()
+            if not ends or ends[-1] >= pb:
+                ends.append(pb)
+                break
+        else:
+            s = len(stacks)
+            stacks.append([pb])
+        assignment[e] = s + 1
+    return assignment, len(stacks)
 
 
 def stack_number_lower_bound(g: Graph) -> int:
@@ -180,8 +188,9 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
 
     The search keeps the first order, in enumeration order, whose chromatic
     number beats every earlier one, coloured by `_colorable` at that number.
-    An order is asked once whether it colours with min(best - 1, greedy)
-    colours; only if it does is the count stepped down, one colour at a time
+    An order is asked once whether it colours with min(best - 1, k') colours,
+    where k' is the count of `_first_fit` on it, so at least its chromatic
+    number; only if it does is the count stepped down, one colour at a time
     while it still colours, to its chromatic number or to
     lb = `stack_number_lower_bound(g)`.  The search stops at the first order
     that reaches lb.  No order can go below lb, and an order that cannot
@@ -204,7 +213,7 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
         order = (0,) + perm
         pos = {v: i for i, v in enumerate(order)}
         masks = _conflict_masks(edges, pos)
-        k = min(best_k - 1, max(_greedy_coloring(masks)))
+        k = min(best_k - 1, _first_fit(edges, pos)[1])
         colors = _colorable(masks, k)
         if colors is None:
             continue
@@ -225,15 +234,8 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
 def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
     """Heuristic layout: vertex order is the first-visit order of a DFS over
     the decomposition tree (root = largest bag, children ascending); edges
-    are assigned first-fit to the lowest conflict-free stack, in order of
-    (left end ascending, right end descending), which packs nesting chains
-    into one stack.
-
-    That order is the invariant first-fit relies on: every span already on a
-    stack starts at or before the new span's left end pa, and one starting
-    at pa ends after its right end pb.  So (pa, pb) crosses a stack's content
-    exactly when one of its right ends lies strictly between pa and pb, which
-    one bisect over the stack's sorted right ends decides."""
+    go to stacks by `_first_fit`, whose order packs nesting chains into one
+    stack."""
     report = check_tree_decomposition(g, td)
     if not report.valid:
         raise PreconditionError(f"invalid tree decomposition: {report.first_failure}")
@@ -243,8 +245,7 @@ def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
         neigh[a].append(b)
         neigh[b].append(a)
     root = max(range(k_nodes), key=lambda i: (len(td.bags[i]), -i))
-    order = []
-    placed = set()
+    pos: Dict[int, int] = {}
     visited = [False] * k_nodes
     stack = [root]
     # The checked index graph is a tree, so each node is pushed once, and
@@ -253,29 +254,10 @@ def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
         node = stack.pop()
         visited[node] = True
         for v in sorted(td.bags[node]):
-            if v not in placed:
-                placed.add(v)
-                order.append(v)
+            pos.setdefault(v, len(pos))
         for child in sorted(neigh[node], reverse=True):
             if not visited[child]:
                 stack.append(child)
 
-    pos = {v: i for i, v in enumerate(order)}
-    spans = sorted(
-        (min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in g.edges()
-    )
-    ends: list = []  # per stack: sorted right ends of the spans placed on it
-    assignment = {}
-    for pa, neg_pb, e in spans:
-        pb = -neg_pb
-        for s, stack_ends in enumerate(ends):
-            i = bisect_right(stack_ends, pa)
-            if i < len(stack_ends) and stack_ends[i] < pb:
-                continue  # a right end strictly inside (pa, pb): a crossing
-            insort(stack_ends, pb)
-            break
-        else:
-            s = len(ends)
-            ends.append([pb])
-        assignment[e] = s + 1
-    return StackLayout(order=tuple(order), assignment=assignment, k=len(ends))
+    assignment, k = _first_fit(g.edges(), pos)
+    return StackLayout(order=tuple(pos), assignment=assignment, k=k)

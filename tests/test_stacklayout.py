@@ -239,6 +239,18 @@ def test_first_fit_matches_quadratic_reference(g):
     assert check_stack_layout(g, layout).valid
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_first_fit_matches_quadratic_reference_on_any_order(data):
+    # The exact search runs first-fit on arbitrary orders, not only on the
+    # DFS orders of decompositions.
+    g = data.draw(graphs())
+    order = data.draw(st.permutations(range(g.n)))
+    assignment, k = stacklayout._first_fit(g.edges(), {v: i for i, v in enumerate(order)})
+    assert (assignment, k) == reference_first_fit(g, order)
+    assert check_stack_layout(g, StackLayout(tuple(order), assignment, k)).valid
+
+
 @st.composite
 def random_layouts(draw):
     g = draw(graphs(max_n=16))
@@ -370,3 +382,22 @@ def test_exact_stack_number_equals_the_full_search():
         k, layout = exact_stack_number(g)
         assert (k, layout.order, layout.assignment) == full_search_stack_number(g), g
         assert layout.k == k
+
+
+def test_exact_stack_number_ignores_the_first_fit_bound(monkeypatch):
+    # The worst upper bound, one stack per edge, leaves every result as it was.
+    monkeypatch.setattr(stacklayout, "_first_fit", lambda edges, pos: ({}, len(edges)))
+    for g in identity_graphs():
+        if g.n <= 5:
+            k, layout = exact_stack_number(g)
+            assert (k, layout.order, layout.assignment) == full_search_stack_number(g), g
+    calls = []
+    real = stacklayout._conflict_masks
+
+    def counted(edges, pos):
+        calls.append(pos)
+        return real(edges, pos)
+
+    monkeypatch.setattr(stacklayout, "_conflict_masks", counted)
+    assert exact_stack_number(complete(8))[0] == 4
+    assert len(calls) == 1
