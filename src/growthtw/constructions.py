@@ -211,21 +211,18 @@ def subdivide_in_host(g: Graph, emb: HostEmbedding, epsilon) -> SubdivisionRecor
     )
 
 
-def subdivide_uniform_superlinear(
-    g: Graph,
-    f: Callable[[int], Fraction],
-    scan_budget: int = SUPERLINEAR_SCAN_BUDGET,
-) -> SubdivisionRecord:
+def subdivide_uniform_superlinear(g: Graph, f: Callable[[int], Fraction]) -> SubdivisionRecord:
     """Uniform subdivision with growth at most f: find the least ell with
     f(ell) >= 2 * ell * m + n and subdivide every edge 2 * ell times.  f must
     be nondecreasing and satisfy f(r) >= max_degree * r + 1 (checked up to
-    ell, violations named); superlinearity failures exhaust the scan budget."""
+    ell, violations named); f below 2 * r * m + n at every radius up to
+    SUPERLINEAR_SCAN_BUDGET is refused."""
     if g.n == 0:
         raise PreconditionError("cannot subdivide the empty graph")
     delta = g.max_degree()
     m, n = g.m, g.n
     ell = None
-    for r in range(1, scan_budget + 1):
+    for r in range(1, SUPERLINEAR_SCAN_BUDGET + 1):
         value = Fraction(f(r))
         if value < delta * r + 1:
             # f(r) itself may have more digits than Python prints.
@@ -235,7 +232,8 @@ def subdivide_uniform_superlinear(
             break
     if ell is None:
         raise PreconditionError(
-            f"f(r) < 2*r*m + n for all r <= {scan_budget}; f is not superlinear enough"
+            f"f(r) < 2*r*m + n for all r <= {SUPERLINEAR_SCAN_BUDGET}; "
+            "f is not superlinear enough"
         )
     # Monotonicity spot check past the threshold.
     prev = Fraction(f(1))

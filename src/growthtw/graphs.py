@@ -21,6 +21,15 @@ VERTEX_BUDGET = 2_000_000
 EDGE_BUDGET = 2 * VERTEX_BUDGET
 
 
+def _within_budget(n: int, m: int = 0) -> None:
+    """Refuse n > VERTEX_BUDGET vertices and m > EDGE_BUDGET edges with a
+    CapacityError, before anything of that size is allocated."""
+    if n > VERTEX_BUDGET:
+        raise CapacityError(f"graph would have {n} vertices (budget {VERTEX_BUDGET})")
+    if m > EDGE_BUDGET:
+        raise CapacityError(f"graph would have {m} edges (budget {EDGE_BUDGET})")
+
+
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
@@ -34,8 +43,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise RangeError(f"vertex count must be nonnegative, got {n}")
-        if n > VERTEX_BUDGET:
-            raise CapacityError(f"graph would have {n} vertices (budget {VERTEX_BUDGET})")
+        _within_budget(n)
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -89,7 +97,8 @@ def parse_edge_list(text) -> Graph:
     """Parse the edge-list format: '#' comments, header "p <n> <m>", then one
     "<u> <v>" line per edge.  Duplicate edge lines are deduplicated; the
     header's n preserves isolated vertices.  Reading stops at the first
-    distinct edge past the header's m."""
+    distinct edge past the header's m.  A header past the vertex or edge
+    budget is a CapacityError before any edge line is read."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n = None
@@ -109,10 +118,7 @@ def parse_edge_list(text) -> Graph:
                 raise ParseError(f"non-integer header field in {raw!r}", lineno) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("negative count in header", lineno)
-            if declared_m > EDGE_BUDGET:
-                raise CapacityError(
-                    f"header declares {declared_m} edges (budget {EDGE_BUDGET})"
-                )
+            _within_budget(n, declared_m)
             continue
         if len(parts) != 2:
             raise ParseError(f"expected edge '<u> <v>', got {raw!r}", lineno)

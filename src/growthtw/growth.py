@@ -102,68 +102,67 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
 
 def growth_constant(g: Graph) -> Fraction:
     """Exact c_G = max_v max_r |B_r(v)|/r.  The best ratio starts at
-    f(1)/1 = max degree + 1, and each source v leaves the search after
-    radius r once its ball is its whole component or no later radius can
-    beat the best.
-
-    A ball never exceeds n vertices, so radii r + i with (r + i) * best >= n
-    cannot; let r + j be the last radius below that.  With s = |B_r(v)|,
-    L vertices at distance exactly r and maximum degree delta, the Moore
-    bound (`graphs.moore_steps`) gives |B_{r+i}(v)| <= s + L*((delta-1) +
-    ... + (delta-1)**i) =: B_i.  The slack best*(r + i) - B_i is concave in
-    i (its increments best - L*(delta-1)**(i+1) never grow) and nonnegative
-    at i = 0, so it is nonnegative on 0..j as soon as it is at i = j.  With
-    delta <= 2 that holds once L*(delta-1) <= best, at r = 1 on every path
-    and cycle; with delta >= 3 the bound grows geometrically and mostly
-    stops a source only a few radii before n does.  This holds for any best
-    that some ball attains, as the best only grows, so a source that stops
-    could at most tie the final best; ratios are compared in integers, and
-    the result is exact.
+    f(1)/1 = max degree + 1, and each source v leaves the search after the
+    first radius r at which its ball is its whole component or `grows`
+    says that no later radius can beat the best.
 
     Radius 1 is decided from degrees alone: |B_1(v)| = deg(v) + 1 with
-    deg(v) vertices at distance 1.  When some source passes it and
-    n <= SWEEP_VERTEX_LIMIT, all sources grow together, radius by radius,
-    as vertex bitmasks: B_{r+1}(v) = B_r(v) | the union of B_r(w) over the
-    neighbours w of v, and |B_r(v)| is a bit count (`_sweep`).  Each mask
-    takes up to n/8 bytes and two generations are kept, so the limit caps
-    them at 64 MiB; above it, each source runs its own BFS (`_ball_sizes`)
-    in O(n) memory."""
+    deg(v) vertices at distance 1, and no such ball beats the starting
+    best, so `grows` is asked once per degree.  When some source passes
+    it and n <= SWEEP_VERTEX_LIMIT, all sources grow together, radius by
+    radius, as vertex bitmasks (`_sweep`).  Each mask takes up to n/8 bytes
+    and two generations are kept, so the limit caps them at 64 MiB; above
+    it, each source runs its own BFS (`_ball_sizes`) in O(n) memory."""
     n = g.n
     if n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
     delta = g.max_degree()
     num, den = delta + 1, 1
-    j = -(-n // num) - 2
-    # Whether a source of degree d passes radius 1; no ball there beats the
-    # best, so this depends on d alone.
-    passes = [j > 0 and d > 0 and moore_steps(delta, d + 1, d, num * (1 + j) + 1) <= j
-              for d in range(delta + 1)]
+
+    def grows(r: int, size: int, level: int) -> bool:
+        """Raise the best ratio num/den to size/r if that beats it, then
+        return whether a ball B_r(v) of `size` vertices, `level` of them at
+        distance exactly r, might still beat it at a later radius.
+
+        A ball never exceeds n vertices, so radii r + i with
+        (r + i) * best >= n cannot; let r + j be the last radius below
+        that.  The Moore bound (`graphs.moore_steps`) gives
+        |B_{r+i}(v)| <= size + level*((delta-1) + ... + (delta-1)**i) =: B_i.
+        The slack best*(r + i) - B_i is concave in i (its increments
+        best - level*(delta-1)**(i+1) never grow) and nonnegative at i = 0,
+        so it is nonnegative on 0..j as soon as it is at i = j, that is,
+        when the bound needs more than j radii to pass best*(r + j).  With
+        delta <= 2 that holds once level*(delta-1) <= best, at r = 1 on
+        every path and cycle; with delta >= 3 the bound grows geometrically
+        and mostly stops a source only a few radii before n does.  This
+        holds for any best that some ball attains, as the best only grows,
+        so a source that stops could at most tie the final best; ratios are
+        compared in integers, and the result is exact."""
+        nonlocal num, den
+        if size * den > num * r:
+            num, den = size, r
+        j = -(-n * den // num) - r - 1
+        return j > 0 and moore_steps(delta, size, level, num * (r + j) // den + 1) <= j
+
+    passes = [grows(1, d + 1, d) for d in range(delta + 1)]
     active = [v for v in range(n) if passes[len(g.adj[v])]]
-    if not active:
-        return Fraction(num)
-    if n <= SWEEP_VERTEX_LIMIT:
-        return _sweep(g.adj, delta, active)
-    seen = [-1] * n
-    for v in active:
-        for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
-            if size * den > num * r:
-                num, den = size, r
-            j = -(-n * den // num) - r - 1
-            # B_j <= best*(r + j) iff the bound needs more than j radii to
-            # pass num*(r + j)//den vertices.
-            if j <= 0 or moore_steps(delta, size, level, num * (r + j) // den + 1) > j:
-                break
+    if active and n <= SWEEP_VERTEX_LIMIT:
+        _sweep(g.adj, active, grows)
+    elif active:
+        seen = [-1] * n
+        for v in active:
+            for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
+                if not grows(r, size, level):
+                    break
     return Fraction(num, den)
 
 
-def _sweep(adj, delta: int, active: list) -> Fraction:
-    """The growth constant from radius 2 on, with `active` the sources that
-    pass radius 1 (see `growth_constant`): every ball grows by one radius
-    per round, and a source leaves `active` under the same rules as in the
-    per-source BFS.  The balls of inactive sources keep growing, since their
-    neighbours' balls are built from them."""
-    n = len(adj)
-    num, den = delta + 1, 1
+def _sweep(adj, active: list, grows) -> None:
+    """Grow every ball by one radius per round, from radius 2 on, while
+    some source in `active` (those that pass radius 1) still `grows`:
+    B_{r+1}(v) = B_r(v) | the union of B_r(w) over the neighbours w of v,
+    and |B_r(v)| is a bit count.  The balls of inactive sources keep
+    growing, since their neighbours' balls are built from them."""
     balls = [sum(1 << w for w in nbrs) | 1 << v for v, nbrs in enumerate(adj)]
     sizes = [len(nbrs) + 1 for nbrs in adj]
     r = 1
@@ -178,18 +177,10 @@ def _sweep(adj, delta: int, active: list) -> Fraction:
         still = []
         for v in active:
             size = balls[v].bit_count()
-            level = size - sizes[v]
-            if not level:
-                continue
-            sizes[v] = size
-            if size * den > num * r:
-                num, den = size, r
-            j = -(-n * den // num) - r - 1
-            if j <= 0 or moore_steps(delta, size, level, num * (r + j) // den + 1) > j:
-                continue
-            still.append(v)
+            level, sizes[v] = size - sizes[v], size
+            if level and grows(r, size, level):
+                still.append(v)
         active = still
-    return Fraction(num, den)
 
 
 def brute_force_growth(g: Graph, r: int) -> int:

@@ -25,7 +25,7 @@ from .decomposition import (
 from .errors import InvariantViolationError, RangeError
 from .generators import complete, complete_binary_tree, cycle, grid, path, random_cubic, star, strong_product
 from .graphs import Graph
-from .growth import growth_constant, growth_profile, verify_growth_bound
+from .growth import growth_constant, verify_growth_bound
 from .stacklayout import check_stack_layout, layout_from_decomposition
 
 SUITES = ("t1.1", "t1.2", "t3.1", "t5", "all")
@@ -279,18 +279,13 @@ def lower_bound_exploration(
     for n in sizes:
         for seed in seeds:
             g = random_cubic(n, seed)
-            profile = growth_profile(g, g.n)
-            for r in range(1, g.n + 1):
-                if profile.values[r - 1] > cubic_ball_bound(n, r):
-                    raise InvariantViolationError(
-                        f"cubic ball bound violated at n={n}, seed={seed}, r={r}"
-                    )
-            width, _ = exact_treewidth(g)
-            rows.append(
-                ExplorationRow(
-                    n=n, seed=seed,
-                    growth_constant=profile.growth_constant,
-                    treewidth=width,
+            c = growth_constant(g)
+            verdict = verify_growth_bound(g, lambda r: cubic_ball_bound(n, r))
+            if not verdict.holds:
+                r, _ = verdict.first_violation
+                raise InvariantViolationError(
+                    f"cubic ball bound violated at n={n}, seed={seed}, r={r}"
                 )
-            )
+            width, _ = exact_treewidth(g)
+            rows.append(ExplorationRow(n=n, seed=seed, growth_constant=c, treewidth=width))
     return rows

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import growthtw.cli as cli_mod
+import growthtw.constructions as constructions_mod
 from growthtw.cli import main
 from growthtw.constructions import subdivide_uniform_superlinear
 from growthtw.decomposition import build_tree_decomposition
@@ -359,16 +360,15 @@ def test_early_refusal_agrees_with_the_scan(fuzz_dir, leading, rest, g):
             total = total * r + coef
         return total
 
-    try:
-        subdivide_uniform_superlinear(g, bound, scan_budget=SCAN_BUDGET)
-        expected = (0, "")
-    except PreconditionError as exc:
-        expected = (2, f"error: {exc}\n")
     src = write_graph(fuzz_dir, g)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions_mod, "SUPERLINEAR_SCAN_BUDGET", SCAN_BUDGET)
         mp.setattr(cli_mod, "SUPERLINEAR_SCAN_BUDGET", SCAN_BUDGET)
-        mp.setattr(cli_mod, "subdivide_uniform_superlinear",
-                   lambda g, f: subdivide_uniform_superlinear(g, f, SCAN_BUDGET))
+        try:
+            subdivide_uniform_superlinear(g, bound)
+            expected = (0, "")
+        except PreconditionError as exc:
+            expected = (2, f"error: {exc}\n")
         code, _, err = run_quietly(["subdivide", src, "--mode", "uniform",
                                     "--poly", *map(str, coeffs)])
     assert (code, err) == expected

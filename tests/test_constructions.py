@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import growthtw.constructions as constructions_mod
 from growthtw.constructions import (
     HostEmbedding,
     check_product_embedding,
@@ -256,11 +257,10 @@ def test_uniform_rejects_decreasing_bound():
         subdivide_uniform_superlinear(path(2), lambda r: Fraction(100 - r if r > 1 else 3))
 
 
-def test_uniform_scan_budget():
-    with pytest.raises(PreconditionError):
-        subdivide_uniform_superlinear(
-            complete(4), lambda r: Fraction(3 * r + 1), scan_budget=200
-        )
+def test_uniform_scan_budget(monkeypatch):
+    monkeypatch.setattr(constructions_mod, "SUPERLINEAR_SCAN_BUDGET", 200)
+    with pytest.raises(PreconditionError, match="for all r <= 200;"):
+        subdivide_uniform_superlinear(complete(4), lambda r: Fraction(3 * r + 1))
 
 
 # ---------------------------------------------------------------- degree-3 expansion

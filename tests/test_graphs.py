@@ -108,6 +108,17 @@ def test_parse_stops_at_the_first_edge_past_the_header():
         parse_edge_list("p 4 3\n0 1\n1 2\n")
 
 
+def test_parse_refuses_a_header_past_the_vertex_budget_before_any_edge():
+    # The edge lines after the header, malformed or not, are never read.
+    too_many = VERTEX_BUDGET + 1
+    for text in (f"p {too_many} 1\nx y\n", f"p {too_many} 2\n0 1\nx y\n"):
+        with pytest.raises(CapacityError,
+                           match=f"graph would have {too_many} vertices"):
+            parse_edge_list(text)
+    with pytest.raises(ParseError):
+        parse_edge_list(f"p {VERTEX_BUDGET} 1\nx y\n")
+
+
 def test_parse_preserves_isolated_vertices():
     g = parse_edge_list("p 6 1\n0 1\n")
     assert g.n == 6

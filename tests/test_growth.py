@@ -391,6 +391,15 @@ def test_growth_constant_sweeps_up_to_the_limit(monkeypatch):
     assert growth_constant(g) == ball_growth_constant(g)
 
 
+@pytest.mark.parametrize("g, c", [(star(10), 10), (complete(6), 6)])
+def test_maximum_degree_at_least_three_stops_at_radius_one(monkeypatch, g, c):
+    # f(1) = delta + 1 already reaches n / 2, so no radius past 1 can beat
+    # it, and no ball grows past radius 1 by either path.
+    monkeypatch.setattr(growth_mod, "_sweep", forbid("_sweep"))
+    monkeypatch.setattr(growth_mod, "_ball_sizes", forbid("_ball_sizes"))
+    assert growth_constant(g) == c
+
+
 @pytest.mark.parametrize("limit", [growth_mod.SWEEP_VERTEX_LIMIT, 1 << 15])
 @pytest.mark.parametrize("family", [path, cycle])
 def test_paths_and_cycles_stop_at_radius_one_without_masks(monkeypatch, family, limit):

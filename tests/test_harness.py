@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from growthtw.errors import CapacityError, RangeError
+import growthtw.harness as harness_mod
+from growthtw.errors import CapacityError, InvariantViolationError, RangeError
 from growthtw.generators import grid
 from growthtw.graphs import is_tree
 from growthtw.harness import (
@@ -88,3 +89,10 @@ def test_exploration_rows():
     assert all(r.growth_constant >= 1 for r in rows)
     with pytest.raises(CapacityError):
         lower_bound_exploration([20], [1])
+
+
+def test_exploration_names_the_first_radius_past_the_ball_bound(monkeypatch):
+    # A bound of 3 at r = 2 is below every 10-vertex cubic graph's f(2).
+    monkeypatch.setattr(harness_mod, "cubic_ball_bound", lambda n, r: 3 if r == 2 else n)
+    with pytest.raises(InvariantViolationError, match=r"n=10, seed=1, r=2$"):
+        lower_bound_exploration([10], [1])
