@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import random
 
-from .errors import CapacityError, GenerationError, RangeError
-from .graphs import EDGE_BUDGET, VERTEX_BUDGET, Graph
+from .errors import GenerationError, RangeError
+from .graphs import Graph, _within_budget
 
 FAMILIES = ("path", "cycle", "star", "complete", "complete_binary_tree", "grid")
 
@@ -139,14 +139,3 @@ def random_cubic(n: int, seed: int) -> Graph:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise RangeError(message)
-
-
-def _within_budget(n: int, m: int = 0) -> None:
-    """Refuse n > VERTEX_BUDGET vertices as Graph does, and m > EDGE_BUDGET
-    edges, before the generator builds its edge or stub list.  Only cliques
-    and products pass m: every other family has fewer than 2n edges, so the
-    vertex budget bounds its edges too."""
-    if n > VERTEX_BUDGET:
-        raise CapacityError(f"graph would have {n} vertices (budget {VERTEX_BUDGET})")
-    if m > EDGE_BUDGET:
-        raise CapacityError(f"graph would have {m} edges (budget {EDGE_BUDGET})")

@@ -23,7 +23,10 @@ EDGE_BUDGET = 2 * VERTEX_BUDGET
 
 def _within_budget(n: int, m: int = 0) -> None:
     """Refuse n > VERTEX_BUDGET vertices and m > EDGE_BUDGET edges with a
-    CapacityError, before anything of that size is allocated."""
+    CapacityError, before anything of that size is allocated.  The
+    generators call it before building their edge or stub lists; only
+    cliques and products pass m, since every other family has fewer than 2n
+    edges."""
     if n > VERTEX_BUDGET:
         raise CapacityError(f"graph would have {n} vertices (budget {VERTEX_BUDGET})")
     if m > EDGE_BUDGET:

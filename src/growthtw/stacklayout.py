@@ -48,40 +48,71 @@ class LayoutVerdict:
 
 
 def check_stack_layout(g: Graph, layout: StackLayout) -> LayoutVerdict:
-    """Nesting sweep, one stack at a time, in O(m log m).  A stack's spans are
-    sorted by (left, -right) and pushed onto a stack of open spans; before
-    each push, open spans whose right end is at or before the new left end
-    are popped.  The rest then nest, innermost on top, so the new span
-    crosses one of them exactly when it crosses the top: when the top's
-    right end lies strictly inside the new span.  first_crossing is the
-    first such (top edge, new edge) pair on the lowest-numbered stack that
-    has one."""
-    if sorted(layout.order) != list(range(g.n)):
+    """Nesting sweep, one stack at a time, in O(m log m).  Each edge becomes
+    the integer key left * n + (n - 1 - right) of its positions, so a
+    stack's keys sorted as ints run by left ascending, then right
+    descending.  They are pushed onto a stack of open right ends; before
+    each push, ends at or before the new left end are popped.  The rest
+    then nest, innermost on top, so the new span crosses one of them exactly
+    when it crosses the top: when the top's right end lies strictly inside
+    the new span.  first_crossing is the first such (top edge, new edge)
+    pair on the lowest-numbered stack that has one; its two edges are read
+    back from the order only then."""
+    n = g.n
+    order = layout.order
+    if sorted(order) != list(range(n)):
         raise StructureError("layout order is not a permutation of the vertices")
-    expected = {(u, v) for u, v in g.edges()}
-    if set(layout.assignment) != expected:
+    # The order sorts to 0..n-1, so its i-th smallest entry is vertex i.
+    pos = sorted(range(n), key=order.__getitem__)
+    last = n - 1
+    span = {}  # edge (u, v), u < v -> its key
+    for u, nbrs in enumerate(g.adj):
+        pu = pos[u]
+        for v in nbrs:
+            if u < v:
+                pv = pos[v]
+                span[u, v] = pu * n + last - pv if pu < pv else pv * n + last - pu
+    assignment = layout.assignment
+    if assignment.keys() != span.keys():
         raise StructureError("layout assignment does not cover exactly the edges")
-    for s in layout.assignment.values():
-        if not (1 <= s <= max(layout.k, 1)):
-            raise StructureError(f"stack id {s} outside [1,{layout.k}]")
-    pos = {v: i for i, v in enumerate(layout.order)}
-    by_stack: Dict[int, list] = {}
-    for (u, v), s in layout.assignment.items():
-        pu, pv = pos[u], pos[v]
-        left, right = (pu, pv) if pu < pv else (pv, pu)
-        by_stack.setdefault(s, []).append((left, -right, (u, v)))
+    # Each distinct id is asked (a min/max would let a NaN through); only
+    # when one fails are the ids walked in order to name the first bad one.
+    hi = max(layout.k, 1)
+    ids = set(assignment.values())
+    if not all(1 <= s <= hi for s in ids):
+        for s in assignment.values():
+            if not (1 <= s <= hi):
+                raise StructureError(f"stack id {s} outside [1,{layout.k}]")
+    by_stack = {s: [] for s in ids}
+    for e, s in assignment.items():
+        by_stack[s].append(span[e])
     for s in sorted(by_stack):
-        spans = by_stack[s]
-        spans.sort()
-        open_spans = []  # (right, edge), right ends non-increasing upwards
-        for left, neg_right, e in spans:
-            right = -neg_right
-            while open_spans and open_spans[-1][0] <= left:
-                open_spans.pop()
-            if open_spans and open_spans[-1][0] < right:
-                return LayoutVerdict(False, (open_spans[-1][1], e))
-            open_spans.append((right, e))
+        keys = by_stack[s]
+        keys.sort()
+        # Right ends of the open spans, non-increasing upwards, on a bottom
+        # sentinel n that no span pops or crosses.
+        ends = [n]
+        for key in keys:
+            left = key // n
+            while ends[-1] <= left:
+                ends.pop()
+            right = last - key % n
+            if ends[-1] < right:
+                # The top is the last earlier span ending at the top's right
+                # end: a later one would sit above it until popped, and
+                # popping that one pops the top as well.
+                t = ends[-1]
+                top = next(k for k in reversed(keys[:keys.index(key)]) if last - k % n == t)
+                return LayoutVerdict(False, (_edge_at(order, top // n, t),
+                                             _edge_at(order, left, right)))
+            ends.append(right)
     return LayoutVerdict(True)
+
+
+def _edge_at(order, i, j):
+    """The edge (u, v), u < v, between the vertices at positions i and j."""
+    a, b = order[i], order[j]
+    return (a, b) if a < b else (b, a)
 
 
 def _conflict_masks(edges, pos):
@@ -102,26 +133,47 @@ def _conflict_masks(edges, pos):
 def _first_fit(edges, pos) -> Tuple[Dict[Tuple[int, int], int], int]:
     """Edges by (left end ascending, right end descending), each to the
     lowest stack it crosses nothing on; returns the map to stacks 1..k and k.
+    pos maps each vertex to its position (a dict or a list).
 
     Every span already placed starts at or before the new left end pa, so a
     stack's spans still open at pa nest: their right ends are kept as a
-    list, innermost on top.  Ends <= pa are popped (pa never decreases), and
-    then (pa, pb) crosses the stack exactly when the top is below pb."""
-    spans = sorted((min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in edges)
+    list, innermost on top, and tops[s] caches the top of stack s.  The
+    scan reads tops alone.  A top t with pa < t < pb crosses (pa, pb), and
+    it is still the true top, since only ends <= pa are ever popped and pa
+    never decreases; so the stack is skipped with no list access.  A top
+    t >= pb takes the span.  A top t <= pa is stale: the stack's ends <= pa
+    are popped, tops[s] is refreshed, and the stack is decided as before.
+    Each such read pops at least the stale top, so the lists are read at
+    most m times in all."""
+    spans = []
+    for u, v in edges:
+        pu, pv = pos[u], pos[v]
+        spans.append((pu, -pv, u, v) if pu < pv else (pv, -pu, u, v))
+    spans.sort()
     stacks: list = []  # per stack: right ends of its open spans, non-increasing
+    tops: list = []  # per stack: its top right end as last seen
     assignment = {}
-    for pa, neg_pb, e in spans:
+    for pa, neg_pb, u, v in spans:
         pb = -neg_pb
-        for s, ends in enumerate(stacks):
-            while ends and ends[-1] <= pa:
-                ends.pop()
-            if not ends or ends[-1] >= pb:
-                ends.append(pb)
-                break
+        s = 0
+        for t in tops:
+            if t > pa:
+                if t >= pb:
+                    break
+            else:
+                ends = stacks[s]
+                while ends and ends[-1] <= pa:
+                    ends.pop()
+                if not ends or ends[-1] >= pb:
+                    break
+                tops[s] = ends[-1]
+            s += 1
         else:
-            s = len(stacks)
-            stacks.append([pb])
-        assignment[e] = s + 1
+            stacks.append([])
+            tops.append(pb)
+        stacks[s].append(pb)
+        tops[s] = pb
+        assignment[u, v] = s + 1
     return assignment, len(stacks)
 
 
@@ -245,7 +297,8 @@ def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
         neigh[a].append(b)
         neigh[b].append(a)
     root = max(range(k_nodes), key=lambda i: (len(td.bags[i]), -i))
-    pos: Dict[int, int] = {}
+    pos = [-1] * g.n
+    order = []
     visited = [False] * k_nodes
     stack = [root]
     # The checked index graph is a tree, so each node is pushed once, and
@@ -254,10 +307,12 @@ def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
         node = stack.pop()
         visited[node] = True
         for v in sorted(td.bags[node]):
-            pos.setdefault(v, len(pos))
+            if pos[v] < 0:
+                pos[v] = len(order)
+                order.append(v)
         for child in sorted(neigh[node], reverse=True):
             if not visited[child]:
                 stack.append(child)
 
     assignment, k = _first_fit(g.edges(), pos)
-    return StackLayout(order=tuple(pos), assignment=assignment, k=k)
+    return StackLayout(order=tuple(order), assignment=assignment, k=k)

@@ -1,6 +1,7 @@
 import pytest
 
 import growthtw.generators as generators_mod
+import growthtw.graphs as graphs_mod
 from growthtw.errors import CapacityError, GenerationError, RangeError
 from growthtw.generators import (
     blow_up,
@@ -135,13 +136,13 @@ def test_generators_refuse_the_edge_budget_before_allocating(build):
 
 def test_edge_budget_is_the_exact_edge_count(monkeypatch):
     # complete(5) has 10 edges; P2 x P3 has 2*2 + 1*3 + 2*1*2 = 11.
-    monkeypatch.setattr(generators_mod, "EDGE_BUDGET", 10)
+    monkeypatch.setattr(graphs_mod, "EDGE_BUDGET", 10)
     assert complete(5).m == 10
     with pytest.raises(CapacityError):
         complete(6)
     with pytest.raises(CapacityError):
         strong_product(path(2), path(3))
-    monkeypatch.setattr(generators_mod, "EDGE_BUDGET", 11)
+    monkeypatch.setattr(graphs_mod, "EDGE_BUDGET", 11)
     assert strong_product(path(2), path(3)).m == 11
 
 

@@ -1,5 +1,8 @@
+import inspect
 import random
+import sys
 from itertools import combinations, permutations
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,7 @@ from growthtw.graphs import Graph
 from growthtw.growth import growth_constant
 import growthtw.stacklayout as stacklayout
 from growthtw.stacklayout import (
+    LayoutVerdict,
     StackLayout,
     check_stack_layout,
     exact_stack_number,
@@ -239,6 +243,29 @@ def test_first_fit_matches_quadratic_reference(g):
     assert check_stack_layout(g, layout).valid
 
 
+def first_fit_counting_list_reads(edges, pos):
+    """_first_fit's result, and how often its scan read a stack's list: the
+    executions of the line that fetches the list for a stale top."""
+    code = stacklayout._first_fit.__code__
+    lines, start = inspect.getsourcelines(stacklayout._first_fit)
+    read_line = start + next(i for i, text in enumerate(lines) if "ends = stacks[s]" in text)
+    reads = 0
+
+    def local(frame, event, arg):
+        nonlocal reads
+        if event == "line" and frame.f_lineno == read_line:
+            reads += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = stacklayout._first_fit(edges, pos)
+    finally:
+        sys.settrace(previous)
+    return result, reads
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_first_fit_matches_quadratic_reference_on_any_order(data):
@@ -246,9 +273,21 @@ def test_first_fit_matches_quadratic_reference_on_any_order(data):
     # DFS orders of decompositions.
     g = data.draw(graphs())
     order = data.draw(st.permutations(range(g.n)))
-    assignment, k = stacklayout._first_fit(g.edges(), {v: i for i, v in enumerate(order)})
+    (assignment, k), reads = first_fit_counting_list_reads(
+        g.edges(), {v: i for i, v in enumerate(order)}
+    )
     assert (assignment, k) == reference_first_fit(g, order)
+    # Each read of a list pops at least its stale top, and each of the k
+    # stacks keeps at least one of the m ends pushed, so there are at most
+    # m - k reads; a cache left stale would send every later scan past the
+    # stack to its list.
+    assert reads <= g.m - k
     assert check_stack_layout(g, StackLayout(tuple(order), assignment, k)).valid
+    # layout_from_decomposition passes the positions as a list.
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    assert stacklayout._first_fit(g.edges(), pos) == (assignment, k)
 
 
 @st.composite
@@ -295,6 +334,119 @@ def test_checker_reports_the_crossing_pair():
     verdict = check_stack_layout(g, StackLayout(tuple(range(6)), {**stacks, (1, 3): 1}, 2))
     assert not verdict.valid
     assert verdict.first_crossing == ((0, 2), (1, 3))
+
+
+# ------------------------------------------ the checker against its old sweep
+
+def reference_check_stack_layout(g: Graph, layout: StackLayout) -> LayoutVerdict:
+    """Nesting sweep, one stack at a time, in O(m log m).  A stack's spans are
+    sorted by (left, -right) and pushed onto a stack of open spans; before
+    each push, open spans whose right end is at or before the new left end
+    are popped.  The rest then nest, innermost on top, so the new span
+    crosses one of them exactly when it crosses the top: when the top's
+    right end lies strictly inside the new span.  first_crossing is the
+    first such (top edge, new edge) pair on the lowest-numbered stack that
+    has one."""
+    if sorted(layout.order) != list(range(g.n)):
+        raise StructureError("layout order is not a permutation of the vertices")
+    expected = {(u, v) for u, v in g.edges()}
+    if set(layout.assignment) != expected:
+        raise StructureError("layout assignment does not cover exactly the edges")
+    for s in layout.assignment.values():
+        if not (1 <= s <= max(layout.k, 1)):
+            raise StructureError(f"stack id {s} outside [1,{layout.k}]")
+    pos = {v: i for i, v in enumerate(layout.order)}
+    by_stack: Dict[int, list] = {}
+    for (u, v), s in layout.assignment.items():
+        pu, pv = pos[u], pos[v]
+        left, right = (pu, pv) if pu < pv else (pv, pu)
+        by_stack.setdefault(s, []).append((left, -right, (u, v)))
+    for s in sorted(by_stack):
+        spans = by_stack[s]
+        spans.sort()
+        open_spans = []  # (right, edge), right ends non-increasing upwards
+        for left, neg_right, e in spans:
+            right = -neg_right
+            while open_spans and open_spans[-1][0] <= left:
+                open_spans.pop()
+            if open_spans and open_spans[-1][0] < right:
+                return LayoutVerdict(False, (open_spans[-1][1], e))
+            open_spans.append((right, e))
+    return LayoutVerdict(True)
+
+
+def outcome(check, g, layout):
+    """The verdict of check, or the message of the StructureError it raises."""
+    try:
+        return check(g, layout)
+    except StructureError as exc:
+        return str(exc)
+
+
+@st.composite
+def layouts_up_to_four_stacks(draw):
+    g = draw(graphs(max_n=16))
+    order = draw(st.permutations(range(g.n)))
+    k = draw(st.integers(min_value=1, max_value=4))
+    stacks = draw(st.lists(st.integers(1, k), min_size=g.m, max_size=g.m))
+    return g, StackLayout(order=tuple(order), assignment=dict(zip(g.edges(), stacks)), k=k)
+
+
+@given(layouts_up_to_four_stacks())
+@settings(max_examples=250, deadline=None)
+def test_checker_equals_the_reference_sweep(case):
+    g, layout = case
+    verdict = check_stack_layout(g, layout)
+    assert verdict == reference_check_stack_layout(g, layout)
+
+
+def malformed_layouts():
+    """(name, graph, layout) for every structural error the checker names,
+    on the path 0-1-2-3 laid out in order on one stack."""
+    g = path(4)
+    base = {(0, 1): 1, (1, 2): 1, (2, 3): 1}
+    order = (0, 1, 2, 3)
+    nan = float("nan")
+    return [
+        ("short order", g, StackLayout((0, 1, 2), base, 1)),
+        ("repeated vertex", g, StackLayout((0, 1, 1, 3), base, 1)),
+        ("vertex out of range", g, StackLayout((0, 1, 2, 4), base, 1)),
+        ("missing edge", g, StackLayout(order, {(0, 1): 1, (1, 2): 1}, 1)),
+        ("extra key", g, StackLayout(order, {**base, (0, 3): 1}, 1)),
+        ("reversed key", g, StackLayout(order, {(0, 1): 1, (2, 1): 1, (2, 3): 1}, 1)),
+        ("negative id", g, StackLayout(order, {(0, 1): 1, (-1, 2): 1, (2, 3): 1}, 1)),
+        ("id past n", g, StackLayout(order, {(0, 1): 1, (1, 2): 1, (2, 4): 1}, 1)),
+        ("not a pair", g, StackLayout(order, {(0, 1): 1, (1, 2, 3): 1, (2, 3): 1}, 1)),
+        ("stack 0", g, StackLayout(order, {**base, (1, 2): 0}, 2)),
+        ("stack k + 1", g, StackLayout(order, {**base, (1, 2): 3, (2, 3): 2}, 2)),
+        ("stack nan", g, StackLayout(order, {**base, (2, 3): nan}, 2)),
+        ("two bad stacks", g, StackLayout(order, {(0, 1): 1, (1, 2): 5, (2, 3): 0}, 2)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "g,layout", [case[1:] for case in malformed_layouts()],
+    ids=[case[0] for case in malformed_layouts()],
+)
+def test_checker_raises_the_reference_message(g, layout):
+    expected = outcome(reference_check_stack_layout, g, layout)
+    assert isinstance(expected, str)
+    assert outcome(check_stack_layout, g, layout) == expected
+
+
+@pytest.mark.parametrize(
+    "order,assignment",
+    [
+        ((0, 1, 2, 3), {(0, 2): 1, (1, 3): 1}),  # crossing
+        ((0, 1.0, 2, 3), {(0, 2): 1, (1, 3): 1}),  # a float vertex in the order
+        ((0, 1, 2, 3), {(0, 2): 1.0, (1.0, 3): True}),  # float and bool ids
+        ((3, 2, 1, 0), {(0, 2): 1, (1, 3): 2}),
+    ],
+)
+def test_checker_verdict_on_ids_equal_to_ints(order, assignment):
+    g = Graph(4, [(0, 2), (1, 3)])
+    layout = StackLayout(order, assignment, 2)
+    assert check_stack_layout(g, layout) == reference_check_stack_layout(g, layout)
 
 
 # ------------------------------------------ the exact search's lower bound
