@@ -7,6 +7,7 @@ bound and a min-fill upper bound, and grid-minor model verification.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Tuple
@@ -157,7 +158,7 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
             roots.append(len(bags) - 1)
             continue
         layering = bfs_layering(g, X, c)
-        if len(layering.layer_of) < len(X):
+        if len(layering.order) < len(X):
             comps = components_within(g, X)
             work.append(("join", W or None, len(comps)))
             work.extend(("node", comp, W & comp) for comp in reversed(comps))
@@ -178,32 +179,27 @@ def _choose_split(W, layering):
     - (1, |j - ceil(p/2)|, j) for every other j, seen to run only with c
       below the growth constant.
 
-    No j < p is farther from ceil(p/2) than j = p, which peels the last
-    layer (X, V_p, V_p), and ties go to the smaller j, so j = p wins only
-    when no other j qualifies; the last layer holding a non-W vertex always
-    does, since |X\\W| > 1 puts one outside V_0.  Candidates are scored from
-    per-layer counts of W and non-W vertices."""
-    layers, p = layering.layers, layering.p
-    in_w = [0] * (p + 1)
-    for v in W:
-        in_w[layering.layer_of[v]] += 1
+    With free_upto[i] the non-W vertices in layers 0..i, both measures
+    free_upto[j-1] and free_upto[p] - free_upto[j] fall below |X\\W| =
+    free_upto[p] iff free_upto[j] > 0 and free_upto[j-1] < free_upto[p].
+    free_upto never decreases, so these j form one interval [lo, hi] from
+    the first layer (at least 1) holding a non-W vertex to the last one,
+    nonempty since |X\\W| > 1 puts a non-W vertex outside V_0.  With no
+    thin j < p in it, all of it is class 1, led by ceil(p/2) clamped into
+    [lo, hi]."""
+    order, ends, p = layering.order, layering.ends, layering.p
+    # w_before[t] counts the W vertices among order[:t].
+    w_before = list(accumulate((v in W for v in order), initial=0))
     # w_upto[i] and free_upto[i] count W and non-W vertices in layers 0..i.
-    w_upto = list(accumulate(in_w))
-    free_upto = list(accumulate(len(layer) - k for layer, k in zip(layers, in_w)))
-    thin = set(layering.thin)
-
-    def rank(j):
-        if j < p and j in thin:
-            imbalance = max(w_upto[j], len(W) - w_upto[j - 1])
-            return (0, imbalance, abs(j - layering.median), j)
-        return (1, abs(j - (p + 1) // 2), j)
-
-    # Both |A\W\V_j| = free_upto[j-1] and |B\W\V_j| = free_upto[p] - free_upto[j]
-    # must fall below |X\W| = free_upto[p].
-    j = min(
-        (j for j in range(1, p + 1) if free_upto[j - 1] < free_upto[p] and free_upto[j] > 0),
-        key=rank,
-    )
+    w_upto = [w_before[end] for end in ends]
+    free_upto = [end - w_before[end] for end in ends]
+    lo = max(1, bisect_right(free_upto, 0))
+    hi = bisect_left(free_upto, free_upto[p])
+    thin, median = layering.thin, layering.median
+    candidates = thin[bisect_left(thin, lo):bisect_right(thin, min(hi, p - 1))]
+    if not candidates:
+        return layering.sides(min(max((p + 1) // 2, lo), hi))
+    j = min(candidates, key=lambda j: (max(w_upto[j], len(W) - w_upto[j - 1]), abs(j - median), j))
     return layering.sides(j)
 
 

@@ -3,9 +3,11 @@
 The layer split takes the layering V_0, ..., V_p from the smallest vertex
 of the set, classifies layers as thick (|V_i| >= 2c) or thin, and cuts at
 the minimum thin index j whose prefix holds at least half of the thin
-indices.  Whenever f(r) <= c*r holds for the induced subgraph this yields a
-separation of order < 2c whose exclusive sides have size at most
-(1 - 1/(4c)) * n; the code asserts only validity and reports the numbers.
+indices; a layering is one BFS order and where each layer ends in it, so
+the sides of a cut are slices of that order.  Whenever f(r) <= c*r holds
+for the induced subgraph this yields a separation of order < 2c whose
+exclusive sides have size at most (1 - 1/(4c)) * n; the code asserts only
+validity and reports the numbers.
 Any root serves: the ball of radius p = ecc(root) around it holds all n
 vertices, so n <= f(p) <= c*p and at most p/2 layers are thick, whichever
 vertex the root is.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import (
     DegenerateInputError,
@@ -62,23 +64,23 @@ class SeparationReport:
 @dataclass(frozen=True)
 class Layering:
     """BFS layering V_0, ..., V_p of the component of min(X) in g[X], rooted
-    at that smallest vertex; g[X] is connected exactly when the layering
-    covers X.  Any root serves, since B_p(root) = X gives n <= f(p) <= c*p."""
+    at that smallest vertex; g[X] is connected exactly when `order` covers
+    X.  Any root serves, since B_p(root) = X gives n <= f(p) <= c*p."""
 
     root: int
-    layer_of: Dict[int, int]          # vertex -> i with the vertex in V_i
-    layers: Tuple[frozenset, ...]
+    order: Tuple[int, ...]            # the reached vertices, layer by layer
+    ends: Tuple[int, ...]             # ends[i] = |V_0| + ... + |V_i|
     thin: Tuple[int, ...]             # S: indices in [1,p] with |V_i| < 2c
     median: int                       # median_thin_index(thin, p)
 
     @property
     def p(self) -> int:
-        return len(self.layers) - 1
+        return len(self.ends) - 1
 
     def sides(self, j: int) -> Tuple[frozenset, frozenset, frozenset]:
-        """The split at layer j: (layers 0..j, layers j..p, V_j)."""
-        layers = self.layers
-        return frozenset().union(*layers[: j + 1]), frozenset().union(*layers[j:]), layers[j]
+        """The split at layer j as slices of `order`: (layers 0..j, layers j..p, V_j)."""
+        order, start, end = self.order, self.ends[j - 1] if j else 0, self.ends[j]
+        return frozenset(order[:end]), frozenset(order[start:]), frozenset(order[start:end])
 
     def to_json_dict(self) -> dict:
         """The layer-split trace: root, p, |V_0|, ..., |V_p|, the thick
@@ -87,7 +89,7 @@ class Layering:
         return {
             "root": self.root,
             "p": self.p,
-            "layer_sizes": [len(layer) for layer in self.layers],
+            "layer_sizes": [end - start for start, end in zip((0,) + self.ends, self.ends)],
             "thick": [i for i in range(1, self.p + 1) if i not in thin],
             "thin": list(self.thin),
             "chosen_j": self.median,
@@ -97,36 +99,34 @@ class Layering:
 def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
     """Layering of g[X] from min(X), with the thin layers and the median
     thin index; the one layering behind both the layer split and the
-    builder.  One level-by-level BFS fills `layer_of` and the layers
-    together; it reaches only the component of min(X), so it covers X
-    exactly when g[X] is connected.  Any root serves: the thick-layer count
-    rests on n = |B_p(root)| <= f(p) <= c*p, true from every root.  An id
-    of X outside [0, n) is a RangeError; only a layering that misses part
-    of X needs max(X) checked, since it reaches only ids of g."""
+    builder.  One level-by-level BFS appends each layer to `order` and
+    where it ends to `ends`; it reaches only the component of min(X), so it
+    covers X exactly when g[X] is connected.  Any root serves: the
+    thick-layer count rests on n = |B_p(root)| <= f(p) <= c*p, true from
+    every root.  An id of X outside [0, n) is a RangeError; only a layering
+    that misses part of X needs max(X) checked, since it reaches only ids
+    of g."""
     root = min(X)
     g._check_vertex(root)
-    layer_of = {root: 0}
-    layers = []
-    frontier = [root]
-    while frontier:
-        layers.append(frozenset(frontier))
-        reached = []
-        for u in frontier:
+    order, ends, seen, start = [root], [], {root}, 0
+    while start < len(order):
+        ends.append(len(order))
+        for u in order[start:ends[-1]]:
             for w in g.adj[u]:
-                if w in X and w not in layer_of:
-                    layer_of[w] = len(layers)
-                    reached.append(w)
-        frontier = reached
-    if len(layer_of) < len(X):
+                if w in X and w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        start = ends[-1]
+    if len(order) < len(X):
         g._check_vertex(max(X))
-    p = len(layers) - 1
+    p = len(ends) - 1
     # A layer size is an integer, so it is below 2c exactly when below ceil(2c).
     thick_size = math.ceil(2 * c)
-    thin = tuple(i for i in range(1, p + 1) if len(layers[i]) < thick_size)
+    thin = tuple(i for i in range(1, p + 1) if ends[i] - ends[i - 1] < thick_size)
     return Layering(
         root=root,
-        layer_of=layer_of,
-        layers=tuple(layers),
+        order=tuple(order),
+        ends=tuple(ends),
         thin=thin,
         median=median_thin_index(thin, p),
     )
@@ -144,7 +144,7 @@ def bfs_layer_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separatio
     if len(X) == 0:
         raise PreconditionError("cannot separate the empty set")
     layering = bfs_layering(g, X, c)
-    if len(layering.layer_of) < len(X):
+    if len(layering.order) < len(X):
         raise PreconditionError("bfs_layer_separation requires a connected set")
     return _median_split(layering), layering
 
@@ -250,7 +250,7 @@ def linear_growth_separator(g: Graph, X: Optional[frozenset], c) -> Separation:
     if not X:
         raise PreconditionError("cannot separate the empty set")
     layering = bfs_layering(g, X, c)
-    if len(layering.layer_of) == len(X):
+    if len(layering.order) == len(X):
         return _median_split(layering)
     comps = components_within(g, X)
     hosts = [len(X)]  # hosts[i] = |X minus comps[:i]|

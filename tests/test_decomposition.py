@@ -1,7 +1,8 @@
 import random
 import sys
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +24,12 @@ from growthtw.errors import (
     GrowthTWError,
     InvariantViolationError,
     PreconditionError,
+    RangeError,
 )
 from growthtw.generators import complete, complete_binary_tree, cycle, grid, path, random_cubic, star
-from growthtw.graphs import Graph, components_within
+from growthtw.graphs import Graph, bfs_distances, components_within
 from growthtw.growth import growth_constant
+from growthtw.separators import bfs_layering
 
 
 # ---------------------------------------------------------------- checker
@@ -549,7 +552,9 @@ def test_builder_reaches_the_rank_class_each_case_names(monkeypatch, g, c, rank_
 
     def recording(W, layering):
         a_side, b_side, sep = choose(W, layering)
-        j = layering.layers.index(sep)
+        # Any vertex of V_j sits at a position of layer j in the BFS order.
+        j = bisect_right(layering.ends, layering.order.index(next(iter(sep))))
+        assert layering.sides(j)[2] == sep
         classes.append(2 if j == layering.p else 0 if j in layering.thin else 1)
         return a_side, b_side, sep
 
@@ -590,6 +595,98 @@ def test_builder_finds_components_only_where_the_layering_misses_some(monkeypatc
     assert calls == [frozenset(range(3000))]
 
 
+# ------------------------------------------ the split choice against its old scan
+
+def reference_choose_split(W, layering):
+    """Sides (A, B, V_j) of the layer split at the j in [1,p] with the least
+    rank key among those whose split strictly shrinks both measures
+    |side \\ W \\ V_j|, where A = layers 0..j and B = layers j..p:
+
+    - (0, max(|W&A|, |W&B|), |j - median thin index|, j) for thin j < p;
+    - (1, |j - ceil(p/2)|, j) for every other j, seen to run only with c
+      below the growth constant.
+
+    No j < p is farther from ceil(p/2) than j = p, which peels the last
+    layer (X, V_p, V_p), and ties go to the smaller j, so j = p wins only
+    when no other j qualifies; the last layer holding a non-W vertex always
+    does, since |X\\W| > 1 puts one outside V_0.  Candidates are scored from
+    per-layer counts of W and non-W vertices."""
+    layers, p = layering.layers, layering.p
+    in_w = [0] * (p + 1)
+    for v in W:
+        in_w[layering.layer_of[v]] += 1
+    # w_upto[i] and free_upto[i] count W and non-W vertices in layers 0..i.
+    w_upto = list(accumulate(in_w))
+    free_upto = list(accumulate(len(layer) - k for layer, k in zip(layers, in_w)))
+    thin = set(layering.thin)
+
+    def rank(j):
+        if j < p and j in thin:
+            imbalance = max(w_upto[j], len(W) - w_upto[j - 1])
+            return (0, imbalance, abs(j - layering.median), j)
+        return (1, abs(j - (p + 1) // 2), j)
+
+    # Both |A\W\V_j| = free_upto[j-1] and |B\W\V_j| = free_upto[p] - free_upto[j]
+    # must fall below |X\W| = free_upto[p].
+    j = min(
+        (j for j in range(1, p + 1) if free_upto[j - 1] < free_upto[p] and free_upto[j] > 0),
+        key=rank,
+    )
+    return layering.sides(j)
+
+
+class ListedLayering:
+    """The fields `reference_choose_split` reads, rebuilt from a layering's
+    `order` and `ends`: the layers as sets and the layer of each vertex."""
+
+    def __init__(self, layering):
+        ends = layering.ends
+        self.layers = tuple(
+            frozenset(layering.order[start:end]) for start, end in zip((0,) + ends, ends))
+        self.layer_of = {v: i for i, layer in enumerate(self.layers) for v in layer}
+        self.p, self.thin, self.median = layering.p, layering.thin, layering.median
+
+    def sides(self, j):
+        layers = self.layers
+        return frozenset().union(*layers[: j + 1]), frozenset().union(*layers[j:]), layers[j]
+
+
+@st.composite
+def split_cases(draw):
+    """A graph, a connected vertex set X grown from one vertex by drawn
+    neighbours, and W a subset of X with |X \\ W| > 2.  W holds every
+    vertex of X at distance d or more from min(X), for a drawn d that may
+    pass the last layer, plus a drawn subset of the rest: a boundary the
+    builder hands down often fills the last layers, and only there can a
+    split past the last non-W layer be ranked first."""
+    n = draw(st.integers(3, 24))
+    tree = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    g = Graph(n, tree + [(u, v) for u, v in extra if u != v])
+    X = {draw(vertex)}
+    for _ in range(draw(st.integers(2, n - 1))):
+        X.add(draw(st.sampled_from(sorted({w for v in X for w in g.adj[v]} - X))))
+    dist = bfs_distances(g, min(X), frozenset(X))
+    depths = sorted(dist.values())
+    d = draw(st.integers(depths[2] + 1, depths[-1] + 1))
+    head = sorted(v for v in X if dist[v] < d)
+    W = {v for v in X if dist[v] >= d} | draw(st.sets(st.sampled_from(head), max_size=len(head) - 3))
+    return g, frozenset(X), frozenset(W)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), None]))
+def test_choose_split_equals_the_reference_scan(case, c):
+    # c = 1 and 3/2 lie below the growth constant of most cases, so the
+    # later rank classes run as well as the thin one.
+    g, X, W = case
+    layering = bfs_layering(g, X, growth_constant(g) if c is None else c)
+    assert len(layering.order) == len(X)
+    expected = reference_choose_split(W, ListedLayering(layering))
+    assert decomposition_mod._choose_split(W, layering) == expected
+
+
 # ---------------------------------------------------------------- grid minors
 
 def test_identity_model_validates():
@@ -612,6 +709,10 @@ def test_model_rejections():
     sets = ((frozenset({0}), frozenset({1})), (frozenset({3}), frozenset({2})))
     verdict = verify_grid_minor_model(p, MinorModel(side=2, branch_sets=sets))
     assert "no edge" in verdict.first_failure
+    # A branch vertex equal to n, the first id past grid(2)'s vertices 0..3.
+    sets = ((frozenset({0}), frozenset({1})), (frozenset({2}), frozenset({4})))
+    with pytest.raises(RangeError, match=r"branch set \(1,1\) has out-of-range vertex 4"):
+        verify_grid_minor_model(g, MinorModel(side=2, branch_sets=sets))
 
 
 def test_contracted_model_in_bigger_grid():

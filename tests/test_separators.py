@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -30,6 +31,18 @@ from growthtw.separators import (
     linear_growth_separator,
     two_thirds_separation,
 )
+
+
+def layer_of(layering):
+    """Vertex -> i with the vertex in V_i, read off `order` and `ends`: the
+    vertex at position t lies in the layer of the first end past t."""
+    return {v: bisect_right(layering.ends, t) for t, v in enumerate(layering.order)}
+
+
+def layers(layering):
+    """V_0, ..., V_p as sets, one slice of `order` per layer."""
+    ends = layering.ends
+    return [frozenset(layering.order[start:end]) for start, end in zip((0,) + ends, ends)]
 
 
 def test_layer_split_on_p7():
@@ -107,6 +120,10 @@ def test_check_separation_numbers():
     assert report.alpha_achieved == Fraction(4, 7)
     assert report.exclusive_ratio == Fraction(3, 7)
     assert report.within_alpha
+    # A larger side of exactly alpha * n vertices is within alpha, and not
+    # within any smaller alpha.
+    assert check_separation(g, None, sep, Fraction(4, 7)).within_alpha
+    assert not check_separation(g, None, sep, Fraction(4, 7) - Fraction(1, 100)).within_alpha
 
 
 def test_disconnected_lifting_two_paths():
@@ -176,11 +193,11 @@ def test_layering_refuses_an_out_of_range_id(monkeypatch):
         bfs_layering(path(5), frozenset({0, 99}), 3)
     assert checked == [0, 99]
     checked.clear()
-    assert bfs_layering(path(5), frozenset({1, 2, 3}), 3).layers == (
-        frozenset({1}), frozenset({2}), frozenset({3}))
+    layering = bfs_layering(path(5), frozenset({1, 2, 3}), 3)
+    assert (layering.order, layering.ends) == ((1, 2, 3), (1, 2, 3))
     assert checked == [1]
     checked.clear()
-    assert len(bfs_layering(path(5), frozenset({0, 4}), 3).layer_of) == 1
+    assert bfs_layering(path(5), frozenset({0, 4}), 3).order == (0,)
     assert checked == [0, 4]
 
 
@@ -293,7 +310,7 @@ def test_layer_split_and_builder_share_the_layering(g, c):
     assert bfs_layer_separation(g, None, c)[1] == layering
     # The layering agrees with a plain BFS from its root.
     dist = bfs_distances(g, layering.root)
-    assert layering.layer_of == dist
+    assert layer_of(layering) == dist
     counts = Counter(dist.values())
     assert layering.thin == tuple(i for i in range(1, layering.p + 1) if counts[i] < 2 * c)
 
@@ -395,14 +412,15 @@ def test_layering_lays_out_the_component_of_the_smallest_vertex(g_and_X):
     # connected.
     g, X = g_and_X
     layering = bfs_layering(g, X, Fraction(3, 2))
-    assert layering.layer_of == bfs_distances(g, min(X), X)
-    assert layering.layers == tuple(
-        frozenset(v for v, d in layering.layer_of.items() if d == i)
-        for i in range(max(layering.layer_of.values()) + 1)
-    )
+    dist = bfs_distances(g, min(X), X)
+    assert len(set(layering.order)) == len(layering.order)
+    assert layer_of(layering) == dist
+    assert layers(layering) == [
+        frozenset(v for v, d in dist.items() if d == i) for i in range(max(dist.values()) + 1)
+    ]
     comps = components_within(g, X)
-    assert set(layering.layer_of) == next(comp for comp in comps if min(X) in comp)
-    assert (len(layering.layer_of) == len(X)) == (len(comps) == 1)
+    assert set(layering.order) == next(comp for comp in comps if min(X) in comp)
+    assert (len(layering.order) == len(X)) == (len(comps) == 1)
 
 
 @settings(max_examples=100, deadline=None)

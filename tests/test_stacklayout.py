@@ -65,6 +65,12 @@ def test_checker_structural_errors():
             g,
             StackLayout(order=(0, 1, 2), assignment={(0, 1): 1, (1, 2): 5}, k=2),
         )  # stack id out of range
+    # The message names the bad id, not the valid id k listed before it.
+    with pytest.raises(StructureError, match=r"stack id 5 outside \[1,2\]"):
+        check_stack_layout(
+            g,
+            StackLayout(order=(0, 1, 2), assignment={(0, 1): 2, (1, 2): 5}, k=2),
+        )
 
 
 def test_nesting_is_fine_sharing_endpoint_is_fine():
