@@ -77,13 +77,17 @@ def _int_list(text: str):
 
 
 def _read_graph(path: str):
-    if path == "-":
-        return parse_edge_list(sys.stdin.read())
+    """Parse the edge list at `path` ("-" for stdin); unreadable text, or
+    text that is not UTF-8, is an input error (exit 2)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_edge_list(handle.read())
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise GrowthTWError(f"cannot read {path}: {exc}") from exc
+    return parse_edge_list(text)
 
 
 def _read_json(path: str, loader):

@@ -33,6 +33,19 @@ def _within_budget(n: int, m: int = 0) -> None:
         raise CapacityError(f"graph would have {m} edges (budget {EDGE_BUDGET})")
 
 
+def _edge(u: int, v: int, n: int) -> Tuple[int, int]:
+    """The one edge rule of a graph on 0..n-1: (u, v) as (min, max) if
+    0 <= min < max < n; an end out of range is a RangeError, else u == v
+    is a StructureError."""
+    if 0 <= u < v < n:
+        return (u, v)
+    if 0 <= v < u < n:
+        return (v, u)
+    if not (0 <= u < n and 0 <= v < n):
+        raise RangeError(f"edge ({u},{v}) out of range for n={n}")
+    raise StructureError(f"self-loop at vertex {u}")
+
+
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
@@ -47,20 +60,19 @@ class Graph:
         if n < 0:
             raise RangeError(f"vertex count must be nonnegative, got {n}")
         _within_budget(n)
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise RangeError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise StructureError(f"self-loop at vertex {u}")
-            seen.add((u, v) if u < v else (v, u))
+        self._store(n, {_edge(u, v, n) for u, v in edges})
+
+    def _store(self, n: int, edges: set) -> None:
+        """Build the adjacency from a set of edges that passed `_edge`."""
         neigh = [[] for _ in range(n)]
-        for u, v in seen:
+        for u, v in edges:
             neigh[u].append(v)
             neigh[v].append(u)
+        for a in neigh:
+            a.sort()
         self.n = n
-        self.adj = tuple(tuple(sorted(a)) for a in neigh)
-        self.m = len(seen)
+        self.adj = tuple(map(tuple, neigh))
+        self.m = len(edges)
         self._hash = hash((n, self.adj))
 
     def edges(self) -> Iterator[Tuple[int, int]]:
@@ -101,9 +113,9 @@ def parse_edge_list(text) -> Graph:
     "<u> <v>" line per edge.  Duplicate edge lines are deduplicated; the
     header's n preserves isolated vertices.  Reading stops at the first
     distinct edge past the header's m.  A header past the vertex or edge
-    budget is a CapacityError before any edge line is read."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    budget is a CapacityError before any edge line is read.  An edge that
+    breaks the rule of `Graph` raises the same error, its message prefixed
+    with "line N: "."""
     n = None
     declared_m = None
     edges = set()
@@ -129,11 +141,10 @@ def parse_edge_list(text) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer endpoint in {raw!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise RangeError(f"line {lineno}: endpoint of ({u},{v}) not in [0,{n})")
-        if u == v:
-            raise StructureError(f"line {lineno}: self-loop at vertex {u}")
-        edges.add((u, v) if u < v else (v, u))
+        try:
+            edges.add(_edge(u, v, n))
+        except (RangeError, StructureError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         if len(edges) > declared_m:
             raise ParseError(
                 f"header declares {declared_m} edges but more distinct edges given", lineno
@@ -144,7 +155,9 @@ def parse_edge_list(text) -> Graph:
         raise ParseError(
             f"header declares {declared_m} edges but {len(edges)} distinct edges given"
         )
-    return Graph(n, edges)
+    graph = Graph.__new__(Graph)
+    graph._store(n, edges)
+    return graph
 
 
 def json_int(value, what: str) -> int:

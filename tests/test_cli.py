@@ -2,11 +2,15 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import growthtw
 import growthtw.cli as cli_mod
 import growthtw.constructions as constructions_mod
 from growthtw.cli import main
@@ -437,6 +441,21 @@ def test_unwritable_output_is_input_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "x.json"
     assert main(["treedecomp", src, "--c", "3", "-o", str(target)]) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_edge_list_is_input_error(tmp_path, source):
+    # Run as a process, so that strict stdin decoding is the interpreter's.
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(b"p 2 1\n0 \xff\n")
+    src = os.path.dirname(os.path.dirname(growthtw.__file__))
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "growthtw.cli", "separate", str(bad) if source == "file" else "-"]
+    with open(bad, "rb") as stdin:
+        done = subprocess.run(argv, stdin=stdin, capture_output=True, text=True, env=env)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 # Integers for the fuzzers: small ones, and counts past the vertex budget,

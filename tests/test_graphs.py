@@ -46,10 +46,13 @@ def test_basic_construction():
 
 
 def test_construction_rejects_bad_edges():
-    with pytest.raises(StructureError):
-        Graph(3, [(1, 1)])
-    with pytest.raises(RangeError):
-        Graph(3, [(0, 3)])
+    # An end out of range is a RangeError, a loop included.
+    for u, v in [(0, 3), (3, 0), (-1, 1), (1, -1), (3, 3), (-1, -1)]:
+        with pytest.raises(RangeError, match=rf"^edge \({u},{v}\) out of range for n=3$"):
+            Graph(3, [(u, v)])
+    for u in range(3):
+        with pytest.raises(StructureError, match=f"^self-loop at vertex {u}$"):
+            Graph(3, [(u, u)])
     with pytest.raises(RangeError):
         Graph(-1)
     with pytest.raises(CapacityError):
@@ -79,10 +82,10 @@ def test_parse_errors():
         parse_edge_list("p 3\n")
     with pytest.raises(ParseError):
         parse_edge_list("p 3 2\n0 1\n")  # declared m mismatch
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^line 2: edge \(0,5\) out of range for n=2$"):
         parse_edge_list("p 2 1\n0 5\n")
-    with pytest.raises(StructureError):
-        parse_edge_list("p 2 1\n1 1\n")
+    with pytest.raises(StructureError, match="^line 3: self-loop at vertex 1$"):
+        parse_edge_list("p 3 2\n0 1\n1 1\n")
     with pytest.raises(CapacityError):
         parse_edge_list("p 1000000000 0\n")  # refused before n lists are allocated
     with pytest.raises(CapacityError):
@@ -95,6 +98,55 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 2
+
+
+@st.composite
+def edge_list_cases(draw):
+    """(n, pairs, lines, header index, line end): the text of Graph(n,
+    pairs), one line per pair, some pairs repeated or reversed, among
+    comments and blank lines, before the header too."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(possible), max_size=25)) if possible else []
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in pairs]
+    lines = [f"p {n} {len({(min(e), max(e)) for e in pairs})}"]
+    lines.extend(f"{u} {v}" for u, v in pairs)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        filler = draw(st.sampled_from(["", "   ", "# comment", "\t# 0 0"]))
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), filler)
+    header = next(i for i, line in enumerate(lines) if line.startswith("p "))
+    return n, pairs, lines, header, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@given(edge_list_cases())
+def test_parse_equals_graph_on_the_same_pairs(case):
+    n, pairs, lines, _, end = case
+    parsed = parse_edge_list(end.join(lines) + end)
+    built = Graph(n, pairs)
+    assert parsed == built and hash(parsed) == hash(built)
+    assert (parsed.n, parsed.m, parsed.adj) == (built.n, built.m, built.adj)
+
+
+@given(edge_list_cases(), st.data())
+def test_parse_refuses_a_bad_edge_as_graph_does(case, data):
+    # The parser raises what Graph raises for the one bad pair, with the
+    # pair's line number in front of the same message.
+    n, pairs, lines, header, end = case
+    outside = st.integers(min_value=-3, max_value=-1) | st.integers(min_value=n, max_value=n + 3)
+    anywhere = st.integers(min_value=-1, max_value=n + 1)
+    bad = data.draw(
+        anywhere.map(lambda u: (u, u))
+        | st.tuples(outside, anywhere)
+        | st.tuples(anywhere, outside)
+    )
+    with pytest.raises((RangeError, StructureError)) as want:
+        Graph(n, [bad])
+    at = data.draw(st.integers(min_value=header + 1, max_value=len(lines)))
+    lines.insert(at, f"{bad[0]} {bad[1]}")
+    with pytest.raises((RangeError, StructureError)) as got:
+        parse_edge_list(end.join(lines))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == f"line {at + 1}: {want.value}"
 
 
 def test_parse_stops_at_the_first_edge_past_the_header():
