@@ -81,7 +81,9 @@ def _read_graph(path: str):
     text that is not UTF-8, is an input error (exit 2)."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # The raw bytes, decoded as a file is: the interpreter's own stdin
+            # decoding would let bad bytes through under a C locale.
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
@@ -153,7 +152,10 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
                 tree_edges.extend((roots[-1], child) for child in children)
             continue
         _, X, W = entry
-        if len(X - W) <= threshold:
+        # Every node keeps W a subset of X: the root's W is empty, a
+        # component gets W & comp, and each side gets (W & side) + V_j with
+        # V_j inside the side.
+        if len(X) - len(W) <= threshold:
             bags.append(X)
             roots.append(len(bags) - 1)
             continue
@@ -186,20 +188,36 @@ def _choose_split(W, layering):
     the first layer (at least 1) holding a non-W vertex to the last one,
     nonempty since |X\\W| > 1 puts a non-W vertex outside V_0.  With no
     thin j < p in it, all of it is class 1, led by ceil(p/2) clamped into
-    [lo, hi]."""
-    order, ends, p = layering.order, layering.ends, layering.p
-    # w_before[t] counts the W vertices among order[:t].
-    w_before = list(accumulate((v in W for v in order), initial=0))
-    # w_upto[i] and free_upto[i] count W and non-W vertices in layers 0..i.
-    w_upto = [w_before[end] for end in ends]
-    free_upto = [end - w_before[end] for end in ends]
-    lo = max(1, bisect_right(free_upto, 0))
-    hi = bisect_left(free_upto, free_upto[p])
-    thin, median = layering.thin, layering.median
-    candidates = thin[bisect_left(thin, lo):bisect_right(thin, min(hi, p - 1))]
-    if not candidates:
+    [lo, hi].
+
+    The imbalance max(w_upto[j], |W| - w_upto[j-1]), with w_upto[i] the W
+    vertices in layers 0..i, changes from j-1 to j only if layer j or j-1
+    holds a W vertex.  So the cuts j = i and j = i+1 for each such layer i
+    split the class-0 range [lo, min(hi, p-1)] into O(|W| + 1) runs of
+    constant imbalance, and each run is led by its thin j nearest the
+    median: the last of a run below the median, the first of a run above
+    it, and the median itself in the run that holds it.  Only these, one
+    per run, are scored."""
+    ends, p, thin, median = layering.ends, layering.p, layering.thin, layering.median
+    # at lists the positions of W's vertices in `order`, so w_upto(i) and
+    # free_upto(i) count the W and non-W vertices in layers 0..i.
+    at = [t for t, v in enumerate(layering.order) if v in W]
+    w_upto = lambda i: bisect_left(at, ends[i])
+    free_upto = lambda i: ends[i] - w_upto(i)
+    lo = max(1, bisect_right(range(p + 1), 0, key=free_upto))
+    hi = bisect_left(range(p + 1), free_upto(p), key=free_upto)
+    top = min(hi, p - 1)
+    first, stop = bisect_left(thin, lo), bisect_right(thin, top)
+    if first == stop:
         return layering.sides(min(max((p + 1) // 2, lo), hi))
-    j = min(candidates, key=lambda j: (max(w_upto[j], len(W) - w_upto[j - 1]), abs(j - median), j))
+    # A cut x lies between thin[k - 1] and thin[k], k = bisect_left(thin, x):
+    # the first leads the run ending at x when x <= median, the second the
+    # run starting at x when x > median.  The median leads its own run.
+    cuts = {lo, top + 1, *(bisect_right(ends, t) + d for t in at for d in (0, 1))}
+    leaders = {bisect_left(thin, x, first, stop) - (x <= median) for x in cuts}
+    leaders.add(bisect_left(thin, median, first, stop))
+    candidates = [thin[k] for k in leaders if first <= k < stop]
+    j = min(candidates, key=lambda j: (max(w_upto(j), len(W) - w_upto(j - 1)), abs(j - median), j))
     return layering.sides(j)
 
 

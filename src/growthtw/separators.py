@@ -20,7 +20,6 @@ it on the heavy side until both exclusive sides hold at most 2n/3 vertices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -99,29 +98,33 @@ class Layering:
 def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
     """Layering of g[X] from min(X), with the thin layers and the median
     thin index; the one layering behind both the layer split and the
-    builder.  One level-by-level BFS appends each layer to `order` and
-    where it ends to `ends`; it reaches only the component of min(X), so it
-    covers X exactly when g[X] is connected.  Any root serves: the
-    thick-layer count rests on n = |B_p(root)| <= f(p) <= c*p, true from
-    every root.  An id of X outside [0, n) is a RangeError; only a layering
-    that misses part of X needs max(X) checked, since it reaches only ids
-    of g."""
+    builder.  One BFS appends each vertex to `order`, and at the first
+    vertex of each layer, where that layer ends to `ends`; it reaches only
+    the component of min(X), so it covers X exactly when g[X] is
+    connected.  Any root serves: the thick-layer count rests on n =
+    |B_p(root)| <= f(p) <= c*p, true from every root.  An id of X outside
+    [0, n) is a RangeError; only a layering that misses part of X needs
+    max(X) checked, since it reaches only ids of g."""
     root = min(X)
     g._check_vertex(root)
-    order, ends, seen, start = [root], [], {root}, 0
-    while start < len(order):
-        ends.append(len(order))
-        for u in order[start:ends[-1]]:
-            for w in g.adj[u]:
-                if w in X and w not in seen:
-                    seen.add(w)
-                    order.append(w)
-        start = ends[-1]
+    adj = g.adj
+    order, ends, seen, end = [root], [], {root}, 0
+    for t, u in enumerate(order):
+        if t == end:
+            # u opens the next layer, whose last vertex is already in order.
+            end = len(order)
+            ends.append(end)
+        for w in adj[u]:
+            # Most neighbours are already seen, so that test goes first.
+            if w not in seen and w in X:
+                seen.add(w)
+                order.append(w)
     if len(order) < len(X):
         g._check_vertex(max(X))
     p = len(ends) - 1
-    # A layer size is an integer, so it is below 2c exactly when below ceil(2c).
-    thick_size = math.ceil(2 * c)
+    # A layer size is an integer, so it is below 2c exactly when below
+    # ceil(2c), taken on c's integer terms.
+    thick_size = -(-2 * c.numerator // c.denominator)
     thin = tuple(i for i in range(1, p + 1) if ends[i] - ends[i - 1] < thick_size)
     return Layering(
         root=root,
@@ -151,18 +154,13 @@ def bfs_layer_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separatio
 
 def median_thin_index(thin: Tuple[int, ...], p: int) -> int:
     """Minimum thin index j with |S intersect [0,j]| >= |S| / 2, compared
-    exactly as 2 * count >= |S|.  The loop always returns by the last thin
-    index, where count = |S|."""
+    exactly as 2 * count >= |S|: the count is ceil(|S| / 2), so j is
+    thin[(|S| - 1) // 2]."""
     if not thin:
         # Every layer in [1,p] is thick; fall back to the last layer so a
         # well-formed (if unbalanced) separation is still produced.
         return p
-    total = len(thin)
-    count = 0
-    for j in thin:
-        count += 1
-        if 2 * count >= total:
-            return j
+    return thin[(len(thin) - 1) // 2]
 
 
 def iteration_cap(alpha) -> int:

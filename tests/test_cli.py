@@ -443,17 +443,34 @@ def test_unwritable_output_is_input_error(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_non_utf8_edge_list_is_input_error(tmp_path, source):
-    # Run as a process, so that strict stdin decoding is the interpreter's.
+def separate_in_a_process(tmp_path, source, data, env):
+    """`growthtw separate` on the bytes `data`, from a file or from stdin, run
+    as a process, so that stdin is a real stream under the interpreter's
+    encoding settings: os.environ updated by `env`, where None unsets."""
     bad = tmp_path / "bad.el"
-    bad.write_bytes(b"p 2 1\n0 \xff\n")
+    bad.write_bytes(data)
     src = os.path.dirname(os.path.dirname(growthtw.__file__))
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict",
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in env.items() if v is not None}
     argv = [sys.executable, "-m", "growthtw.cli", "separate", str(bad) if source == "file" else "-"]
     with open(bad, "rb") as stdin:
-        done = subprocess.run(argv, stdin=stdin, capture_output=True, text=True, env=env)
+        return subprocess.run(argv, stdin=stdin, capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_edge_list_is_input_error(tmp_path, source):
+    done = separate_in_a_process(tmp_path, source, b"p 2 1\n0 \xff\n", {"PYTHONIOENCODING": "utf-8:strict"})
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_comment_is_input_error_under_c_locale(tmp_path, source):
+    # Under a C locale the interpreter's own stdin decoding lets bad bytes
+    # through; stdin must be refused as a file is.
+    done = separate_in_a_process(tmp_path, source, b"# caf\xe9\np 2 1\n0 1\n",
+                                 {"PYTHONIOENCODING": None, "LC_ALL": "C"})
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
