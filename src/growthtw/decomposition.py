@@ -310,11 +310,13 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
     graph; a dict of the reached prefixes grew with the graph to megabytes.
     Prefixes are expanded newest first, so a pass that succeeds goes deep at
     once and `todo` holds at most n prefixes per level.  Each entry carries
-    the components of g[S], each with its border (the vertices outside S
-    adjacent to it): v merges the components it touches into one whose
-    border is Q(S, v), and the others keep theirs.  It succeeds on
-    reaching a prefix with n - |S| - 1 <= k: the remaining vertices then go
-    in any order, since each has at most k later neighbours.
+    the bitmask adjacency of g with S eliminated (its fill graph restricted
+    to the vertices outside S), in which v's neighbourhood is exactly
+    Q(S, v): trying v is one list index and one bit count, and a pushed
+    prefix costs one copied list of n masks, made by `_eliminate`.  It
+    succeeds on reaching a prefix with n - |S| - 1 <= k: the remaining
+    vertices then go in any order, since each has at most k later
+    neighbours.
 
     No prefix holds a vertex of the clique K = `_greedy_clique(adjm)`, which
     leaves the search to the prefixes of G - K.  This loses no answer: if
@@ -329,9 +331,9 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
     full = (1 << n) - 1
     walk = full & ~_greedy_clique(adjm)
     last = bytearray(1 << n)
-    todo = [(0, [])]
+    todo = [(0, list(adjm))]
     while todo:
-        S, parts = todo.pop()
+        S, adj = todo.pop()
         # Bits are walked inline: this is the search's inner loop.
         free = walk & ~S
         while free:
@@ -341,16 +343,7 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
             if last[T]:
                 continue
             v = low.bit_length() - 1
-            # Q(S, v) is N(v) plus the borders of the components v touches,
-            # minus T.
-            nbrs = q = adjm[v]
-            merged = low
-            for comp, border in parts:
-                if nbrs & comp:
-                    q |= border
-                    merged |= comp
-            q &= ~T
-            if q.bit_count() <= k:
+            if adj[v].bit_count() <= k:
                 last[T] = v + 1
                 if n - T.bit_count() - 1 <= k:
                     # Built back to front: the other vertices, then T's prefix.
@@ -361,7 +354,9 @@ def _elimination_order_within(adjm, k: int) -> Optional[list]:
                         T ^= 1 << u
                     order.reverse()
                     return order
-                todo.append((T, [(merged, q)] + [p for p in parts if not p[0] & nbrs]))
+                nxt = list(adj)
+                _eliminate(nxt, v)
+                todo.append((T, nxt))
     return None
 
 

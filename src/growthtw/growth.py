@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Callable, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
@@ -218,11 +218,10 @@ def _radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     adj_masks = [
         sum(1 << index[w] for w in g.adj[v] if w in index) for v in support
     ]
-    k = len(support)
-    for mask in range(3, 1 << k):
+    for mask in range(3, 1 << len(support)):
         if mask & (mask - 1) == 0:
             continue
-        rad = _mask_radius(adj_masks, mask, k)
+        rad = _mask_radius(adj_masks, mask)
         if rad is None:
             continue
         size = bin(mask).count("1")
@@ -231,16 +230,21 @@ def _radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(best.items()))
 
 
-def _mask_radius(adj_masks, mask: int, k: int) -> Optional[int]:
-    """Radius of the induced subgraph on `mask`, or None if disconnected."""
+def _mask_radius(adj_masks, mask: int) -> Optional[int]:
+    """Radius of the graph on the vertex bitmask `mask` whose edges are those
+    of the bitmask adjacency `adj_masks` (the induced subgraph for
+    `_radius_table`, the subset's own edges for `_edge_subset_radius_table`),
+    or None if it is disconnected.  The BFS from the lowest vertex decides
+    connectivity; every later BFS stops once its depth reaches the smallest
+    eccentricity seen, since its source can then no longer beat it."""
     rad = None
-    for v in range(k):
-        if not (mask >> v) & 1:
-            continue
-        reached = 1 << v
-        frontier = reached
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        reached = frontier = low
         ecc = 0
-        while True:
+        while ecc != rad:
             nxt = 0
             f = frontier
             while f:
@@ -253,10 +257,10 @@ def _mask_radius(adj_masks, mask: int, k: int) -> Optional[int]:
             ecc += 1
             reached |= nxt
             frontier = nxt
-        if reached != mask:
+        if rad is None and reached != mask:
             return None
-        if rad is None or ecc < rad:
-            rad = ecc
+        # A BFS that stopped early has ecc == rad; one that finished, ecc < rad.
+        rad = ecc
     return rad
 
 
@@ -275,22 +279,26 @@ def brute_force_growth_edge_subsets(g: Graph, r: int) -> int:
 def _edge_subset_radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     """(radius, max vertex count) pairs over the subgraphs formed by every
     nonempty edge subset, plus the single vertex (radius 0), computed once
-    per graph by plain 2^m enumeration.  Like `_radius_table`, its cache is
-    per process: a later call on an equal graph skips the enumeration."""
+    per graph by plain 2^m enumeration.  The subsets are walked in Gray-code
+    order: subset i differs from subset i - 1 in the edge numbered by the
+    lowest set bit of i, so one adjacency over g's own vertex ids and the
+    mask of its non-isolated vertices are updated by one edge per subset.
+    Like `_radius_table`, its cache is per process: a later call on an
+    equal graph skips the enumeration."""
     edges = list(g.edges())
+    adj = [0] * g.n
+    mask = 0
     best = {0: 1}
-    for size in range(1, len(edges) + 1):
-        for subset in combinations(edges, size):
-            verts = sorted({u for e in subset for u in e})
-            index = {v: i for i, v in enumerate(verts)}
-            adj = [0] * len(verts)
-            for u, v in subset:
-                adj[index[u]] |= 1 << index[v]
-                adj[index[v]] |= 1 << index[u]
-            mask = (1 << len(verts)) - 1
-            rad = _mask_radius(adj, mask, len(verts))
-            if rad is not None and best.get(rad, 0) < len(verts):
-                best[rad] = len(verts)
+    for i in range(1, 1 << len(edges)):
+        u, v = edges[(i & -i).bit_length() - 1]
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        mask &= ~(1 << u | 1 << v)
+        mask |= bool(adj[u]) << u | bool(adj[v]) << v
+        rad = _mask_radius(adj, mask)
+        size = mask.bit_count()
+        if rad is not None and best.get(rad, 0) < size:
+            best[rad] = size
     return tuple(sorted(best.items()))
 
 

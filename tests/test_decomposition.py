@@ -405,6 +405,60 @@ def test_decision_pass_when_the_clique_is_the_whole_graph():
     assert decomposition_mod._elimination_order_within([0b10, 0b01], 1) == [0, 1]
 
 
+def reference_elimination_order_within(adjm, k):
+    """The decision pass as it was before it kept the eliminated graph: each
+    `todo` entry carries the components of g[S], each with its border, and
+    Q(S, v) is N(v) plus the borders of the components v touches, minus
+    S + v.  Same walk, `last` table, clique and finish rule."""
+    n = len(adjm)
+    if n - 1 <= k:
+        return list(range(n))
+    walk = (1 << n) - 1 & ~decomposition_mod._greedy_clique(adjm)
+    last = bytearray(1 << n)
+    todo = [(0, [])]
+    while todo:
+        S, parts = todo.pop()
+        free = walk & ~S
+        while free:
+            low = free & -free
+            free ^= low
+            T = S | low
+            if last[T]:
+                continue
+            v = low.bit_length() - 1
+            nbrs = q = adjm[v]
+            merged = low
+            for comp, border in parts:
+                if nbrs & comp:
+                    q |= border
+                    merged |= comp
+            q &= ~T
+            if q.bit_count() <= k:
+                last[T] = v + 1
+                if n - T.bit_count() - 1 <= k:
+                    order = [u for u in range(n) if not T >> u & 1]
+                    while T:
+                        u = last[T] - 1
+                        order.append(u)
+                        T ^= 1 << u
+                    order.reverse()
+                    return order
+                todo.append((T, [(merged, q)] + [p for p in parts if not p[0] & nbrs]))
+    return None
+
+
+def test_decision_pass_equals_the_components_and_borders_reference():
+    rng = random.Random(2024)
+    graphs = [random_cubic(n, s) for n in range(8, 17, 2) for s in range(1, 6)]
+    graphs += [random_graph(rng, rng.randint(1, 14), rng.choice([0.15, 0.25, 0.4, 0.6]))
+               for _ in range(200)]
+    for g in graphs:
+        adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+        for k in range(g.n + 1):
+            expected = reference_elimination_order_within(adjm, k)
+            assert decomposition_mod._elimination_order_within(adjm, k) == expected, (g, k)
+
+
 def test_greedy_clique_is_the_largest_greedy_one():
     triangle = [(0, 1), (0, 2), (1, 2)]
     # A triangle and a K4 {3, 4, 5, 6} joined by the edge 2-3: the K4.

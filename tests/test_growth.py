@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,7 @@ from growthtw.growth import (
     growth_profile,
     verify_growth_bound,
 )
+from growthtw.harness import random_tree
 
 
 def random_small_graph(rng, max_n=8, max_m=20):
@@ -98,6 +100,79 @@ def test_brute_force_budget():
         brute_force_growth(complete(8), 1)  # 28 edges
     with pytest.raises(CapacityError):
         brute_force_growth_edge_subsets(complete(6), 1)  # 15 edges
+
+
+def full_radius(adj):
+    """Radius of the graph given as {vertex: neighbours}, from every
+    eccentricity in full, or None if it is disconnected."""
+    eccs = []
+    for s in adj:
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) != len(adj):
+            return None
+        eccs.append(max(dist.values()))
+    return min(eccs)
+
+
+def keep_largest(best, rad, size):
+    if rad is not None and best.get(rad, 0) < size:
+        best[rad] = size
+
+
+def reference_edge_subset_table(g):
+    best = {0: 1}
+    edges = list(g.edges())
+    for size in range(1, len(edges) + 1):
+        for subset in combinations(edges, size):
+            adj = {}
+            for u, v in subset:
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+            keep_largest(best, full_radius(adj), len(adj))
+    return tuple(sorted(best.items()))
+
+
+def reference_radius_table(g):
+    best = {0: 1}
+    support = [v for v in range(g.n) if g.adj[v]]
+    for size in range(2, len(support) + 1):
+        for verts in combinations(support, size):
+            adj = {v: [w for w in g.adj[v] if w in verts] for v in verts}
+            keep_largest(best, full_radius(adj), size)
+    return tuple(sorted(best.items()))
+
+
+def labelled_path(labels):
+    return Graph(len(labels), list(zip(labels, labels[1:])))
+
+
+# Paths whose centre has the highest and the lowest id, a path with two
+# centres (ids 5 and 6 last), and a long path whose centre comes last.
+CENTRE_PATHS = [
+    labelled_path([0, 1, 4, 2, 3]),
+    labelled_path([1, 2, 0, 3, 4]),
+    labelled_path([0, 1, 2, 5, 6, 3, 4]),
+    labelled_path([0, 2, 4, 6, 8, 10, 12, 11, 9, 7, 5, 3, 1]),
+]
+
+
+def test_brute_force_tables_equal_the_full_eccentricity_references():
+    rng = random.Random(12)
+    graphs = list(CENTRE_PATHS) + [random_small_graph(rng, max_n=9, max_m=12) for _ in range(30)]
+    graphs += [g for s in range(6) for g in (random_tree(12, s), random_cubic(8, s))]
+    for g in graphs:
+        assert growth_mod._edge_subset_radius_table.__wrapped__(g) == reference_edge_subset_table(g), g
+        assert growth_mod._radius_table.__wrapped__(g) == reference_radius_table(g), g
+    # The vertex-subset table alone on the 15-edge graphs of the oracles workload.
+    for s in range(6):
+        g = random_cubic(10, s)
+        assert growth_mod._radius_table.__wrapped__(g) == reference_radius_table(g), g
 
 
 def test_empty_graph_rejected():
