@@ -29,7 +29,6 @@ from .separators import (
     bfs_layer_separation,
     check_separation,
     iteration_cap,
-    linear_growth_separator,
     two_thirds_separation,
 )
 from .decomposition import (

@@ -23,14 +23,13 @@ from .decomposition import (
     check_tree_decomposition,
     exact_treewidth,
 )
-from .errors import CapacityError, GrowthTWError, PreconditionError
+from .errors import CapacityError, GrowthTWError
 from .generators import FAMILIES, generate, random_cubic
 from .graphs import parse_edge_list, serialize_edge_list
 from .growth import growth_constant, growth_profile
 from .separators import (
     bfs_layer_separation,
     check_separation,
-    linear_growth_separator,
     separation_alpha,
 )
 from .stacklayout import exact_stack_number, layout_from_decomposition
@@ -153,16 +152,7 @@ def _separate(args) -> int:
     g = _read_graph(args.input)
     c = _effective_c(args, g)
     alpha = separation_alpha(c)
-    # A single vertex or a disconnected graph has no layer split, so no
-    # trace; the untraced form separates it (and refuses the empty graph).
-    layering = None
-    if args.trace and g.n > 0:
-        try:
-            sep, layering = bfs_layer_separation(g, None, c)
-        except PreconditionError as exc:
-            print(f"# no trace: {exc}", file=sys.stderr)
-    if layering is None:
-        sep = linear_growth_separator(g, None, c)
+    sep, layering = bfs_layer_separation(g, None, c)
     report = check_separation(g, None, sep, alpha)
     payload = {
         "valid": report.valid,
@@ -174,8 +164,12 @@ def _separate(args) -> int:
         "A": sorted(sep.a),
         "B": sorted(sep.b),
     }
-    if layering is not None:
-        payload["trace"] = {**layering.to_json_dict(), "c": str(c)}
+    if args.trace:
+        if layering is not None:
+            payload["trace"] = {**layering.to_json_dict(), "c": str(c)}
+        else:
+            print("# no trace: the separation peels whole components and cuts no layer",
+                  file=sys.stderr)
     _write_json(args.out, payload)
     return 0 if report.valid else 1
 

@@ -200,9 +200,11 @@ def subdivide_in_host(g: Graph, emb: HostEmbedding, epsilon) -> SubdivisionRecor
     epsilon = Fraction(epsilon)
     gamma, ell, scale, lengths, projected = host_subdivision_plan(g, emb, epsilon)
     if projected > SUBDIVISION_VERTEX_BUDGET:
+        # The count grows like (n/epsilon)^depth and may pass the 4300 digits
+        # that str() converts, so the message does not print it.
         raise CapacityError(
-            f"host subdivision projects {projected} vertices "
-            f"(budget {SUBDIVISION_VERTEX_BUDGET}); increase epsilon"
+            f"host subdivision projects more than {SUBDIVISION_VERTEX_BUDGET} "
+            "vertices; increase epsilon"
         )
     result = subdivide(g, lengths)
     return SubdivisionRecord(

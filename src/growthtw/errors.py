@@ -35,10 +35,6 @@ class PreconditionError(GrowthTWError, ValueError):
     """A documented operation precondition does not hold."""
 
 
-class DegenerateInputError(PreconditionError):
-    """The input is too small for the operation (e.g. singleton to a splitter)."""
-
-
 class InvariantViolationError(GrowthTWError, RuntimeError):
     """An internal guarantee failed; indicates a bug, or a growth parameter c
     below the growth constant the guarantee assumes."""

@@ -9,8 +9,6 @@ import random
 from .errors import GenerationError, RangeError
 from .graphs import Graph, _within_budget
 
-FAMILIES = ("path", "cycle", "star", "complete", "complete_binary_tree", "grid")
-
 # random_cubic gives up with a GenerationError after this many rejected pairings.
 RANDOM_CUBIC_ATTEMPTS = 10_000
 
@@ -70,6 +68,7 @@ _BUILDERS = {
     "complete_binary_tree": complete_binary_tree,
     "grid": grid,
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 def generate(family: str, size: int) -> Graph:

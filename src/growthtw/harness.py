@@ -259,7 +259,7 @@ class ExplorationRow:
     n: int
     seed: int
     growth_constant: Fraction
-    treewidth: Optional[int]
+    treewidth: int
 
 
 def cubic_ball_bound(n: int, r: int) -> int:

@@ -12,10 +12,11 @@ Any root serves: the ball of radius p = ecc(root) around it holds all n
 vertices, so n <= f(p) <= c*p and at most p/2 layers are thick, whichever
 vertex the root is.
 
-There is one separator path and no pluggable oracle: `linear_growth_separator`
-lays out its set with `bfs_layering` and lifts the layer split to
-disconnected sets by peeling components, and `two_thirds_separation` calls
-it on the heavy side until both exclusive sides hold at most 2n/3 vertices.
+There is one separator function and no pluggable oracle:
+`bfs_layer_separation` lays out any nonempty set with `bfs_layering`, lifts
+the layer split to disconnected sets by peeling components, and returns the
+layering it cut (None when it cut none); `two_thirds_separation` calls it on
+the heavy side until both exclusive sides hold at most 2n/3 vertices.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .errors import (
-    DegenerateInputError,
-    InvariantViolationError,
-    PreconditionError,
-    RangeError,
-)
+from .errors import InvariantViolationError, PreconditionError, RangeError
 from .graphs import Graph, components_within
 
 
@@ -135,23 +131,6 @@ def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
     )
 
 
-def bfs_layer_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separation, Layering]:
-    """Layer split of the connected induced subgraph g[X], with the layering
-    it cut: A = layers 0..j, B = layers j..p from the root min(X), any root
-    serving since n <= f(p) <= c*p bounds the thick layers.  The one BFS of
-    `bfs_layering` decides connectivity: g[X] is connected iff it covers X."""
-    c = _growth_parameter(c)
-    X = _host_set(g, X)
-    if len(X) == 1:
-        raise DegenerateInputError("no layer split exists for a single vertex")
-    if len(X) == 0:
-        raise PreconditionError("cannot separate the empty set")
-    layering = bfs_layering(g, X, c)
-    if len(layering.order) < len(X):
-        raise PreconditionError("bfs_layer_separation requires a connected set")
-    return _median_split(layering), layering
-
-
 def median_thin_index(thin: Tuple[int, ...], p: int) -> int:
     """Minimum thin index j with |S intersect [0,j]| >= |S| / 2, compared
     exactly as 2 * count >= |S|: the count is ceil(|S| / 2), so j is
@@ -233,23 +212,28 @@ def separation_alpha(c) -> Fraction:
     return max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
 
 
-def linear_growth_separator(g: Graph, X: Optional[frozenset], c) -> Separation:
-    """The layer split lifted to possibly disconnected sets, alpha-balanced
-    for alpha = max(2/3, 1 - 1/(4c)) where f(r) <= c*r.  A layering of X that
-    covers X is cut at its median thin index, so one vertex gives (X, X).
-    Otherwise the smallest component J is peeled: either (X\\J, J) is
-    balanced, or X\\J is separated the same way and J joins the smaller side.
-    The components of X\\J are those of X minus J, so one `components_within`
-    call serves every level: a forward loop peels until the rest is at most
-    2/3 of its host (or one component is left, split by its own layering),
-    and a backward loop absorbs by side sizes, building each side once."""
+def bfs_layer_separation(
+    g: Graph, X: Optional[frozenset], c
+) -> Tuple[Separation, Optional[Layering]]:
+    """Layer split of any nonempty set X with the layering it cut,
+    alpha-balanced for alpha = max(2/3, 1 - 1/(4c)) where f(r) <= c*r.  When
+    the layering of X covers X it is cut at its median thin index, so one
+    vertex gives (X, X); any root serves, since n <= f(p) <= c*p bounds the
+    thick layers.  Otherwise the smallest component J is peeled: either
+    (X\\J, J) is balanced, or X\\J is separated the same way and J joins the
+    smaller side.  The components of X\\J are those of X minus J, so one
+    `components_within` call serves every level: a forward loop peels until
+    the rest is at most 2/3 of its host (or one component is left, cut by
+    its own layering), and a backward loop absorbs by side sizes, building
+    each side once.  The layering returned is the one cut, None when only
+    whole components were peeled."""
     c = _growth_parameter(c)
     X = _host_set(g, X)
     if not X:
         raise PreconditionError("cannot separate the empty set")
     layering = bfs_layering(g, X, c)
     if len(layering.order) == len(X):
-        return _median_split(layering)
+        return _median_split(layering), layering
     comps = components_within(g, X)
     hosts = [len(X)]  # hosts[i] = |X minus comps[:i]|
     depth = 0
@@ -257,8 +241,10 @@ def linear_growth_separator(g: Graph, X: Optional[frozenset], c) -> Separation:
         hosts.append(hosts[depth] - len(comps[depth]))
         depth += 1
     if depth == len(comps) - 1:
-        inner = _median_split(bfs_layering(g, comps[depth], c))
+        layering = bfs_layering(g, comps[depth], c)
+        inner = _median_split(layering)
     else:
+        layering = None
         inner = Separation(a=frozenset().union(*comps[depth + 1:]), b=comps[depth])
     sides = ([inner.a], [inner.b])
     sizes = [len(inner.a), len(inner.b)]
@@ -271,11 +257,11 @@ def linear_growth_separator(g: Graph, X: Optional[frozenset], c) -> Separation:
         sides[1 - a_side].append(comps[level])
         sizes[1 - a_side] += len(comps[level])
     a, b = (frozenset().union(*sides[i]) for i in (a_side, 1 - a_side))
-    return Separation(a=a, b=b)
+    return Separation(a=a, b=b), layering
 
 
 def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separation, int]:
-    """Iterate `linear_growth_separator` until both exclusive sides have size
+    """Iterate `bfs_layer_separation` until both exclusive sides have size
     at most 2n/3: while one exceeds it, orient it as B\\A, split g[B\\A] into
     (C, D) with |D| >= |C|, and set A <- A + C, B <- D + (A & B).  Returns the
     separation and the number of layer splits made.  Exceeding the exact cap
@@ -285,7 +271,7 @@ def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separati
     c = _growth_parameter(c)
     X = _host_set(g, X)
     n = len(X)
-    sep = linear_growth_separator(g, X, c)
+    sep = bfs_layer_separation(g, X, c)[0]
     calls, cap = 1, None
     while True:
         a, b = sep.a, sep.b
@@ -301,7 +287,7 @@ def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separati
             )
         if excl_a > excl_b:
             a, b = b, a
-        inner = linear_growth_separator(g, b - a, c)
+        inner = bfs_layer_separation(g, b - a, c)[0]
         calls += 1
         c_side, d_side = _orient_by_size(inner.a, inner.b)
         sep = Separation(a=a | c_side, b=d_side | (a & b))

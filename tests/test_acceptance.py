@@ -54,7 +54,6 @@ from growthtw.separators import (
     bfs_layer_separation,
     check_separation,
     iteration_cap,
-    linear_growth_separator,
     two_thirds_separation,
 )
 from growthtw.stacklayout import StackLayout, check_stack_layout, exact_stack_number
@@ -144,11 +143,11 @@ def test_criterion_04_rebalancing_terminates_within_cap(monkeypatch):
     step_orders = []
 
     def recording(g, Y, c):
-        sep = linear_growth_separator(g, Y, c)
+        sep, layering = bfs_layer_separation(g, Y, c)
         step_orders.append(sep.order)
-        return sep
+        return sep, layering
 
-    monkeypatch.setattr(separators_mod, "linear_growth_separator", recording)
+    monkeypatch.setattr(separators_mod, "bfs_layer_separation", recording)
     ok = True
     for name in ["path-50", "cycle-50", "star-40", "cbt-63", "grid-8",
                  "random-tree-200", "cubic-100"]:

@@ -28,6 +28,12 @@ EMBEDDING = {
     "tree_edges": [[0, 1]], "tree_n": 2, "root": 0, "k": 1,
     "map": [{"v": 0, "node": 0, "copy": 1}, {"v": 1, "node": 1, "copy": 1}],
 }
+# path(4) mapped onto the host path 0-1-2-3 rooted at 0: depth 3, so the
+# scale table grows like (n/epsilon)^3.
+DEEP_EMBEDDING = {
+    "tree_edges": [[0, 1], [1, 2], [2, 3]], "tree_n": 4, "root": 0, "k": 1,
+    "map": [{"v": v, "node": v, "copy": 1} for v in range(4)],
+}
 
 
 def write_graph(tmp_path, g, name="g.el"):
@@ -84,28 +90,38 @@ def test_separate_trace_object(tmp_path, capsys, g, c, trace):
 
 @pytest.mark.parametrize("g", [Graph(1), path(9)])
 def test_separate_trace_keeps_the_separation(tmp_path, capsys, g):
-    # A single vertex has no layer split, so --trace reports no trace there.
+    # A single vertex is cut at p = 0, so --trace reports a trace there too.
     src = write_graph(tmp_path, g)
     assert main(["separate", src, "--c", "3"]) == 0
     plain = json.loads(capsys.readouterr().out)
     assert main(["separate", src, "--c", "3", "--trace"]) == 0
     traced = json.loads(capsys.readouterr().out)
     assert (traced["A"], traced["B"]) == (plain["A"], plain["B"])
-    assert ("trace" in traced) == (g.n > 1)
+    assert "trace" in traced
 
 
-@pytest.mark.parametrize("g,reason", [
-    (Graph(1), "no layer split exists for a single vertex"),
-    (Graph(4, [(0, 1), (2, 3)]), "bfs_layer_separation requires a connected set"),
-], ids=["single-vertex", "disconnected"])
-def test_separate_says_why_it_wrote_no_trace(tmp_path, capsys, g, reason):
+@pytest.mark.parametrize("g,trace", [
+    (Graph(1), {"root": 0, "p": 0, "layer_sizes": [1], "thick": [], "thin": [],
+                "chosen_j": 0, "c": "3"}),
+    (Graph(4, [(0, 1), (2, 3)]), None),
+    (Graph(13, [(i, i + 1) for i in range(11)]),
+     {"root": 0, "p": 11, "layer_sizes": [1] * 12, "thick": [], "thin": list(range(1, 12)),
+      "chosen_j": 6, "c": "3"}),
+], ids=["single-vertex", "disconnected", "peeled-then-cut"])
+def test_separate_says_why_it_wrote_no_trace(tmp_path, capsys, g, trace):
+    # A trace is written exactly when a layer was cut; otherwise stderr says
+    # that the separation only peeled whole components.  P12 plus an
+    # isolated vertex peels the vertex, then cuts the path's own layering.
     src = write_graph(tmp_path, g)
     assert main(["separate", src, "--c", "3"]) == 0
     plain = capsys.readouterr()
     assert main(["separate", src, "--c", "3", "--trace"]) == 0
     traced = capsys.readouterr()
-    assert traced.out == plain.out
-    assert (plain.err, traced.err) == ("", f"# no trace: {reason}\n")
+    data = json.loads(traced.out)
+    assert data.pop("trace", None) == trace
+    assert data == json.loads(plain.out)
+    no_trace = "# no trace: the separation peels whole components and cuts no layer\n"
+    assert (plain.err, traced.err) == ("", "" if trace else no_trace)
 
 
 def test_separate_perfect_matching(tmp_path, capsys):
@@ -436,6 +452,18 @@ def test_vertex_budget_is_a_budget_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("budget error") == 2
 
 
+@pytest.mark.parametrize("epsilon", ["1e-1000", "1e-1500"])
+def test_host_subdivision_past_the_budget_names_no_count(tmp_path, epsilon):
+    # At 1e-1500 the projected count has more digits than str() converts.
+    emb_file = tmp_path / "emb.json"
+    emb_file.write_text(json.dumps(DEEP_EMBEDDING))
+    code, out, err = run_quietly(["subdivide", write_graph(tmp_path, path(4)), "--mode", "host",
+                                  "--embedding", str(emb_file), f"--epsilon={epsilon}"])
+    assert (code, out) == (3, "")
+    assert err == ("budget error: host subdivision projects more than 500000 vertices; "
+                   "increase epsilon\n")
+
+
 def test_unwritable_output_is_input_error(tmp_path, capsys):
     src = write_graph(tmp_path, path(4))
     target = tmp_path / "missing-dir" / "x.json"
@@ -533,10 +561,22 @@ def run_quietly(argv):
 
 @settings(max_examples=100, deadline=None)
 @given(malformed_edge_lists())
+@example("p 0 0\n")
+@example("p 1 0\n")
+@example("p 12 2\n0 1\n5 6\n")
+@example("p 3000000 0\n")
 def test_malformed_edge_lists_exit_cleanly(fuzz_dir, text):
     src = fuzz_dir / "g.el"
     src.write_text(text, encoding="utf-8")
-    for command in ("separate", "treedecomp", "stack"):
+    code, plain, err = run_quietly(["separate", str(src)])
+    assert code in (0, 2, 3), (text, err)
+    # The trace adds a key, or a line on stderr, and keeps the sides.
+    traced_code, traced, err = run_quietly(["separate", str(src), "--trace"])
+    assert traced_code == code, (text, err)
+    if code == 0:
+        plain, traced = json.loads(plain), json.loads(traced)
+        assert (traced["A"], traced["B"]) == (plain["A"], plain["B"])
+    for command in ("treedecomp", "stack", "growth", "expand3", "tw-exact", "stack-exact"):
         code, _, err = run_quietly([command, str(src)])
         assert code in (0, 2, 3), (command, text, err)
 
@@ -609,7 +649,7 @@ def test_malformed_json_inputs_exit_cleanly(fuzz_dir, td_doc, emb_doc):
 NUMBERS = st.one_of(
     st.integers(-5, 25).map(str),
     st.tuples(st.integers(-9, 9), st.integers(-3, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
-    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-400", "-1e400", "2.5", "1_000",
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-400", "1e-1500", "-1e400", "2.5", "1_000",
                      "0x10", "", " ", "1/2/3", "3,", ",1"]),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
 )
@@ -621,6 +661,8 @@ SIZES = st.one_of(st.integers(-5, 20).map(str), NUMBERS.filter(lambda t: not t.i
 @given(NUMBERS, NUMBERS, st.lists(NUMBERS, min_size=1, max_size=3),
        st.lists(SIZES, max_size=2), st.lists(NUMBERS, max_size=2),
        INTEGERS, st.sampled_from(FAMILIES + ("cubic",)), INTEGERS)
+# A host subdivision count past the digits str() converts.
+@example("3", "1e-1500", ["1"], [], [], 1, "path", 1)
 def test_numeric_options_exit_cleanly(fuzz_dir, c, epsilon, poly, sizes, seeds,
                                       r_max, family, size):
     src = write_graph(fuzz_dir, path(4))
@@ -638,6 +680,11 @@ def test_numeric_options_exit_cleanly(fuzz_dir, c, epsilon, poly, sizes, seeds,
     code, _, err = run_quietly(["subdivide", one_vertex, "--mode", "uniform",
                                 f"--epsilon={epsilon}", "--poly", *poly])
     assert code in (0, 1, 2, 3), (epsilon, poly, err)
+    deep = fuzz_dir / "deep.json"
+    deep.write_text(json.dumps(DEEP_EMBEDDING))
+    code, _, err = run_quietly(["subdivide", src, "--mode", "host", "--embedding", str(deep),
+                                f"--epsilon={epsilon}"])
+    assert code in (0, 2, 3), (epsilon, err)
     code, _, err = run_quietly(["explore-lower-bound", f"--sizes={','.join(sizes)}",
                                 f"--seeds={','.join(seeds)}"])
     assert code in (0, 1, 2, 3), (sizes, seeds, err)

@@ -11,12 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import growthtw.graphs as graphs_mod
 import growthtw.separators as separators_mod
-from growthtw.errors import (
-    DegenerateInputError,
-    InvariantViolationError,
-    PreconditionError,
-    RangeError,
-)
+from growthtw.errors import InvariantViolationError, PreconditionError, RangeError
 from growthtw.decomposition import build_tree_decomposition, check_tree_decomposition
 from growthtw.generators import complete_binary_tree, cycle, grid, path, random_cubic, star
 from growthtw.graphs import Graph, bfs_distances, components_within
@@ -28,7 +23,6 @@ from growthtw.separators import (
     bfs_layering,
     check_separation,
     iteration_cap,
-    linear_growth_separator,
     two_thirds_separation,
 )
 
@@ -59,15 +53,20 @@ def test_layer_split_on_p7():
 
 
 def test_layer_split_edge_cases():
-    with pytest.raises(DegenerateInputError):
-        bfs_layer_separation(Graph(1), None, 1)
-    with pytest.raises(PreconditionError):
-        bfs_layer_separation(Graph(4, [(0, 1), (2, 3)]), None, 1)
+    # One vertex is its own layering, cut at j = p = 0 into (X, X).
+    sep, layering = bfs_layer_separation(Graph(1), None, 1)
+    assert sep == Separation(a=frozenset({0}), b=frozenset({0}))
+    assert layering.to_json_dict() == {
+        "root": 0, "p": 0, "layer_sizes": [1], "thick": [], "thin": [], "chosen_j": 0,
+    }
+    # Two disjoint edges: peeling one is already balanced, so no layer is cut.
+    sep, layering = bfs_layer_separation(Graph(4, [(0, 1), (2, 3)]), None, 1)
+    assert (sep, layering) == (Separation(a=frozenset({2, 3}), b=frozenset({0, 1})), None)
     with pytest.raises(RangeError):
         bfs_layer_separation(path(4), None, Fraction(1, 2))
     # c is checked before the balance 1 - 1/(4c) is formed, on every input.
     for c in (0, -1, Fraction(1, 2)):
-        for separator in (linear_growth_separator, two_thirds_separation):
+        for separator in (bfs_layer_separation, two_thirds_separation):
             with pytest.raises(RangeError):
                 separator(Graph(1), None, c)
     # Two vertices: single layer pair, split at j=1.
@@ -129,7 +128,8 @@ def test_check_separation_numbers():
 def test_disconnected_lifting_two_paths():
     # Two disjoint P_4s: the smaller-component peel is already 2/3-balanced.
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-    sep = linear_growth_separator(g, None, 3)
+    sep, layering = bfs_layer_separation(g, None, 3)
+    assert layering is None
     report = check_separation(g, None, sep, Fraction(11, 12))
     assert report.valid
     assert sep.order == 0
@@ -137,9 +137,12 @@ def test_disconnected_lifting_two_paths():
 
 
 def test_disconnected_lifting_unbalanced():
-    # P_12 plus an isolated vertex forces recursion into the big component.
+    # P_12 plus an isolated vertex forces recursion into the big component,
+    # whose layering is the one cut and returned.
     g = Graph(13, [(i, i + 1) for i in range(11)])
-    sep = linear_growth_separator(g, None, 3)
+    sep, layering = bfs_layer_separation(g, None, 3)
+    assert layering == bfs_layering(g, frozenset(range(12)), 3)
+    assert (layering.root, layering.p, layering.median) == (0, 11, 6)
     report = check_separation(g, None, sep, Fraction(11, 12))
     assert report.valid
     assert max(len(sep.a), len(sep.b)) <= Fraction(11, 12) * 13
@@ -151,15 +154,19 @@ def test_layer_split_tests_connectivity_by_its_layering(monkeypatch):
 
     monkeypatch.setattr(graphs_mod, "is_connected", refuse)
     monkeypatch.setattr(separators_mod, "is_connected", refuse, raising=False)
-    with pytest.raises(PreconditionError, match="requires a connected set"):
-        bfs_layer_separation(Graph(4, [(0, 1), (2, 3)]), None, 1)
+    g = Graph(5, [(0, 1), (2, 3), (3, 4)])
+    sep, layering = bfs_layer_separation(g, None, 1)
+    assert sep == Separation(a=frozenset({2, 3, 4}), b=frozenset({0, 1}))
+    assert layering is None
+    sep, layering = bfs_layer_separation(g, frozenset({2, 3, 4}), 1)
+    assert layering.order == (2, 3, 4)
 
 
-def test_linear_growth_separator_validates_c_and_the_set():
+def test_separators_validate_c_and_the_set():
     g = path(4)
     with pytest.raises(RangeError, match="c must be >= 1"):
-        linear_growth_separator(g, None, Fraction(1, 2))
-    for separator in (linear_growth_separator, two_thirds_separation):
+        bfs_layer_separation(g, None, Fraction(1, 2))
+    for separator in (bfs_layer_separation, two_thirds_separation):
         with pytest.raises(PreconditionError, match="empty set"):
             separator(g, frozenset(), 3)
 
@@ -168,8 +175,6 @@ def test_separators_name_an_out_of_range_host_vertex():
     g = path(5)
     for X, bad in ((frozenset({0, 99}), 99), (frozenset({-1, 2}), -1)):
         message = f"vertex {bad} out of range"
-        with pytest.raises(RangeError, match=message):
-            linear_growth_separator(g, X, 3)
         with pytest.raises(RangeError, match=message):
             two_thirds_separation(g, X, 3)
         with pytest.raises(RangeError, match=message):
@@ -211,10 +216,10 @@ def test_lifting_finds_components_only_where_the_layering_misses_some(monkeypatc
         return components_within(g, X)
 
     monkeypatch.setattr(separators_mod, "components_within", counting)
-    linear_growth_separator(path(3000), None, 3)
+    bfs_layer_separation(path(3000), None, 3)
     assert calls == []
     many_paths = Graph(3000, [(v, v + 1) for v in range(2999) if v % 10 != 9])
-    linear_growth_separator(many_paths, None, 3)
+    bfs_layer_separation(many_paths, None, 3)
     assert calls == [frozenset(range(3000))]
 
 
@@ -427,19 +432,32 @@ def test_layering_lays_out_the_component_of_the_smallest_vertex(g_and_X):
 @given(disconnected_sets(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(3)]))
 def test_lifting_equals_the_recursive_reference(case, c):
     g, X = case
-    sep = linear_growth_separator(g, X, c)
+    sep, _ = bfs_layer_separation(g, X, c)
     assert sep == recursive_lift(g, X, layer_split_oracle(g, c))
     assert check_separation(g, X, sep, max(Fraction(2, 3), 1 - Fraction(1, 4 * c))).valid
 
 
-@settings(max_examples=80, deadline=None)
-@given(relabelled_connected_graphs(),
-       st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(3)]))
-def test_lifting_is_the_layer_split_on_connected_sets(g, c):
-    # The traced and untraced forms of `growthtw separate` print the same
-    # sides on a connected graph because of this identity.
-    c = growth_constant(g) if c is None else c
-    assert linear_growth_separator(g, None, c) == bfs_layer_separation(g, None, c)[0]
+@settings(max_examples=100, deadline=None)
+@given(disconnected_sets() | relabelled_connected_graphs().map(lambda g: (g, None)),
+       st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(3)]))
+@example((Graph(1), None), Fraction(1))
+@example((Graph(13, [(i, i + 1) for i in range(11)]), None), Fraction(3))
+@example((Graph(4, [(0, 1), (2, 3)]), None), Fraction(3))
+def test_the_returned_layering_is_the_one_cut(case, c):
+    # The layering `separate --trace` prints is the one whose median cut
+    # made the split: restricted to its component, the sides are its cut.
+    # With no layering, whole components were peeled and nothing was cut.
+    g, X = case
+    sep, layering = bfs_layer_separation(g, X, c)
+    comps = components_within(g, frozenset(range(g.n)) if X is None else X)
+    if layering is None:
+        assert not sep.a & sep.b
+        assert all(comp <= sep.a or comp <= sep.b for comp in comps)
+    else:
+        reached = frozenset(layering.order)
+        assert reached in comps
+        a, b, _ = layering.sides(layering.median)
+        assert {a, b} == {sep.a & reached, sep.b & reached}
 
 
 def test_perfect_matching_separates_without_recursion():
@@ -447,7 +465,7 @@ def test_perfect_matching_separates_without_recursion():
     # balanced, far past the default recursion limit.
     limit = sys.getrecursionlimit()
     g = Graph(5000, [(2 * i, 2 * i + 1) for i in range(2500)])
-    sep = linear_growth_separator(g, None, 3)
+    sep, _ = bfs_layer_separation(g, None, 3)
     report = check_separation(g, None, sep, Fraction(11, 12))
     assert report.valid
     assert 3 * max(*sep.exclusive_sides) <= 2 * g.n
