@@ -5,7 +5,6 @@ integer checks of JSON input.
 
 from __future__ import annotations
 
-import math
 import reprlib
 from collections import deque
 from typing import Iterable, Iterator, Optional, Tuple
@@ -241,29 +240,33 @@ def ball(g: Graph, v: int, r: int) -> frozenset:
     return frozenset(w for w, d in dist.items() if d <= r)
 
 
-def moore_steps(delta: int, size: int, level: int, target: int):
-    """Least j >= 0 such that a ball B_r(v), r >= 1, of `size` vertices,
-    `level` of them at distance exactly r, may reach `target` vertices by
-    radius r + j in a graph of maximum degree `delta`; math.inf if it never
-    can.
+def moore_gain(delta: int, steps: int, cap: int) -> int:
+    """The Moore sum (delta-1) + (delta-1)**2 + ... + (delta-1)**steps, summed
+    only until it reaches `cap`: steps when delta = 2, and 0 when delta <= 1
+    or steps <= 0.
 
     This is the Moore bound: a vertex at distance i >= 1 from v has a
     neighbour at distance i - 1, so at most delta - 1 at distance i + 1, and
-    |B_{r+j}(v)| <= size + level * ((delta-1) + ... + (delta-1)**j).  It
-    runs in O(1) time for delta <= 2 and O(log target) otherwise."""
-    if size >= target:
-        return 0
+    a ball B_r(v), r >= 1, of `size` vertices, `level` of them at distance
+    exactly r, has |B_{r+steps}(v)| <= size + level * (the full sum) in a
+    graph of maximum degree `delta`.  A partial sum stops only once it
+    reaches `cap`, so for level >= 1 and any target <= cap,
+    size + level * moore_gain(delta, steps, cap) >= target exactly when the
+    full sum passes the same test.  It runs in O(1) time for delta <= 2 and
+    O(log cap) otherwise."""
     fan = delta - 1
-    if fan <= 0 or level == 0:
-        return math.inf
+    if fan <= 0 or steps <= 0:
+        return 0
     if fan == 1:
-        return -(-(target - size) // level)
-    steps = 0
-    while size < target:
-        level *= fan
-        size += level
-        steps += 1
-    return steps
+        return steps
+    gain = 0
+    term = 1
+    for _ in range(steps):
+        if gain >= cap:
+            break
+        term *= fan
+        gain += term
+    return gain
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Callable, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
-from .graphs import VERTEX_BUDGET, Graph, moore_steps
+from .graphs import VERTEX_BUDGET, Graph, moore_gain
 
 # Exhaustive enumeration refuses beyond these sizes.
 BRUTE_FORCE_EDGE_BUDGET = 20
@@ -103,68 +103,87 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
 def growth_constant(g: Graph) -> Fraction:
     """Exact c_G = max_v max_r |B_r(v)|/r.  The best ratio starts at
     f(1)/1 = max degree + 1, and each source v leaves the search after the
-    first radius r at which its ball is its whole component or `grows`
+    first radius r at which its ball is its whole component or `_threshold`
     says that no later radius can beat the best.
 
     Radius 1 is decided from degrees alone: |B_1(v)| = deg(v) + 1 with
     deg(v) vertices at distance 1, and no such ball beats the starting
-    best, so `grows` is asked once per degree.  When some source passes
-    it and n <= SWEEP_VERTEX_LIMIT, all sources grow together, radius by
-    radius, as vertex bitmasks (`_sweep`).  Each mask takes up to n/8 bytes
-    and two generations are kept, so the limit caps them at 64 MiB; above
-    it, each source runs its own BFS (`_ball_sizes`) in O(n) memory."""
+    best, so one threshold is tested once per degree.  When some source
+    passes it and n <= SWEEP_VERTEX_LIMIT, all sources grow together,
+    radius by radius, as vertex bitmasks (`_sweep`), which raises the best
+    once per radius and tests every source against one threshold.  Each
+    mask takes up to n/8 bytes and two generations are kept, so the limit
+    caps them at 64 MiB; above it, each source runs its own BFS
+    (`_ball_sizes`) in O(n) memory, raising the best by each ball and
+    testing it against the threshold of its radius."""
     n = g.n
     if n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
     delta = g.max_degree()
     num, den = delta + 1, 1
-
-    def grows(r: int, size: int, level: int) -> bool:
-        """Raise the best ratio num/den to size/r if that beats it, then
-        return whether a ball B_r(v) of `size` vertices, `level` of them at
-        distance exactly r, might still beat it at a later radius.
-
-        A ball never exceeds n vertices, so radii r + i with
-        (r + i) * best >= n cannot; let r + j be the last radius below
-        that.  The Moore bound (`graphs.moore_steps`) gives
-        |B_{r+i}(v)| <= size + level*((delta-1) + ... + (delta-1)**i) =: B_i.
-        The slack best*(r + i) - B_i is concave in i (its increments
-        best - level*(delta-1)**(i+1) never grow) and nonnegative at i = 0,
-        so it is nonnegative on 0..j as soon as it is at i = j, that is,
-        when the bound needs more than j radii to pass best*(r + j).  With
-        delta <= 2 that holds once level*(delta-1) <= best, at r = 1 on
-        every path and cycle; with delta >= 3 the bound grows geometrically
-        and mostly stops a source only a few radii before n does.  This
-        holds for any best that some ball attains, as the best only grows,
-        so a source that stops could at most tie the final best; ratios are
-        compared in integers, and the result is exact."""
-        nonlocal num, den
-        if size * den > num * r:
-            num, den = size, r
-        j = -(-n * den // num) - r - 1
-        return j > 0 and moore_steps(delta, size, level, num * (r + j) // den + 1) <= j
-
-    passes = [grows(1, d + 1, d) for d in range(delta + 1)]
+    bar = _threshold(n, delta, 1, num, den)
+    if bar is None:
+        return Fraction(num, den)
+    need, gain = bar
+    passes = [d + 1 + d * gain >= need for d in range(delta + 1)]
     active = [v for v in range(n) if passes[len(g.adj[v])]]
     if active and n <= SWEEP_VERTEX_LIMIT:
-        _sweep(g.adj, active, grows)
+        num, den = _sweep(g.adj, active, delta, num, den)
     elif active:
         seen = [-1] * n
         for v in active:
             for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
-                if not grows(r, size, level):
+                if size * den > num * r:
+                    num, den = size, r
+                bar = _threshold(n, delta, r, num, den)
+                if bar is None or size + level * bar[1] < bar[0]:
                     break
     return Fraction(num, den)
 
 
-def _sweep(adj, active: list, grows) -> None:
+def _threshold(n: int, delta: int, r: int, num: int, den: int) -> Optional[Tuple[int, int]]:
+    """The one stop rule of `growth_constant`: (need, gain) such that a ball
+    B_r(v) of `size` vertices, `level` of them at distance exactly r, with
+    size/r <= best = num/den, might beat best at a later radius iff
+    size + level * gain >= need; None when no ball of radius r can.
+
+    A ball never exceeds n vertices, so radii r + i with (r + i) * best >= n
+    cannot beat best; let r + j be the last radius below that, and
+    need = floor(best * (r + j)) + 1.  The Moore bound (`graphs.moore_gain`)
+    gives |B_{r+i}(v)| <= size + level*((delta-1) + ... + (delta-1)**i) =: B_i.
+    The slack best*(r + i) - B_i is concave in i (its increments
+    best - level*(delta-1)**(i+1) never grow) and nonnegative at i = 0, so
+    it is nonnegative on 0..j as soon as it is at i = j, that is, when
+    B_j < need; the gain is summed only until it reaches need, which leaves
+    that comparison as it is.  With delta <= 2 the ball stops once
+    level*(delta-1) <= best, at r = 1 on every path and cycle; with
+    delta >= 3 the bound grows geometrically and mostly stops a source only
+    a few radii before n does.  The rule holds for any best that some ball
+    attains, as the best only grows, so a source that stops could at most
+    tie the final best; ratios are compared in integers, and the result is
+    exact.  Level 0, a ball that is its whole component, always stops,
+    since size <= best * r < need."""
+    j = -(-n * den // num) - r - 1
+    if j <= 0:
+        return None
+    need = num * (r + j) // den + 1
+    return need, moore_gain(delta, j, need)
+
+
+def _sweep(adj, active: list, delta: int, num: int, den: int) -> Tuple[int, int]:
     """Grow every ball by one radius per round, from radius 2 on, while
-    some source in `active` (those that pass radius 1) still `grows`:
+    some source in `active` (those that pass radius 1) might still beat the
+    best ratio num/den, and return the final best:
     B_{r+1}(v) = B_r(v) | the union of B_r(w) over the neighbours w of v,
-    and |B_r(v)| is a bit count.  The balls of inactive sources keep
-    growing, since their neighbours' balls are built from them."""
+    and |B_r(v)| is a bit count.  Each round counts the active balls,
+    raises the best once by the largest of them, returns once `_threshold`
+    says that no ball of that radius can beat it, and otherwise keeps the
+    sources with size + level * gain >= need.  The balls of inactive
+    sources keep growing, since their neighbours' balls are built from
+    them."""
+    n = len(adj)
     balls = [sum(1 << w for w in nbrs) | 1 << v for v, nbrs in enumerate(adj)]
-    sizes = [len(nbrs) + 1 for nbrs in adj]
+    previous = [len(adj[v]) + 1 for v in active]
     r = 1
     while active:
         grown = []
@@ -174,13 +193,18 @@ def _sweep(adj, active: list, grows) -> None:
             grown.append(ball)
         balls = grown
         r += 1
-        still = []
-        for v in active:
-            size = balls[v].bit_count()
-            level, sizes[v] = size - sizes[v], size
-            if level and grows(r, size, level):
-                still.append(v)
-        active = still
+        sizes = [balls[v].bit_count() for v in active]
+        top = max(sizes)
+        if top * den > num * r:
+            num, den = top, r
+        bar = _threshold(n, delta, r, num, den)
+        if bar is None:
+            break
+        need, gain = bar
+        keep = [size + (size - old) * gain >= need for size, old in zip(sizes, previous)]
+        active = list(compress(active, keep))
+        previous = list(compress(sizes, keep))
+    return num, den
 
 
 def brute_force_growth(g: Graph, r: int) -> int:

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +13,7 @@ from growthtw.graphs import (
     components_within,
     is_connected,
     is_tree,
-    moore_steps,
+    moore_gain,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -227,19 +225,33 @@ def test_components_within_induced_subgraph():
     assert components_within(g, frozenset()) == []
 
 
-def test_moore_steps_values():
-    assert moore_steps(2, 3, 2, 500) == 249      # a path gains 2 vertices a level
-    assert moore_steps(3, 4, 3, 10) == 1         # 4 + 3*2
-    assert moore_steps(3, 4, 3, 11) == 2         # 10 + 3*4
-    assert moore_steps(5, 6, 5, 6) == 0
-    assert moore_steps(1, 2, 1, 3) == math.inf   # a matching never grows
-    assert moore_steps(4, 5, 0, 6) == math.inf   # an empty level ends the ball
+def test_moore_gain_values():
+    # A path gains 2 vertices a level: from 3 vertices, 500 takes 249 levels.
+    assert moore_gain(2, 249, 500) == 249
+    assert 3 + 2 * moore_gain(2, 248, 500) < 500 <= 3 + 2 * moore_gain(2, 249, 500)
+    # Degree 3 from 4 vertices, 3 of them on the level: 4 + 3*2 = 10 by one
+    # step, 10 + 3*4 = 22 by two.
+    assert 4 + 3 * moore_gain(3, 0, 10) < 10 == 4 + 3 * moore_gain(3, 1, 10)
+    assert 4 + 3 * moore_gain(3, 1, 11) < 11 <= 4 + 3 * moore_gain(3, 2, 11)
+    assert moore_gain(3, 2, 11) == 6
+    # A ball that already holds the target needs no step.
+    assert 6 + 5 * moore_gain(5, 0, 6) >= 6
+    # A matching never grows, and neither does a ball with an empty level.
+    assert all(moore_gain(1, j, 3) == 0 for j in range(50))
+    assert moore_gain(0, 10, 3) == 0
+    assert all(5 + 0 * moore_gain(4, j, 6) < 6 for j in range(50))
+    # The sum stops at the first partial sum that reaches the cap:
+    # 2, 6, 14, 30, ... for delta = 3.
+    assert moore_gain(3, 100, 10) == 14
+    assert moore_gain(3, 100, 6) == 6
+    assert moore_gain(3, 3, 10**6) == 14
+    assert moore_gain(7, 10**9, 10**6) == 6 * (6**8 - 1) // 5
 
 
 @given(small_graphs(max_n=10))
-def test_moore_steps_never_undercounts_a_ball(g):
-    # From any ball B_r(v), r >= 1, the ball B_{r+j}(v) is reachable in at
-    # most j steps of the bound.
+def test_moore_gain_never_undercounts_a_ball(g):
+    # From any ball B_r(v), r >= 1, the bound after j steps reaches the
+    # ball B_{r+j}(v), whatever the cap at or above its size.
     delta = g.max_degree()
     for v in range(g.n):
         dist = bfs_distances(g, v)
@@ -247,4 +259,5 @@ def test_moore_steps_never_undercounts_a_ball(g):
         for r in range(1, len(sizes)):
             level = sizes[r] - sizes[r - 1]
             for j, target in enumerate(sizes[r:]):
-                assert moore_steps(delta, sizes[r], level, target) <= j
+                for cap in (target, target + 1, g.n):
+                    assert sizes[r] + level * moore_gain(delta, j, cap) >= target

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,7 @@ from growthtw.growth import (
     growth_profile,
     verify_growth_bound,
 )
-from growthtw.harness import random_tree
+from growthtw.harness import default_corpus, random_tree
 
 
 def random_small_graph(rng, max_n=8, max_m=20):
@@ -490,6 +491,103 @@ def test_paths_and_cycles_stop_at_radius_one_without_masks(monkeypatch, family, 
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def moore_steps(delta, size, level, target):
+    """Reference for `growth._threshold`, the Moore bound stated per source:
+    the least j >= 0 such that a ball of `size` vertices, `level` at its
+    last distance, may reach `target` vertices j radii later in a graph of
+    maximum degree `delta`; math.inf if it never can."""
+    if size >= target:
+        return 0
+    fan = delta - 1
+    if fan <= 0 or level == 0:
+        return math.inf
+    if fan == 1:
+        return -(-(target - size) // level)
+    steps = 0
+    while size < target:
+        level *= fan
+        size += level
+        steps += 1
+    return steps
+
+
+@given(
+    n=st.integers(1, 10**6),
+    delta=st.integers(0, 6),
+    r=st.integers(1, 3000),
+    num=st.integers(1, 10**6),
+    den=st.integers(1, 60),
+    size=st.integers(0, 10**6),
+    level=st.integers(0, 10**6),
+)
+@example(n=900, delta=4, r=2, num=5, den=1, size=13, level=8)
+@example(n=20000, delta=2, r=1, num=3, den=1, size=3, level=2)
+@example(n=50, delta=3, r=3, num=6, den=1, size=18, level=0)
+@example(n=10**6, delta=6, r=1, num=7, den=1, size=7, level=6)
+@settings(max_examples=400, deadline=None)
+def test_threshold_equals_the_per_source_moore_rule(n, delta, r, num, den, size, level):
+    # One threshold per (radius, best) decides every ball of that radius as
+    # the per-source rule j > 0 and moore_steps(...) <= j does.
+    j = -(-n * den // num) - r - 1
+    expected = j > 0 and moore_steps(delta, size, level, num * (r + j) // den + 1) <= j
+    bar = growth_mod._threshold(n, delta, r, num, den)
+    assert (bar is not None and size + level * bar[1] >= bar[0]) == expected
+
+
+# growth_constant of every default_corpus() graph, as the corpus benchmark
+# pins it.
+CORPUS_GROWTH_CONSTANTS = {
+    "path-10": Fraction(3), "path-50": Fraction(3), "cycle-9": Fraction(3),
+    "cycle-50": Fraction(3), "star-10": Fraction(10), "star-40": Fraction(40),
+    "complete-5": Fraction(5), "cbt-15": Fraction(5), "cbt-63": Fraction(63, 5),
+    "grid-3": Fraction(5), "grid-4": Fraction(11, 2), "grid-8": Fraction(51, 5),
+    "random-tree-200": Fraction(141, 4), "cubic-20": Fraction(6),
+    "cubic-100": Fraction(33, 2), "product-P8xP8": Fraction(49, 3),
+    "product-P4^3": Fraction(32), "path-2000": Fraction(3), "cycle-500": Fraction(3),
+    "grid-20": Fraction(315, 13), "random-tree-1000": Fraction(423, 4),
+    "cubic-500": Fraction(443, 8), "product-P12xP12": Fraction(121, 5),
+    "product-P6^3": Fraction(72),
+}
+
+
+def test_growth_constant_of_the_default_corpus():
+    assert {name: growth_constant(g) for name, g in default_corpus()} == CORPUS_GROWTH_CONSTANTS
+
+
+@pytest.mark.parametrize("make, c", [
+    (lambda: grid(30), Fraction(755, 21)),
+    (lambda: random_cubic(5000, 1), Fraction(2357, 6)),
+])
+def test_growth_constant_of_swept_graphs(monkeypatch, make, c):
+    monkeypatch.setattr(growth_mod, "_ball_sizes", forbid("_ball_sizes"))
+    assert growth_constant(make()) == c
+
+
+def test_a_swept_ball_that_meets_the_threshold_exactly_stays(monkeypatch):
+    # In random_cubic(16, 137) only vertex 2 has eccentricity 3.  At r = 2
+    # the best is 10/2 = 5, so j = 1 and need = 16; B_2(2) has 8 vertices,
+    # 4 of them at distance 2, so its Moore bound 8 + 4*2 meets need
+    # exactly, and indeed B_3(2) is all 16 vertices: c = 16/3, not 5.
+    monkeypatch.setattr(growth_mod, "_ball_sizes", forbid("_ball_sizes"))
+    assert growth_constant(random_cubic(16, 137)) == Fraction(16, 3)
+
+
+def test_a_ball_that_meets_the_threshold_exactly_stays_in_the_per_source_bfs(monkeypatch):
+    # By per-source BFS on random_cubic(10, 1), source 0 raises the best to
+    # 9/2 at r = 2.  Then the threshold at r = 1 is need = 10 with gain 2,
+    # which every B_1(v), 4 vertices with 3 at distance 1, meets exactly;
+    # B_2(3) is all 10 vertices, so c = 5, not 9/2.
+    monkeypatch.setattr(growth_mod, "_sweep", forbid("_sweep"))
+    monkeypatch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
+    assert growth_constant(random_cubic(10, 1)) == 5
+
+
+def test_growth_constant_of_a_grid_by_per_source_bfs(monkeypatch):
+    monkeypatch.setattr(growth_mod, "_sweep", forbid("_sweep"))
+    monkeypatch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
+    assert growth_constant(grid(30)) == Fraction(755, 21)
 
 
 def test_growth_profile_refuses_r_max_past_the_budget():
