@@ -9,13 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
-from .errors import (
-    CapacityError,
-    ModelError,
-    PreconditionError,
-    RangeError,
-)
-from .graphs import Graph, bfs_distances, is_connected, is_tree, json_int, json_ints
+from .errors import CapacityError, PreconditionError, RangeError
+from .graphs import Graph, bfs_distances, is_tree, json_int, json_ints, minor
 
 SUBDIVISION_VERTEX_BUDGET = 500_000
 SUPERLINEAR_SCAN_BUDGET = 1_000_000
@@ -167,7 +162,10 @@ def host_subdivision_plan(g: Graph, emb: HostEmbedding, epsilon):
     gamma, the count ell(i) of edges deeper than i, and the smallest integer
     scale table with scale[n_T] = 1 and
     epsilon * scale[i] >= 2 * scale[i+1] * ell(i) + |V(g)| for all i.
-    Each edge gets a path of length 2 * scale[gamma(e)]."""
+    Each edge gets a path of length 2 * scale[gamma(e)].  The levels are
+    walked from the deepest edge's up with a running vertex count; every
+    edge adds at least one vertex, so the count only grows, and it is a
+    CapacityError as soon as it passes SUBDIVISION_VERTEX_BUDGET."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise RangeError(f"epsilon must be positive, got {epsilon}")
@@ -181,16 +179,30 @@ def host_subdivision_plan(g: Graph, emb: HostEmbedding, epsilon):
     for u, v in g.edges():
         gamma[(u, v)] = min(depth[emb.vertex_map[u][0]], depth[emb.vertex_map[v][0]])
     n_t = emb.host_tree.n
-    ell = tuple(
-        sum(1 for d in gamma.values() if d > i) for i in range(n_t)
-    )
+    at_depth = [0] * n_t
+    for d in gamma.values():
+        at_depth[d] += 1
+    deepest = max(gamma.values())
+    ell = [0] * n_t
     scale = [1] * (n_t + 1)
-    for i in range(n_t - 1, -1, -1):
+    projected = g.n
+    for i in range(deepest, -1, -1):
         need = Fraction(2 * scale[i + 1] * ell[i] + g.n, epsilon)
         scale[i] = max(1, math.ceil(need))
+        projected += at_depth[i] * (2 * scale[i] - 1)
+        if projected > SUBDIVISION_VERTEX_BUDGET:
+            # The count grows like (n/epsilon)^depth and may pass the 4300
+            # digits that str() converts, so the message does not print it.
+            raise CapacityError(
+                f"host subdivision projects more than {SUBDIVISION_VERTEX_BUDGET} "
+                "vertices; increase epsilon"
+            )
+        if i:
+            ell[i - 1] = ell[i] + at_depth[i]
+    # Below the deepest edge's level ell is 0, so all share its scale.
+    scale[deepest + 1:n_t] = [scale[deepest]] * (n_t - 1 - deepest)
     lengths = {e: 2 * scale[d] for e, d in gamma.items()}
-    projected = g.n + sum(l - 1 for l in lengths.values())
-    return gamma, ell, tuple(scale), lengths, projected
+    return gamma, tuple(ell), tuple(scale), lengths, projected
 
 
 def subdivide_in_host(g: Graph, emb: HostEmbedding, epsilon) -> SubdivisionRecord:
@@ -198,14 +210,7 @@ def subdivide_in_host(g: Graph, emb: HostEmbedding, epsilon) -> SubdivisionRecor
     f(r) <= (k * max_degree + epsilon) * r + 1 is re-verified by the growth
     module, not assumed here."""
     epsilon = Fraction(epsilon)
-    gamma, ell, scale, lengths, projected = host_subdivision_plan(g, emb, epsilon)
-    if projected > SUBDIVISION_VERTEX_BUDGET:
-        # The count grows like (n/epsilon)^depth and may pass the 4300 digits
-        # that str() converts, so the message does not print it.
-        raise CapacityError(
-            f"host subdivision projects more than {SUBDIVISION_VERTEX_BUDGET} "
-            "vertices; increase epsilon"
-        )
+    gamma, ell, scale, lengths, _ = host_subdivision_plan(g, emb, epsilon)
     result = subdivide(g, lengths)
     return SubdivisionRecord(
         base=g, lengths=lengths, result=result, gamma=gamma,
@@ -281,23 +286,11 @@ def expand_to_degree3(g: Graph) -> Tuple[Graph, Dict[int, int]]:
 
 
 def contract_minor_map(h: Graph, minor_map: Dict[int, int]) -> Graph:
-    """Contract each label's preimage (which must induce a connected
-    subgraph) to a single vertex; labels are relabelled densely in sorted
-    order; self-loops are discarded."""
+    """The minor (`graphs.minor`) whose vertex i is the preimage of the i-th
+    label in sorted order; each preimage must induce a connected subgraph."""
     if set(minor_map) != set(range(h.n)):
         raise PreconditionError("minor map must cover exactly the vertices of h")
-    labels = sorted(set(minor_map.values()))
-    index = {lab: i for i, lab in enumerate(labels)}
-    preimages: Dict[int, set] = {lab: set() for lab in labels}
+    preimages: Dict[int, set] = {}
     for v, lab in minor_map.items():
-        preimages[lab].add(v)
-    for lab, pre in preimages.items():
-        if not is_connected(h, pre):
-            raise ModelError(f"preimage of label {lab} is disconnected")
-    edges = set()
-    for u, v in h.edges():
-        lu, lv = index[minor_map[u]], index[minor_map[v]]
-        if lu != lv:
-            edges.add((min(lu, lv), max(lu, lv)))
-    return Graph(len(labels), edges)
-
+        preimages.setdefault(lab, set()).add(v)
+    return minor(h, {lab: preimages[lab] for lab in sorted(preimages)})

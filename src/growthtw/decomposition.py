@@ -11,8 +11,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import CapacityError, PreconditionError, RangeError
-from .graphs import Graph, components_within, is_connected, iter_bits, json_int, json_ints
+from .errors import CapacityError, ModelError, PreconditionError, RangeError
+from .graphs import Graph, components_within, iter_bits, json_int, json_ints, minor
 from .separators import _growth_parameter, bfs_layering
 
 EXACT_TREEWIDTH_VERTEX_BUDGET = 18
@@ -418,32 +418,18 @@ def grid_identity_model(k: int) -> MinorModel:
 
 
 def verify_grid_minor_model(g: Graph, model: MinorModel) -> ModelVerdict:
-    """Valid iff the branch sets are nonempty, pairwise disjoint, each
-    connected in g, and every consecutive row/column pair is joined by an
-    edge."""
+    """Valid iff the cells are branch sets of a minor of g (`graphs.minor`)
+    in which every consecutive row/column pair of cells is adjacent."""
     q = model.side
-    seen: set = set()
-    for i in range(q):
-        for j in range(q):
-            cell = model.cell(i, j)
-            if not cell:
-                return ModelVerdict(False, f"branch set ({i},{j}) is empty")
-            for v in cell:
-                if not (0 <= v < g.n):
-                    raise RangeError(f"branch set ({i},{j}) has out-of-range vertex {v}")
-            if cell & seen:
-                return ModelVerdict(False, f"branch set ({i},{j}) overlaps another")
-            seen |= cell
-            if not is_connected(g, cell):
-                return ModelVerdict(False, f"branch set ({i},{j}) is disconnected")
+    cells = {f"({i},{j})": model.cell(i, j) for i in range(q) for j in range(q)}
+    try:
+        h = minor(g, cells)
+    except ModelError as exc:
+        return ModelVerdict(False, str(exc))
     for i in range(q):
         for j in range(q - 1):
-            if not _sets_joined(g, model.cell(i, j), model.cell(i, j + 1)):
+            if not h.has_edge(i * q + j, i * q + j + 1):
                 return ModelVerdict(False, f"no edge between cells ({i},{j}) and ({i},{j + 1})")
-            if not _sets_joined(g, model.cell(j, i), model.cell(j + 1, i)):
+            if not h.has_edge(j * q + i, (j + 1) * q + i):
                 return ModelVerdict(False, f"no edge between cells ({j},{i}) and ({j + 1},{i})")
     return ModelVerdict(True)
-
-
-def _sets_joined(g: Graph, a: frozenset, b: frozenset) -> bool:
-    return any(w in b for v in a for w in g.adj[v])

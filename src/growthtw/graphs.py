@@ -1,6 +1,6 @@
 """Immutable simple undirected graphs with dense integer vertex ids, plus
-BFS primitives (distances, balls, components), edge-list I/O, and the
-integer checks of JSON input.
+BFS primitives (distances, balls, components), minors of branch sets,
+edge-list I/O, and the integer checks of JSON input.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import reprlib
 from collections import deque
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .errors import CapacityError, ParseError, RangeError, StructureError
+from .errors import CapacityError, ModelError, ParseError, RangeError, StructureError
 
 # Largest vertex count of any graph.  A larger n is refused before n
 # adjacency lists are allocated, so a short header cannot exhaust memory.
@@ -283,6 +283,32 @@ def is_connected(g: Graph, vertices: Optional[frozenset] = None) -> bool:
         return True
     start = next(iter(vertices))
     return len(bfs_distances(g, start, frozenset(vertices))) == len(vertices)
+
+
+def minor(g: Graph, parts) -> Graph:
+    """The minor of g whose vertex i is the i-th set of `parts`, a mapping
+    from names to vertex sets, contracted; vertices in no set are deleted.
+    An id outside [0, n) is a RangeError, and the first set that is empty,
+    meets an earlier set or is disconnected in g a ModelError naming it."""
+    owner = {}
+    for i, (key, part) in enumerate(parts.items()):
+        if not part:
+            raise ModelError(f"branch set {key} is empty")
+        for v in part:
+            if not (0 <= v < g.n):
+                raise RangeError(f"branch set {key} has out-of-range vertex {v}")
+        if not owner.keys().isdisjoint(part):
+            raise ModelError(f"branch set {key} overlaps another")
+        owner.update(dict.fromkeys(part, i))
+        if not is_connected(g, part):
+            raise ModelError(f"branch set {key} is disconnected")
+    edges = set()
+    for v, i in owner.items():
+        for w in g.adj[v]:
+            j = owner.get(w, i)
+            if j > i:
+                edges.add((i, j))
+    return Graph(len(parts), edges)
 
 
 def is_tree(g: Graph) -> bool:

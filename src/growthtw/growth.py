@@ -37,10 +37,6 @@ class GrowthProfile:
     growth_constant: Fraction
     argmax_radius: int
 
-    @property
-    def r_max(self) -> int:
-        return len(self.values)
-
     def f(self, r: int) -> int:
         if not (1 <= r <= len(self.values)):
             raise RangeError(f"r={r} outside computed range [1,{len(self.values)}]")

@@ -144,14 +144,15 @@ def median_thin_index(thin: Tuple[int, ...], p: int) -> int:
 
 def iteration_cap(alpha) -> int:
     """ceil(log_alpha(2/3)): smallest i >= 1 with alpha^i <= 2/3, found by
-    exact rational powering."""
+    exact integer powers of alpha = a/b, compared as 3 * a^i <= 2 * b^i."""
     alpha = Fraction(alpha)
     if not (Fraction(2, 3) <= alpha < 1):
         raise RangeError(f"alpha must be in [2/3, 1), got {alpha}")
-    power = alpha
-    i = 1
-    while power > Fraction(2, 3):
-        power *= alpha
+    a, b = alpha.numerator, alpha.denominator
+    num, den, i = a, b, 1
+    while 3 * num > 2 * den:
+        num *= a
+        den *= b
         i += 1
     return i
 
@@ -160,8 +161,6 @@ def _orient_by_size(x: frozenset, y: frozenset) -> Tuple[frozenset, frozenset]:
     """Return (smaller, larger); ties broken by smallest contained id."""
     if len(x) != len(y):
         return (x, y) if len(x) < len(y) else (y, x)
-    if not x:
-        return x, y
     return (y, x) if min(x) < min(y) else (x, y)
 
 

@@ -464,6 +464,14 @@ def test_host_subdivision_past_the_budget_names_no_count(tmp_path, epsilon):
                    "increase epsilon\n")
 
 
+@pytest.mark.parametrize("mode, message", [("host", "--mode host requires --embedding"),
+                                           ("uniform", "--mode uniform requires --poly COEFF...")])
+def test_subdivide_mode_without_its_input_is_an_input_error(tmp_path, mode, message):
+    code, out, err = run_quietly(["subdivide", write_graph(tmp_path, path(4)), "--mode", mode])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_unwritable_output_is_input_error(tmp_path, capsys):
     src = write_graph(tmp_path, path(4))
     target = tmp_path / "missing-dir" / "x.json"

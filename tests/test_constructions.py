@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,14 @@ def test_embedding_json_round_trip():
     assert (again.root, again.k) == (emb.root, emb.k)
 
 
+def test_embedding_json_without_tree_n_ends_at_the_largest_edge_end():
+    data = identity_embedding(path(3)).to_json_dict()
+    del data["tree_n"]
+    assert HostEmbedding.from_json_dict(data).host_tree == path(3)
+    data["tree_edges"] = []
+    assert HostEmbedding.from_json_dict(data).host_tree == Graph(1)
+
+
 @pytest.mark.parametrize("edges", [[[0, 1, 1]], [[0]], [[0, 1.0]], [[False, 1]]])
 def test_embedding_json_edges_must_be_integer_pairs(edges):
     data = identity_embedding(path(2)).to_json_dict()
@@ -225,6 +234,34 @@ def test_host_requires_edges_and_positive_epsilon():
         host_subdivision_plan(path(2), identity_embedding(path(2)), 0)
 
 
+def test_host_plan_refuses_an_invalid_embedding():
+    emb = HostEmbedding(host_tree=path(2), root=0, k=1, vertex_map={0: (0, 1)})
+    with pytest.raises(PreconditionError, match="^invalid embedding: vertex 1 has no image$"):
+        host_subdivision_plan(path(2), emb, 1)
+
+
+@pytest.mark.parametrize("g, emb", [
+    # path(800) on the host path 0-1-...-799 rooted at 0 is 799 levels deep,
+    # so the whole scale table at epsilon 1e-1000 would have about 800,000
+    # digits in its top entry.  The deepest edge alone passes the budget.
+    (path(800), identity_embedding(path(800))),
+    # One edge at the root of a 5000-node host path: the 4998 levels below
+    # it would each hold a 1000-digit scale.
+    (path(2), HostEmbedding(host_tree=path(5000), root=0, k=1,
+                            vertex_map={0: (0, 1), 1: (1, 1)})),
+])
+def test_host_plan_refuses_past_the_budget_as_it_builds(g, emb):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="^host subdivision projects more than 500000 "
+                                                "vertices; increase epsilon$"):
+            host_subdivision_plan(g, emb, Fraction(1, 10 ** 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------- uniform subdivision
 
 def test_uniform_k4_quadratic():
@@ -250,6 +287,11 @@ def test_uniform_two_vertices():
     # 5-edge path on 6 vertices.
     assert rec.uniform_subdivisions == 4
     assert rec.result == Graph(6, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+
+
+def test_uniform_refuses_the_empty_graph():
+    with pytest.raises(PreconditionError, match="^cannot subdivide the empty graph$"):
+        subdivide_uniform_superlinear(Graph(0), lambda r: Fraction(r * r + 1))
 
 
 def test_uniform_rejects_decreasing_bound():

@@ -12,6 +12,7 @@ from growthtw.constructions import expand_to_degree3
 from growthtw.decomposition import (
     DecompositionReport,
     MinorModel,
+    ModelVerdict,
     TreeDecomposition,
     build_tree_decomposition,
     check_tree_decomposition,
@@ -808,6 +809,18 @@ def test_model_rejections():
     sets = ((frozenset({0}), frozenset({1})), (frozenset({2}), frozenset({4})))
     with pytest.raises(RangeError, match=r"branch set \(1,1\) has out-of-range vertex 4"):
         verify_grid_minor_model(g, MinorModel(side=2, branch_sets=sets))
+
+
+def test_model_failures_are_named_through_the_minor_checker():
+    g = grid(2)  # 0 1 / 2 3
+    sets = ((frozenset({0}), frozenset()), (frozenset({2}), frozenset({3})))
+    verdict = verify_grid_minor_model(g, MinorModel(side=2, branch_sets=sets))
+    assert verdict == ModelVerdict(False, "branch set (0,1) is empty")
+    # Cells 0 and 3 of the first row are not adjacent in grid(2).
+    sets = ((frozenset({0}), frozenset({3})), (frozenset({2}), frozenset({1})))
+    verdict = verify_grid_minor_model(g, MinorModel(side=2, branch_sets=sets))
+    assert verdict == ModelVerdict(False, "no edge between cells (0,0) and (0,1)")
+    assert verify_grid_minor_model(g, MinorModel(side=0, branch_sets=())).valid
 
 
 def test_contracted_model_in_bigger_grid():

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from growthtw.errors import CapacityError, ParseError, RangeError, StructureError
-from growthtw.generators import path
+from growthtw.errors import CapacityError, ModelError, ParseError, RangeError, StructureError
+from growthtw.generators import cycle, path
 from growthtw.graphs import (
     EDGE_BUDGET,
     VERTEX_BUDGET,
@@ -13,6 +13,7 @@ from growthtw.graphs import (
     components_within,
     is_connected,
     is_tree,
+    minor,
     moore_gain,
     parse_edge_list,
     serialize_edge_list,
@@ -96,6 +97,12 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 2
+    with pytest.raises(ParseError, match="^line 1: non-integer header field in 'p x 1'$"):
+        parse_edge_list("p x 1\n")
+    with pytest.raises(ParseError, match="^line 2: expected edge '<u> <v>', got '0 1 2'$"):
+        parse_edge_list("p 3 1\n0 1 2\n")
+    with pytest.raises(ParseError, match="^line 3: expected edge '<u> <v>', got '2'$"):
+        parse_edge_list("p 3 1\n0 1\n2\n")
 
 
 @st.composite
@@ -204,6 +211,37 @@ def test_connectivity_predicates():
     assert is_tree(Graph(3, [(0, 1), (1, 2)]))
     assert not is_tree(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert not is_tree(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_ball_refuses_a_negative_radius():
+    assert ball(path(3), 0, 0) == frozenset({0})
+    with pytest.raises(RangeError, match="^radius must be nonnegative, got -1$"):
+        ball(path(3), 0, -1)
+
+
+def test_minor_contracts_each_set_to_its_index():
+    # Sets keep their order, not their keys' order; an edge inside a set
+    # vanishes, parallel edges merge and vertex 2, in no set, is deleted.
+    g = path(5)
+    assert minor(g, {"b": {3, 4}, "a": {0, 1}}) == Graph(2)
+    assert minor(g, {"b": {2, 3, 4}, "a": {0, 1}}) == Graph(2, [(0, 1)])
+    assert minor(cycle(4), {0: {0, 1}, 1: {2}, 2: {3}}) == cycle(3)
+    assert minor(cycle(4), {0: {0, 1}, 1: {2, 3}}) == Graph(2, [(0, 1)])
+    assert minor(cycle(4), {}) == Graph(0)
+
+
+def test_minor_names_the_first_bad_set():
+    g = path(4)
+    with pytest.raises(ModelError, match="^branch set x is empty$"):
+        minor(g, {"w": {0}, "x": set(), "y": {1, 3}})
+    with pytest.raises(ModelError, match="^branch set b overlaps another$"):
+        minor(g, {"a": {0, 1}, "b": {1, 2}})
+    with pytest.raises(ModelError, match="^branch set a is disconnected$"):
+        minor(g, {"a": {0, 2}, "b": set()})
+    with pytest.raises(RangeError, match="^branch set b has out-of-range vertex 4$"):
+        minor(g, {"a": {0}, "b": {4}})
+    with pytest.raises(RangeError, match="^branch set a has out-of-range vertex -1$"):
+        minor(g, {"a": {-1}})
 
 
 @given(small_graphs())

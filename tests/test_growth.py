@@ -101,6 +101,19 @@ def test_brute_force_budget():
         brute_force_growth(complete(8), 1)  # 28 edges
     with pytest.raises(CapacityError):
         brute_force_growth_edge_subsets(complete(6), 1)  # 15 edges
+    # A perfect matching on 18 vertices has 9 edges, within the edge budget,
+    # but 18 non-isolated vertices.
+    matching = Graph(18, [(2 * i, 2 * i + 1) for i in range(9)])
+    with pytest.raises(CapacityError, match="refuses 18 non-isolated vertices"):
+        brute_force_growth(matching, 1)
+
+
+def test_brute_force_refuses_the_empty_graph_and_radius_zero():
+    for oracle in (brute_force_growth, brute_force_growth_edge_subsets):
+        with pytest.raises(PreconditionError, match="^growth is undefined for the empty graph$"):
+            oracle(Graph(0), 1)
+    with pytest.raises(RangeError, match="^r must be >= 1, got 0$"):
+        brute_force_growth(path(3), 0)
 
 
 def full_radius(adj):

@@ -109,6 +109,14 @@ def test_check_separation_rejects_bad_pairs():
     assert "outside" in report.failure
 
 
+def test_check_separation_of_the_empty_graph():
+    empty = Separation(a=frozenset(), b=frozenset())
+    report = check_separation(Graph(0), None, empty, Fraction(2, 3))
+    assert report.valid and report.within_alpha
+    assert (report.order, report.sides) == (0, (0, 0, 0))
+    assert report.alpha_achieved == report.exclusive_ratio == 0
+
+
 def test_check_separation_numbers():
     g = path(7)
     sep = Separation(a=frozenset({0, 1, 2, 3}), b=frozenset({3, 4, 5, 6}))
