@@ -421,6 +421,9 @@ def verify_grid_minor_model(g: Graph, model: MinorModel) -> ModelVerdict:
     """Valid iff the cells are branch sets of a minor of g (`graphs.minor`)
     in which every consecutive row/column pair of cells is adjacent."""
     q = model.side
+    shape = [len(row) for row in model.branch_sets]
+    if shape != [q] * q:
+        return ModelVerdict(False, f"branch sets are not {q} x {q}: row lengths {shape}")
     cells = {f"({i},{j})": model.cell(i, j) for i in range(q) for j in range(q)}
     try:
         h = minor(g, cells)

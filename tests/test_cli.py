@@ -412,6 +412,13 @@ def test_checktd_malformed_decomposition_is_input_error(tmp_path, capsys, conten
     assert "malformed" in capsys.readouterr().err
 
 
+def test_checktd_missing_decomposition_is_input_error(tmp_path, capsys):
+    src = write_graph(tmp_path, path(3))
+    missing = tmp_path / "missing.json"
+    assert main(["checktd", src, "--td", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
 @pytest.mark.parametrize("ids", [[0, 2], [1, 2], [0, 0], [-1, 0]])
 def test_checktd_node_ids_must_be_0_to_k_minus_1(tmp_path, capsys, ids):
     src = write_graph(tmp_path, path(3))

@@ -823,6 +823,20 @@ def test_model_failures_are_named_through_the_minor_checker():
     assert verify_grid_minor_model(g, MinorModel(side=0, branch_sets=())).valid
 
 
+def test_model_of_the_wrong_shape_is_invalid():
+    g = grid(3)
+    rows = grid_identity_model(3).branch_sets
+    # Fewer rows than the side.
+    verdict = verify_grid_minor_model(g, MinorModel(side=3, branch_sets=rows[:2]))
+    assert verdict == ModelVerdict(False, "branch sets are not 3 x 3: row lengths [3, 3]")
+    # More rows and columns than the side: the extra cells are not ignored.
+    verdict = verify_grid_minor_model(g, MinorModel(side=2, branch_sets=rows))
+    assert verdict == ModelVerdict(False, "branch sets are not 2 x 2: row lengths [3, 3, 3]")
+    ragged = (rows[0], rows[1][:2], rows[2])
+    verdict = verify_grid_minor_model(g, MinorModel(side=3, branch_sets=ragged))
+    assert verdict == ModelVerdict(False, "branch sets are not 3 x 3: row lengths [3, 2, 3]")
+
+
 def test_contracted_model_in_bigger_grid():
     # 2x2 model inside grid(4) with fat branch sets (quadrants).
     g = grid(4)

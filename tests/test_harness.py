@@ -4,8 +4,10 @@ import pytest
 
 import growthtw.harness as harness_mod
 from growthtw.errors import CapacityError, InvariantViolationError, RangeError
-from growthtw.generators import grid
-from growthtw.graphs import is_tree
+from growthtw.decomposition import TreeDecomposition
+from growthtw.generators import grid, path
+from growthtw.graphs import Graph, is_tree
+from growthtw.stacklayout import StackLayout
 from growthtw.harness import (
     cubic_ball_bound,
     default_corpus,
@@ -65,6 +67,48 @@ def test_suite_selection():
     only_grid = run_theorem_suite(corpus, "t3.1")
     assert {r.theorem for r in only_grid} == {"t3.1"}
     assert len(only_grid) == 1
+
+
+@pytest.mark.parametrize("which, measured", [("all", 17), ("t3.1", 3), ("t5", 0)])
+def test_suite_measures_c_once_per_graph_read_and_builds_no_grid(monkeypatch, which, measured):
+    corpus = default_corpus(small=True)
+    calls = {"growth_constant": 0, "grid": 0}
+    for fn in calls:
+        def counted(*args, _fn=fn, _real=getattr(harness_mod, fn)):
+            calls[_fn] += 1
+            return _real(*args)
+        monkeypatch.setattr(harness_mod, fn, counted)
+    run_theorem_suite(corpus, which)
+    assert calls == {"growth_constant": measured, "grid": 0}
+
+
+def test_grid_side_recognises_exactly_the_grids():
+    assert [harness_mod._grid_side(grid(q)) for q in (2, 3, 8)] == [2, 3, 8]
+    assert harness_mod._grid_side(grid(1)) is None
+    assert harness_mod._grid_side(path(4)) is None  # n = 2^2 but m = 3, not 4
+    # grid(3) with edge 0-1 moved to 0-4: n and m match, the identity model does not.
+    moved = Graph(9, [e for e in grid(3).edges() if e != (0, 1)] + [(0, 4)])
+    assert moved.m == grid(3).m and harness_mod._grid_side(moved) is None
+    # grid(2) under other labels, the cycle 0-1-2-3, is not recognised: the
+    # identity model reads row-major ids.
+    assert harness_mod._grid_side(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])) is None
+
+
+def test_suite_refuses_an_invalid_built_decomposition(monkeypatch):
+    monkeypatch.setattr(harness_mod, "build_tree_decomposition",
+                        lambda g, c: TreeDecomposition(bags=(frozenset({0, 1, 2}),), edges=()))
+    with pytest.raises(InvariantViolationError,
+                       match=r"^grid-2: built decomposition invalid: vertex 3 appears in no bag$"):
+        run_theorem_suite([("grid-2", grid(2))], "t1.1")
+
+
+def test_suite_refuses_a_crossing_layout(monkeypatch):
+    # In the order 0 1 2 3 the edges 0-2 and 1-3 of grid(2) cross on one stack.
+    g = grid(2)
+    crossing = StackLayout(order=(0, 1, 2, 3), assignment={e: 1 for e in g.edges()}, k=1)
+    monkeypatch.setattr(harness_mod, "layout_from_decomposition", lambda g, td: crossing)
+    with pytest.raises(InvariantViolationError, match=r"^grid-2: heuristic layout invalid at "):
+        run_theorem_suite([("grid-2", g)], "t1.2")
 
 
 def test_identity_tree_embedding_valid():
