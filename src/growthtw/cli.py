@@ -32,7 +32,7 @@ from .separators import (
     check_separation,
     separation_alpha,
 )
-from .stacklayout import exact_stack_number, layout_from_decomposition
+from .stacklayout import check_stack_layout, exact_stack_number, layout_from_decomposition
 
 
 # Fraction("1e<N>") expands 10**N into an exact integer, in time and memory
@@ -174,9 +174,17 @@ def _separate(args) -> int:
     return 0 if report.valid else 1
 
 
+def _check_failed(what: str) -> int:
+    print(f"check failed: {what}", file=sys.stderr)
+    return 1
+
+
 def _treedecomp(args) -> int:
     g = _read_graph(args.input)
     td = build_tree_decomposition(g, _effective_c(args, g))
+    report = check_tree_decomposition(g, td)
+    if not report.valid:
+        return _check_failed(f"tree decomposition: {report.first_failure}")
     _write_json(args.out, td.to_json_dict())
     return 0
 
@@ -203,7 +211,13 @@ def _tw_exact(args) -> int:
 def _stack(args) -> int:
     g = _read_graph(args.input)
     td = build_tree_decomposition(g, _effective_c(args, g))
-    _write_json(args.out, layout_from_decomposition(g, td).to_json_dict())
+    # layout_from_decomposition checks td as its precondition.
+    layout = layout_from_decomposition(g, td)
+    verdict = check_stack_layout(g, layout)
+    if not verdict.valid:
+        e, f = verdict.first_crossing
+        return _check_failed(f"stack layout: edges {e} and {f} cross on one stack")
+    _write_json(args.out, layout.to_json_dict())
     return 0
 
 

@@ -15,11 +15,12 @@ import growthtw.cli as cli_mod
 import growthtw.constructions as constructions_mod
 from growthtw.cli import main
 from growthtw.constructions import subdivide_uniform_superlinear
-from growthtw.decomposition import build_tree_decomposition
+from growthtw.decomposition import TreeDecomposition, build_tree_decomposition
 from growthtw.errors import PreconditionError
 from growthtw.generators import FAMILIES, complete, grid, path, star
 from growthtw.graphs import VERTEX_BUDGET, Graph, parse_edge_list, serialize_edge_list
 from growthtw.separators import Separation, check_separation
+from growthtw.stacklayout import StackLayout
 
 
 # A decomposition of path(3), and an embedding of path(2) into the tree path(2).
@@ -150,6 +151,34 @@ def test_treedecomp_checktd_round_trip(tmp_path, capsys):
     td_file.write_text(json.dumps(data))
     assert main(["checktd", src, "--td", str(td_file)]) == 1
     assert capsys.readouterr().out == "invalid: vertex 4 appears in no bag\n"
+
+
+def test_treedecomp_writes_no_decomposition_that_fails_its_check(tmp_path, monkeypatch):
+    build = cli_mod.build_tree_decomposition
+
+    def drop_vertex_4(g, c):
+        td = build(g, c)
+        return TreeDecomposition(tuple(bag - {4} for bag in td.bags), td.edges)
+
+    monkeypatch.setattr(cli_mod, "build_tree_decomposition", drop_vertex_4)
+    src = write_graph(tmp_path, grid(3))
+    td_file = tmp_path / "td.json"
+    code, out, err = run_quietly(["treedecomp", src, "--c", "5", "-o", str(td_file)])
+    assert (code, out) == (1, "")
+    assert err == "check failed: tree decomposition: vertex 4 appears in no bag\n"
+    assert not td_file.exists()
+
+
+def test_stack_writes_no_layout_that_fails_its_check(tmp_path, monkeypatch):
+    # K4 in the order 0, 1, 2, 3 on one stack: 0-2 and 1-3 cross.
+    def one_stack(g, td):
+        return StackLayout(tuple(range(g.n)), {e: 1 for e in g.edges()}, 1)
+
+    monkeypatch.setattr(cli_mod, "layout_from_decomposition", one_stack)
+    src = write_graph(tmp_path, complete(4))
+    code, out, err = run_quietly(["stack", src, "--c", "4"])
+    assert (code, out) == (1, "")
+    assert err == "check failed: stack layout: edges (0, 2) and (1, 3) cross on one stack\n"
 
 
 def test_tw_exact_with_witness(tmp_path, capsys):

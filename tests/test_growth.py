@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import growthtw.growth as growth_mod
+from growthtw.constructions import subdivide_in_host, subdivide_uniform_superlinear
 from growthtw.errors import CapacityError, PreconditionError, RangeError
 from growthtw.generators import (
     complete,
@@ -28,7 +30,7 @@ from growthtw.growth import (
     growth_profile,
     verify_growth_bound,
 )
-from growthtw.harness import default_corpus, random_tree
+from growthtw.harness import default_corpus, identity_tree_embedding, random_tree
 
 
 def random_small_graph(rng, max_n=8, max_m=20):
@@ -607,3 +609,138 @@ def test_growth_profile_refuses_r_max_past_the_budget():
     with pytest.raises(CapacityError):
         growth_profile(path(3), VERTEX_BUDGET + 1)
     assert growth_profile(path(3), 5).values == (3, 3, 3, 3, 3)
+
+
+def bfs_profile(g: Graph, r_max: int):
+    """f(1), ..., f(r_max) by one deque BFS per source, to its whole
+    component, sharing nothing with growth.py."""
+    values = [1] * r_max
+    for v in range(g.n):
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        for r in range(1, r_max + 1):
+            values[r - 1] = max(values[r - 1], sum(1 for d in dist.values() if d <= r))
+    return tuple(values)
+
+
+@st.composite
+def graphs_and_radii(draw):
+    """A graph from either strategy above, and r_max = 1, r_max = n, or any
+    r_max from 1 to n + 3."""
+    g = draw(st.one_of(graphs_with_isolated_vertices(), sweep_graphs(max_n=60)))
+    r_max = draw(st.one_of(st.just(1), st.integers(1, g.n + 3), st.just(g.n)))
+    return g, r_max
+
+
+@given(graphs_and_radii())
+@example((Graph(1), 1))
+@example((Graph(5), 7))
+@example((path(30), 4))
+@example((two_components(path(12), Graph(3)), 1))
+@example((two_components(star(4), path(9)), 20))
+@example((two_components(grid(5), random_cubic(12, 1)), 3))
+@settings(max_examples=150, deadline=None)
+def test_swept_profile_equals_a_per_source_bfs(case):
+    g, r_max = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(growth_mod, "_ball_sizes", forbid("_ball_sizes"))
+        swept = growth_profile(g, r_max)
+    assert swept.values == bfs_profile(g, r_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(growth_mod, "PROFILE_SWEEP_WORDS", 0)
+        patch.setattr(growth_mod, "_ball_rounds", forbid("_ball_rounds"))
+        assert growth_profile(g, r_max) == swept
+
+
+def quadratic(r):
+    return Fraction(r * r + 3 * r + 1)
+
+
+def host_subdivision(tree: Graph) -> Graph:
+    return subdivide_in_host(tree, identity_tree_embedding(tree), 1).result
+
+
+def uniform_subdivision(g: Graph) -> Graph:
+    return subdivide_uniform_superlinear(g, quadratic).result
+
+
+def linear(slope, offset=1):
+    return lambda r: Fraction(slope * r + offset)
+
+
+# The t5 suite's and the oracles benchmark's growth certificates: the
+# graph, its (n, m), the bound, the largest radius verify_growth_bound
+# profiles (the last r with bound(r) < n) and its verdict.  The last three
+# bounds fail, each at its first violation (r, f(r)).
+CERTIFICATES = [
+    ("host P2", lambda: host_subdivision(path(2)), (5, 4), linear(2), 1, BoundVerdict(True)),
+    ("host cbt-7", lambda: host_subdivision(complete_binary_tree(7)), (309, 308), linear(4),
+     76, BoundVerdict(True)),
+    ("host star-6", lambda: host_subdivision(star(6)), (61, 60), linear(6), 9,
+     BoundVerdict(True)),
+    ("uniform K4", lambda: uniform_subdivision(complete(4)), (124, 126), quadratic, 9,
+     BoundVerdict(True)),
+    ("uniform cubic-8, seed 0", lambda: uniform_subdivision(random_cubic(8, 0)), (536, 540),
+     quadratic, 21, BoundVerdict(True)),
+    ("uniform cubic-8, seed 1", lambda: uniform_subdivision(random_cubic(8, 1)), (536, 540),
+     quadratic, 21, BoundVerdict(True)),
+    ("host cbt-7 under 2r + 1", lambda: host_subdivision(complete_binary_tree(7)), (309, 308),
+     linear(2), 153, BoundVerdict(False, (1, 4))),
+    ("host cbt-7 under 2r + 14", lambda: host_subdivision(complete_binary_tree(7)),
+     (309, 308), linear(2, 14), 147, BoundVerdict(False, (14, 43))),
+    ("uniform cubic-8, seed 0, under 4r", lambda: uniform_subdivision(random_cubic(8, 0)),
+     (536, 540), linear(4, 0), 133, BoundVerdict(False, (79, 318))),
+]
+
+
+@pytest.mark.parametrize("name, make, nm, bound, r_max, verdict", CERTIFICATES)
+def test_growth_certificates(monkeypatch, name, make, nm, bound, r_max, verdict):
+    g = make()
+    assert (g.n, g.m) == nm
+    assert max(r for r in range(1, g.n + 1) if bound(r) < g.n) == r_max
+    assert growth_mod._profile_sweeps(g.n)
+    monkeypatch.setattr(growth_mod, "_ball_sizes", forbid("_ball_sizes"))
+    assert verify_growth_bound(g, bound) == verdict
+
+
+def test_profiles_of_the_certificate_graphs():
+    # GrowthProfile over every radius: c, its radius, and a checksum.
+    for g, c, radius, total in [
+        (host_subdivision(complete_binary_tree(7)), 4, 1, 74026),
+        (uniform_subdivision(complete(4)), 4, 1, 13216),
+        (uniform_subdivision(random_cubic(8, 0)), Fraction(202, 45), 90, 251893),
+    ]:
+        profile = growth_profile(g, g.n)
+        assert (profile.growth_constant, profile.argmax_radius) == (c, radius)
+        assert sum(profile.values) == total and profile.values[-1] == g.n
+
+
+def test_the_host_subdivision_of_path_6_stays_on_per_source_bfs():
+    # n = 8749 and r_max = 2915 under 3r + 1: 17 s by BFS, 43 s swept.  Only
+    # the sizes are read here; neither profile runs.
+    g = host_subdivision(path(6))
+    assert (g.n, g.m) == (8749, 8748)
+    assert max(r for r in range(1, g.n + 1) if 3 * r + 1 < g.n) == 2915
+    assert not growth_mod._profile_sweeps(g.n)
+
+
+def test_the_profile_sweeps_up_to_2048_vertices(monkeypatch):
+    calls = []
+    ball_sizes = growth_mod._ball_sizes
+
+    def counting(adj, v, seen):
+        calls.append(v)
+        return ball_sizes(adj, v, seen)
+
+    monkeypatch.setattr(growth_mod, "_ball_sizes", counting)
+    assert growth_mod._profile_sweeps(2048) and not growth_mod._profile_sweeps(2049)
+    assert growth_profile(path(2048), 1).values == (3,)
+    assert calls == []
+    assert growth_profile(path(2049), 1).values == (3,)
+    assert calls == list(range(2049))
