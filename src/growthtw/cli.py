@@ -23,7 +23,7 @@ from .decomposition import (
     check_tree_decomposition,
     exact_treewidth,
 )
-from .errors import CapacityError, GrowthTWError
+from .errors import CapacityError, GrowthTWError, PreconditionError
 from .generators import FAMILIES, generate, random_cubic
 from .graphs import parse_edge_list, serialize_edge_list
 from .growth import growth_constant, growth_profile
@@ -201,30 +201,43 @@ def _checktd(args) -> int:
 
 
 def _tw_exact(args) -> int:
-    width, witness = exact_treewidth(_read_graph(args.input))
+    g = _read_graph(args.input)
+    width, witness = exact_treewidth(g)
+    report = check_tree_decomposition(g, witness)
+    if not report.valid:
+        return _check_failed(f"tree decomposition: {report.first_failure}")
+    if report.width != width:
+        return _check_failed(f"tree decomposition: width {report.width}, not the treewidth {width}")
     print(width)
     if args.witness:
         _write_json(args.witness, witness.to_json_dict())
     return 0
 
 
-def _stack(args) -> int:
-    g = _read_graph(args.input)
-    td = build_tree_decomposition(g, _effective_c(args, g))
-    # layout_from_decomposition checks td as its precondition.
-    layout = layout_from_decomposition(g, td)
+def _write_checked_layout(path: str, g, layout) -> int:
     verdict = check_stack_layout(g, layout)
     if not verdict.valid:
         e, f = verdict.first_crossing
         return _check_failed(f"stack layout: edges {e} and {f} cross on one stack")
-    _write_json(args.out, layout.to_json_dict())
+    _write_json(path, layout.to_json_dict())
     return 0
+
+
+def _stack(args) -> int:
+    g = _read_graph(args.input)
+    td = build_tree_decomposition(g, _effective_c(args, g))
+    try:
+        # layout_from_decomposition checks td as its precondition.
+        layout = layout_from_decomposition(g, td)
+    except PreconditionError:
+        return _check_failed(f"tree decomposition: {check_tree_decomposition(g, td).first_failure}")
+    return _write_checked_layout(args.out, g, layout)
 
 
 def _stack_exact(args) -> int:
-    _, layout = exact_stack_number(_read_graph(args.input))
-    _write_json(args.out, layout.to_json_dict())
-    return 0
+    g = _read_graph(args.input)
+    _, layout = exact_stack_number(g)
+    return _write_checked_layout(args.out, g, layout)
 
 
 def _subdivide(args) -> int:

@@ -1,7 +1,8 @@
 """Tree-decompositions: boundary-tracking construction from layer-split
 separators, validity/width checking, exact treewidth on small instances by
 decision passes over elimination prefixes between a minor-min-width lower
-bound and a min-fill upper bound, and grid-minor model verification.
+bound and a min-fill upper bound (each k tried first on the contraction
+minors behind that lower bound), and grid-minor model verification.
 """
 
 from __future__ import annotations
@@ -225,16 +226,26 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
     """Exact treewidth and a witness decomposition of that width.
 
     The min-fill elimination order gives an upper bound ub, and
-    minor-min-width (contract a minimum-degree vertex into its least-degree
-    neighbour, keep the largest minimum degree seen) a lower bound lb.  For
-    k = lb, ..., ub - 1 a decision pass searches the elimination prefixes S
+    minor-min-width (`_contraction_walk`) a lower bound lb.  For k = lb,
+    ..., ub - 1 a decision pass searches the elimination prefixes S
     reachable with every elimination degree |Q(S, v)| <= k, where Q(S, v)
     is the set of vertices outside S + {v} reachable from v through S
     (Bodlaender, Fomin, Koster, Kratsch & Thilikos, "On exact algorithms for
     treewidth", TALG 2012).  The first k that succeeds is the treewidth;
     if none does, the treewidth is ub.  The witness is rebuilt from the
     winning elimination order, so its bags may differ from those of another
-    exact solver while its width is exact."""
+    exact solver while its width is exact.
+
+    Each k is first tried on the minors H of the walk, smallest first,
+    skipping those with at most k + 1 vertices, whose pass always succeeds.
+    Every minor H of g has tw(H) <= tw(g), and the pass is exact at every
+    k, so a minor whose pass fails proves tw(g) > k: k is refuted without
+    the pass on g (the contraction lower bounds of Bodlaender, Koster &
+    Wolle, JGAA 2006).  The next k starts from that minor, since the
+    smaller ones succeeded at k and so succeed at k + 1.  Only a k that no
+    minor refutes runs the pass on g, the same call as without minors, so
+    the width and witness do not depend on them.  Minors are compacted only
+    when some k is tried."""
     n = g.n
     if n == 0:
         raise PreconditionError("treewidth is undefined for the empty graph")
@@ -243,8 +254,15 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
             f"exact treewidth refuses n={n} > {EXACT_TREEWIDTH_VERTEX_BUDGET}"
         )
     adjm = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+    lb, contracted = _contraction_walk(adjm)
     witness = _order_decomposition(adjm, _min_fill_order(adjm))
-    for k in range(_minor_min_width(adjm), witness.width):
+    minors = map(_compact_minor, reversed(contracted))
+    h = next(minors, None)
+    for k in range(lb, witness.width):
+        while h is not None and (len(h[0]) <= k + 1 or _elimination_order_within(h[0], k) is not None):
+            h = next(minors, None)
+        if h is not None:
+            continue
         order = _elimination_order_within(adjm, k)
         if order is not None:
             witness = _order_decomposition(adjm, order)
@@ -281,23 +299,43 @@ def _eliminate(adj, v: int) -> int:
     return nbrs
 
 
-def _minor_min_width(adjm) -> int:
-    """Minor-min-width lower bound: every minor H of g has treewidth at least
-    its minimum degree, so contract a minimum-degree vertex into its
-    least-degree neighbour (delete it when isolated) until one vertex is
-    left, and keep the largest minimum degree seen."""
+def _contraction_walk(adjm):
+    """Minor-min-width lower bound and the minors behind it.  Every minor H
+    of g has treewidth at least its minimum degree, so contract a
+    minimum-degree vertex into its least-degree neighbour (delete it when
+    isolated) until one vertex is left, and keep the largest minimum degree
+    seen.  Returns that bound and the minors after each step, largest
+    first, each as its adjacency and branch sets, both keyed by the
+    surviving ids of g and held as bitmasks over g's vertices."""
     adj = dict(enumerate(adjm))
+    parts = {v: 1 << v for v in adj}
     best = 0
+    contracted = []
     while len(adj) > 1:
         v = min(adj, key=lambda v: (adj[v].bit_count(), v))
         nbrs = adj.pop(v)
+        part = parts.pop(v)
         best = max(best, nbrs.bit_count())
         if nbrs:
             u = min(iter_bits(nbrs), key=lambda u: (adj[u].bit_count(), u))
             adj[u] = (adj[u] | nbrs) & ~(1 << u) & ~(1 << v)
+            parts[u] |= part
             for w in iter_bits(nbrs & ~(1 << u)):
                 adj[w] = (adj[w] & ~(1 << v)) | (1 << u)
-    return best
+        contracted.append((dict(adj), dict(parts)))
+    return best, contracted
+
+
+def _compact_minor(state):
+    """A minor of `_contraction_walk` on ids 0..n'-1, in the order of its
+    surviving ids: its bitmask adjacency and the branch set of each vertex."""
+    adj, parts = state
+    ids = sorted(adj)
+    index = {v: i for i, v in enumerate(ids)}
+    return (
+        [sum(1 << index[w] for w in iter_bits(adj[v])) for v in ids],
+        [parts[v] for v in ids],
+    )
 
 
 def _elimination_order_within(adjm, k: int) -> Optional[list]:

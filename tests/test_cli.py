@@ -162,23 +162,44 @@ def test_treedecomp_writes_no_decomposition_that_fails_its_check(tmp_path, monke
 
     monkeypatch.setattr(cli_mod, "build_tree_decomposition", drop_vertex_4)
     src = write_graph(tmp_path, grid(3))
-    td_file = tmp_path / "td.json"
-    code, out, err = run_quietly(["treedecomp", src, "--c", "5", "-o", str(td_file)])
-    assert (code, out) == (1, "")
-    assert err == "check failed: tree decomposition: vertex 4 appears in no bag\n"
-    assert not td_file.exists()
+    # stack lays out the decomposition it builds: the same fault, the same exit.
+    for command in ("treedecomp", "stack"):
+        out_file = tmp_path / f"{command}.json"
+        code, out, err = run_quietly([command, src, "--c", "5", "-o", str(out_file)])
+        assert (code, out) == (1, ""), command
+        assert err == "check failed: tree decomposition: vertex 4 appears in no bag\n"
+        assert not out_file.exists()
 
 
 def test_stack_writes_no_layout_that_fails_its_check(tmp_path, monkeypatch):
     # K4 in the order 0, 1, 2, 3 on one stack: 0-2 and 1-3 cross.
-    def one_stack(g, td):
+    def one_stack(g, td=None):
         return StackLayout(tuple(range(g.n)), {e: 1 for e in g.edges()}, 1)
 
     monkeypatch.setattr(cli_mod, "layout_from_decomposition", one_stack)
+    monkeypatch.setattr(cli_mod, "exact_stack_number", lambda g: (1, one_stack(g)))
     src = write_graph(tmp_path, complete(4))
-    code, out, err = run_quietly(["stack", src, "--c", "4"])
-    assert (code, out) == (1, "")
-    assert err == "check failed: stack layout: edges (0, 2) and (1, 3) cross on one stack\n"
+    for argv in (["stack", src, "--c", "4"], ["stack-exact", src]):
+        out_file = tmp_path / "layout.json"
+        code, out, err = run_quietly(argv + ["-o", str(out_file)])
+        assert (code, out) == (1, ""), argv
+        assert err == "check failed: stack layout: edges (0, 2) and (1, 3) cross on one stack\n"
+        assert not out_file.exists()
+
+
+def test_tw_exact_prints_nothing_that_fails_its_check(tmp_path, monkeypatch):
+    exact = cli_mod.exact_treewidth
+    src = write_graph(tmp_path, grid(3))
+    witness = tmp_path / "w.json"
+    for fault, message in (
+        (lambda w, td: (w, TreeDecomposition(tuple(bag - {4} for bag in td.bags), td.edges)),
+         "tree decomposition: vertex 4 appears in no bag"),
+        (lambda w, td: (w - 1, td), "tree decomposition: width 3, not the treewidth 2"),
+    ):
+        monkeypatch.setattr(cli_mod, "exact_treewidth", lambda g: fault(*exact(g)))
+        code, out, err = run_quietly(["tw-exact", src, "--witness", str(witness)])
+        assert (code, out, err) == (1, "", f"check failed: {message}\n")
+        assert not witness.exists()
 
 
 def test_tw_exact_with_witness(tmp_path, capsys):

@@ -28,7 +28,7 @@ from growthtw.errors import (
     RangeError,
 )
 from growthtw.generators import complete, complete_binary_tree, cycle, grid, path, random_cubic, star
-from growthtw.graphs import Graph, bfs_distances, components_within
+from growthtw.graphs import Graph, bfs_distances, components_within, iter_bits, minor
 from growthtw.growth import growth_constant
 from growthtw.harness import random_tree
 from growthtw.separators import bfs_layering
@@ -265,6 +265,9 @@ def independent_treewidth(g):
         (grid(2), 2),
         (grid(3), 3),
         (grid(4), 4),
+        (random_cubic(18, seed=1), 5),
+        (random_cubic(18, seed=2), 5),
+        (random_cubic(18, seed=3), 5),
     ],
 )
 def test_exact_treewidth_known(g, expected):
@@ -475,7 +478,7 @@ def test_greedy_clique_is_the_largest_greedy_one():
 def treewidth_bounds(g):
     adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
     ub = decomposition_mod._order_decomposition(adjm, decomposition_mod._min_fill_order(adjm)).width
-    return decomposition_mod._minor_min_width(adjm), ub
+    return decomposition_mod._contraction_walk(adjm)[0], ub
 
 
 def test_bounds_sandwich_the_treewidth():
@@ -486,6 +489,40 @@ def test_bounds_sandwich_the_treewidth():
         assert lb <= exact_treewidth(g)[0] <= ub
 
 
+def walk_minors(g):
+    adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    lb, contracted = decomposition_mod._contraction_walk(adjm)
+    return lb, [decomposition_mod._compact_minor(state) for state in contracted]
+
+
+def test_the_walk_minors_are_the_minors_of_their_branch_sets():
+    rng = random.Random(27)
+    graphs = [random_cubic(n, s) for n in (8, 12, 18) for s in (1, 2, 3)]
+    graphs += [Graph(1), Graph(4), grid(4), disjoint_union(cycle(5), Graph(3))]
+    graphs += [random_graph(rng, rng.randint(2, 14), rng.choice([0.1, 0.3, 0.6])) for _ in range(60)]
+    for g in graphs:
+        lb, minors = walk_minors(g)
+        assert [len(h) for h, _ in minors] == list(range(g.n - 1, 0, -1))
+        # lb is the largest minimum degree over g and its minors of 2+ vertices.
+        degrees = [min(map(len, g.adj))] if g.n > 1 else []
+        for h, parts in minors:
+            rebuilt = minor(g, {i: set(iter_bits(part)) for i, part in enumerate(parts)})
+            assert h == [sum(1 << w for w in nbrs) for nbrs in rebuilt.adj]
+            if rebuilt.n > 1:
+                degrees.append(min(map(len, rebuilt.adj)))
+        assert lb == max(degrees, default=0)
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_a_minor_whose_pass_fails_at_k_refutes_k(g):
+    tw = subset_dp_treewidth(g)
+    for h, _ in walk_minors(g)[1]:
+        for k in range(len(h)):
+            if decomposition_mod._elimination_order_within(h, k) is None:
+                assert tw > k, (k, h)
+
+
 # Seeded search over 4000 random graphs on 6-12 vertices (seed 1161, n = 10,
 # p = 0.4): min-fill gives width 5, the treewidth is 4.
 MIN_FILL_MISSES = Graph(10, [
@@ -494,6 +531,19 @@ MIN_FILL_MISSES = Graph(10, [
 ])
 
 
+# Seeded search over random graphs on 6-11 vertices (seed 1470): the minor
+# on 7 vertices refutes k = 4, the search at k = 5 starts from it, and g's
+# pass wins at k = 5, below min-fill's 6.
+MINOR_REFUTES_THEN_G_WINS = Graph(11, [
+    (0, 1), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 10), (1, 2), (1, 3), (1, 6),
+    (1, 9), (1, 10), (2, 3), (2, 4), (2, 8), (2, 9), (3, 4), (3, 6), (3, 9), (3, 10),
+    (4, 5), (4, 7), (5, 6), (5, 9), (6, 10), (8, 9), (8, 10),
+])
+
+
+# Each pass is (vertices of the graph it runs on, k, succeeded): the minors
+# of the contraction walk come first, smallest first, and g's pass runs only
+# for a k that no minor refutes.
 @pytest.mark.parametrize(
     "g,lb,tw,ub,passes",
     [
@@ -502,10 +552,20 @@ MIN_FILL_MISSES = Graph(10, [
         (star(9), 1, 1, 1, []),
         (complete(7), 6, 6, 6, []),
         (expand_to_degree3(complete(5))[0], 4, 4, 4, []),
-        # lb < ub == tw: the passes below ub all fail.
-        (random_cubic(10, seed=1), 3, 4, 4, [(3, False)]),
-        # tw < ub: a pass beats min-fill.
-        (MIN_FILL_MISSES, 4, 4, 5, [(4, True)]),
+        # lb < ub == tw: the minor on 9 vertices refutes k = 3; g's pass never runs.
+        (random_cubic(10, seed=1), 3, 4, 4,
+         [(5, 3, True), (6, 3, True), (7, 3, True), (8, 3, True), (9, 3, False)]),
+        # tw < ub: no minor refutes k = 4, and g's pass beats min-fill.
+        (MIN_FILL_MISSES, 4, 4, 5,
+         [(6, 4, True), (7, 4, True), (8, 4, True), (9, 4, True), (10, 4, True)]),
+        # A minor refutes k = 4, k = 5 starts from it, and g's pass wins.
+        (MINOR_REFUTES_THEN_G_WINS, 4, 5, 6,
+         [(6, 4, True), (7, 4, False), (7, 5, True), (8, 5, True), (9, 5, True),
+          (10, 5, True), (11, 5, True)]),
+        # A minor refutes k = 3, but none refutes k = 4: g's failing pass runs.
+        (random_cubic(18, seed=17), 3, 5, 5,
+         [(5, 3, True), (6, 3, True), (7, 3, True), (8, 3, False)]
+         + [(h, 4, True) for h in range(8, 18)] + [(18, 4, False)]),
     ],
 )
 def test_exact_treewidth_branches(monkeypatch, g, lb, tw, ub, passes):
@@ -514,7 +574,7 @@ def test_exact_treewidth_branches(monkeypatch, g, lb, tw, ub, passes):
 
     def recording(adjm, k):
         order = decide(adjm, k)
-        ran.append((k, order is not None))
+        ran.append((len(adjm), k, order is not None))
         return order
 
     monkeypatch.setattr(decomposition_mod, "_elimination_order_within", recording)
