@@ -88,8 +88,9 @@ def _profile_sweeps(n: int) -> bool:
 def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
     """f(r) = max_v |B_r(v)| for r in [1, r_max], with the growth constant
     maximised over r in [1, min(r_max, n)].  Where `_profile_sweeps(n)`
-    holds, all balls grow together in `_ball_rounds` and f(r) is the
-    largest bit count of round r; otherwise every source runs its BFS
+    holds, all balls grow together in `_ball_rounds`, one per class of
+    closed twins, and f(r) is the largest bit count over the classes of
+    round r; otherwise every source runs its BFS
     (`_ball_sizes`) to radius r_max or its whole component.  r_max past
     VERTEX_BUDGET is a CapacityError."""
     if g.n == 0:
@@ -131,12 +132,17 @@ def growth_constant(g: Graph) -> Fraction:
 
     Radius 1 is decided from degrees alone: |B_1(v)| = deg(v) + 1 with
     deg(v) vertices at distance 1, and no such ball beats the starting
-    best, so one threshold is tested once per degree.  When some source
-    passes it and n <= SWEEP_VERTEX_LIMIT, all sources grow together,
-    radius by radius, as vertex bitmasks (`_sweep`), which raises the best
-    once per radius and tests every source against one threshold.  Each
-    mask takes up to n/8 bytes and two generations are kept, so the limit
-    caps them at 64 MiB; above it, each source runs its own BFS
+    best, so one threshold is tested once per degree.  Closed twins,
+    vertices u, v with N[u] = N[v], have B_r(u) = B_r(v) at every r >= 1
+    (by induction: B_1(u) = N[u], and B_{r+1}(x) is the union of B_r(w)
+    over w in N[x]), so they offer the same ratios and only one source per
+    class is searched.  When some source passes radius 1 and
+    n <= SWEEP_VERTEX_LIMIT, all classes grow together, radius by radius,
+    as vertex bitmasks (`_sweep`), which raises the best once per radius
+    and tests every class against one threshold.  Each mask takes up to
+    n/8 bytes and two generations are kept, so the limit caps them at
+    64 MiB; above it, one source per class among those that pass radius 1,
+    keyed by its sorted closed neighbourhood, runs its own BFS
     (`_ball_sizes`) in O(n) memory, raising the best by each ball and
     testing it against the threshold of its radius."""
     n = g.n
@@ -148,19 +154,25 @@ def growth_constant(g: Graph) -> Fraction:
     if bar is None:
         return Fraction(num, den)
     need, gain = bar
+    # The test grows with the degree, so some source passes iff one of
+    # maximum degree does.
     passes = [d + 1 + d * gain >= need for d in range(delta + 1)]
-    active = [v for v in range(n) if passes[len(g.adj[v])]]
-    if active and n <= SWEEP_VERTEX_LIMIT:
-        num, den = _sweep(g.adj, active, delta, num, den)
-    elif active:
-        seen = [-1] * n
-        for v in active:
-            for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
-                if size * den > num * r:
-                    num, den = size, r
-                bar = _threshold(n, delta, r, num, den)
-                if bar is None or size + level * bar[1] < bar[0]:
-                    break
+    if not passes[delta]:
+        return Fraction(num, den)
+    if n <= SWEEP_VERTEX_LIMIT:
+        return Fraction(*_sweep(g.adj, passes, delta, num, den))
+    sources = {}
+    for v, nbrs in enumerate(g.adj):
+        if passes[len(nbrs)]:
+            sources.setdefault(tuple(sorted((*nbrs, v))), v)
+    seen = [-1] * n
+    for v in sources.values():
+        for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
+            if size * den > num * r:
+                num, den = size, r
+            bar = _threshold(n, delta, r, num, den)
+            if bar is None or size + level * bar[1] < bar[0]:
+                break
     return Fraction(num, den)
 
 
@@ -194,39 +206,63 @@ def _threshold(n: int, delta: int, r: int, num: int, den: int) -> Optional[Tuple
 
 
 def _ball_rounds(adj):
-    """Yield the list of balls B_r(v), one vertex bitmask per v, for
-    r = 1, 2, ...: each round sets B_{r+1}(v) = B_r(v) | the union of
-    B_r(w) over the neighbours w of v, and the rounds stop after the first
-    one in which no ball changed, when every ball is its whole component.
-    A round pays deg(v) ORs of ceil(n/64) words for every vertex v."""
-    balls = [sum(1 << w for w in nbrs) | 1 << v for v, nbrs in enumerate(adj)]
+    """Yield the balls B_r for r = 1, 2, ..., one vertex bitmask per class
+    of closed twins (vertices u, v with N[u] = N[v]), classes in the order
+    of their first vertices.  Twins have equal balls at every radius: the
+    round-1 ball is N[u], and B_{r+1}(x) = B_r(x) | the union of B_r(w)
+    over the neighbours w of x, which are the same for every x of a class.
+    So each round grows a class's ball by the balls of the distinct other
+    classes that one of its vertices neighbours.  When the round-1 masks
+    are all distinct, the classes are the vertices and the rounds run on
+    `adj` itself.  The rounds stop after the first one in which no ball
+    changed, when every ball is its whole component.  A round pays one OR
+    of ceil(n/64) words per class and neighbour class."""
+    balls = _grow([1 << v for v in range(len(adj))], adj)
+    if len(set(balls)) < len(balls):
+        index = {}
+        label = [index.setdefault(ball, len(index)) for ball in balls]
+        # A class's last vertex stands for it; labels first appear in order.
+        members = dict(zip(label, adj))
+        adj = [{label[w] for w in nbrs} - {k} for k, nbrs in members.items()]
+        balls = list(index)
     while True:
         yield balls
-        grown = []
-        for ball, nbrs in zip(balls, adj):
-            for w in nbrs:
-                ball |= balls[w]
-            grown.append(ball)
+        grown = _grow(balls, adj)
         if grown == balls:
             return
         balls = grown
 
 
-def _sweep(adj, active: list, delta: int, num: int, den: int) -> Tuple[int, int]:
+def _grow(balls, adj) -> list:
+    """One round of `_ball_rounds`: ball x becomes balls[x] | balls[w] for
+    every w in adj[x].  From the singletons {v} it gives B_1(v) = N[v]."""
+    grown = []
+    for ball, nbrs in zip(balls, adj):
+        for w in nbrs:
+            ball |= balls[w]
+        grown.append(ball)
+    return grown
+
+
+def _sweep(adj, passes: list, delta: int, num: int, den: int) -> Tuple[int, int]:
     """Grow every ball by one radius per round (`_ball_rounds`), from
-    radius 2 on, while some source in `active` (those that pass radius 1)
-    might still beat the best ratio num/den, and return the final best.
-    Each round counts the active balls, raises the best once by the
-    largest of them, returns once `_threshold` says that no ball of that
-    radius can beat it, and otherwise keeps the sources with
-    size + level * gain >= need.  The balls of inactive sources keep
-    growing, since their neighbours' balls are built from them."""
+    radius 2 on, while some class of closed twins that passes radius 1
+    (`passes[d]` for its degree d) might still beat the best ratio num/den,
+    and return the final best.  Twins have equal balls, hence equal sizes
+    and levels at every radius and the same `_threshold` decision, so one
+    entry per class stays active.  Each round counts the active balls,
+    raises the best once by the largest of them, returns once `_threshold`
+    says that no ball of that radius can beat it, and otherwise keeps the
+    classes with size + level * gain >= need.  The balls of inactive
+    classes keep growing, since their neighbours' balls are built from
+    them."""
     n = len(adj)
-    previous = [len(adj[v]) + 1 for v in active]
     rounds = _ball_rounds(adj)
-    next(rounds)
+    first = [ball.bit_count() for ball in next(rounds)]
+    active = [k for k, size in enumerate(first) if passes[size - 1]]
+    previous = [first[k] for k in active]
     for r, balls in enumerate(rounds, start=2):
-        sizes = [balls[v].bit_count() for v in active]
+        sizes = [balls[k].bit_count() for k in active]
         top = max(sizes)
         if top * den > num * r:
             num, den = top, r

@@ -12,6 +12,7 @@ import growthtw.growth as growth_mod
 from growthtw.constructions import subdivide_in_host, subdivide_uniform_superlinear
 from growthtw.errors import CapacityError, PreconditionError, RangeError
 from growthtw.generators import (
+    blow_up,
     complete,
     complete_binary_tree,
     cycle,
@@ -235,8 +236,9 @@ def test_verify_growth_bound_bad_callable():
         verify_growth_bound(path(3), lambda r: 1 / 0)
 
 
-def test_verify_growth_bound_runs_no_bfs_where_the_bound_clears_n(monkeypatch):
-    # f(r) <= n, so a radius with bound(r) >= n cannot fail.
+def record_ball_sizes(monkeypatch) -> list:
+    """Patch `_ball_sizes` to append the source of each call to the list
+    it returns."""
     calls = []
     ball_sizes = growth_mod._ball_sizes
 
@@ -245,6 +247,12 @@ def test_verify_growth_bound_runs_no_bfs_where_the_bound_clears_n(monkeypatch):
         return ball_sizes(adj, v, seen)
 
     monkeypatch.setattr(growth_mod, "_ball_sizes", counting)
+    return calls
+
+
+def test_verify_growth_bound_runs_no_bfs_where_the_bound_clears_n(monkeypatch):
+    # f(r) <= n, so a radius with bound(r) >= n cannot fail.
+    calls = record_ball_sizes(monkeypatch)
     g = cycle(12)
     assert verify_growth_bound(g, lambda r: Fraction(12 + (r % 3))).holds
     assert verify_growth_bound(g, lambda r: Fraction(12)).holds
@@ -460,15 +468,8 @@ def forbid(name):
 
 
 def test_growth_constant_runs_bfs_above_the_sweep_limit(monkeypatch):
-    calls = []
-    ball_sizes = growth_mod._ball_sizes
-
-    def counting(adj, v, seen):
-        calls.append(v)
-        return ball_sizes(adj, v, seen)
-
+    calls = record_ball_sizes(monkeypatch)
     g = grid(6)
-    monkeypatch.setattr(growth_mod, "_ball_sizes", counting)
     monkeypatch.setattr(growth_mod, "_sweep", forbid("_sweep"))
     monkeypatch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", g.n - 1)
     assert growth_constant(g) == ball_growth_constant(g)
@@ -658,6 +659,116 @@ def test_swept_profile_equals_a_per_source_bfs(case):
         assert growth_profile(g, r_max) == swept
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    order = list(range(g.n))
+    random.Random(seed).shuffle(order)
+    return Graph(g.n, [(order[u], order[v]) for u, v in g.edges()])
+
+
+def clique_on_path(t: int, k: int) -> Graph:
+    """K_t whose last vertex is the first of a path on k vertices: the
+    other t - 1 clique vertices are closed twins, the path has none."""
+    edges = [(u, v) for u in range(t) for v in range(u + 1, t)]
+    return Graph(t + k - 1, edges + [(v, v + 1) for v in range(t - 1, t + k - 2)])
+
+
+def closed_neighbourhood(g: Graph, v: int):
+    return tuple(sorted((*g.adj[v], v)))
+
+
+@st.composite
+def twin_graphs(draw, max_n=72):
+    """Graphs made of closed twins in part: relabelled blow-ups, so that
+    twins do not have consecutive ids, next to K2 components, cliques
+    glued to paths, isolated vertices and twin-free graphs."""
+    parts = draw(st.lists(
+        st.one_of(
+            st.builds(relabelled, st.builds(blow_up, sweep_graphs(max_n=14), st.integers(1, 4)),
+                      st.integers(0, 1000)),
+            st.just(path(2)),
+            st.builds(clique_on_path, st.integers(2, 6), st.integers(1, 12)),
+            st.builds(Graph, st.integers(1, 3)),
+            sweep_graphs(max_n=20),
+        ),
+        min_size=1, max_size=4,
+    ))
+    g = parts[0]
+    for part in parts[1:]:
+        if g.n + part.n > max_n:
+            break
+        g = two_components(g, part)
+    return relabelled(g, draw(st.integers(0, 1000)))
+
+
+@given(twin_graphs())
+@example(relabelled(blow_up(grid(3), 3), 1))
+@example(relabelled(blow_up(random_cubic(10, 2), 4), 5))
+@example(two_components(path(2), two_components(path(2), path(2))))
+@example(two_components(clique_on_path(5, 8), Graph(2)))
+@example(two_components(clique_on_path(4, 1), random_cubic(12, 1)))
+@settings(max_examples=60, deadline=None)
+def test_twin_classes_equal_the_ball_and_bfs_references(g):
+    c = ball_growth_constant(g)
+    profile = bfs_profile(g, g.n)
+    assert growth_constant(g) == c
+    assert growth_profile(g, g.n).values == profile
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
+        patch.setattr(growth_mod, "PROFILE_SWEEP_WORDS", 0)
+        patch.setattr(growth_mod, "_ball_rounds", forbid("_ball_rounds"))
+        assert growth_constant(g) == c
+        assert growth_profile(g, g.n).values == profile
+
+
+@given(st.one_of(graphs_with_isolated_vertices(), sweep_graphs(max_n=30)),
+       st.integers(1, 4), st.booleans())
+@example(random_cubic(20, 3), 4, True)
+@example(two_components(grid(4), Graph(2)), 3, False)
+@settings(max_examples=60, deadline=None)
+def test_a_blow_up_scales_growth_by_its_factor(g, t, swept):
+    # B_r((v, i)) = B_r(v) x [t] for every r >= 1, so each f(r) and c scale
+    # by t.  The blow-up's t-sets are classes of closed twins, far past the
+    # 16 vertices of the brute-force oracles.
+    h = blow_up(g, t)
+    with pytest.MonkeyPatch.context() as patch:
+        if not swept:
+            patch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
+            patch.setattr(growth_mod, "PROFILE_SWEEP_WORDS", 0)
+            patch.setattr(growth_mod, "_ball_rounds", forbid("_ball_rounds"))
+        assert growth_constant(h) == t * growth_constant(g)
+        assert growth_profile(h, g.n).values == tuple(t * f for f in growth_profile(g, g.n).values)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_workload_twin_class_counts(seed):
+    # One ball per class of closed twins in the first round of the sweep.
+    dense = [
+        (strong_product(complete(10), path(30)), 30),
+        (strong_product(random_tree(80, seed), complete(6)), 80),
+        (blow_up(random_cubic(60, seed), 4), 60),
+        (strong_product(strong_product(path(8), path(8)), path(8)), 512),
+    ]
+    for g, classes in dense:
+        balls = next(growth_mod._ball_rounds(g.adj))
+        assert len(balls) == classes
+        assert sorted(map(int.bit_count, balls)) == sorted(
+            {closed_neighbourhood(g, v): len(g.adj[v]) + 1 for v in range(g.n)}.values())
+
+
+@pytest.mark.parametrize("g", [
+    strong_product(complete(10), path(30)),
+    relabelled(blow_up(random_cubic(60, 1), 4), 3),
+    two_components(clique_on_path(6, 9), relabelled(blow_up(grid(5), 3), 2)),
+])
+def test_the_per_source_bfs_runs_once_per_twin_class(monkeypatch, g):
+    c = growth_constant(g)
+    calls = record_ball_sizes(monkeypatch)
+    monkeypatch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
+    assert growth_constant(g) == c == ball_growth_constant(g)
+    assert calls
+    assert len({closed_neighbourhood(g, v) for v in calls}) == len(calls)
+
+
 def quadratic(r):
     return Fraction(r * r + 3 * r + 1)
 
@@ -731,14 +842,7 @@ def test_the_host_subdivision_of_path_6_stays_on_per_source_bfs():
 
 
 def test_the_profile_sweeps_up_to_2048_vertices(monkeypatch):
-    calls = []
-    ball_sizes = growth_mod._ball_sizes
-
-    def counting(adj, v, seen):
-        calls.append(v)
-        return ball_sizes(adj, v, seen)
-
-    monkeypatch.setattr(growth_mod, "_ball_sizes", counting)
+    calls = record_ball_sizes(monkeypatch)
     assert growth_mod._profile_sweeps(2048) and not growth_mod._profile_sweeps(2049)
     assert growth_profile(path(2048), 1).values == (3,)
     assert calls == []
