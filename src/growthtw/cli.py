@@ -13,6 +13,7 @@ from . import harness
 from .constructions import (
     SUPERLINEAR_SCAN_BUDGET,
     HostEmbedding,
+    contract_minor_map,
     expand_to_degree3,
     subdivide_in_host,
     subdivide_uniform_superlinear,
@@ -23,7 +24,7 @@ from .decomposition import (
     check_tree_decomposition,
     exact_treewidth,
 )
-from .errors import CapacityError, GrowthTWError, PreconditionError
+from .errors import CapacityError, GrowthTWError, InvariantViolationError
 from .generators import FAMILIES, generate, random_cubic
 from .graphs import parse_edge_list, serialize_edge_list
 from .growth import growth_constant, growth_profile
@@ -32,7 +33,7 @@ from .separators import (
     check_separation,
     separation_alpha,
 )
-from .stacklayout import check_stack_layout, exact_stack_number, layout_from_decomposition
+from .stacklayout import _layout, check_stack_layout, exact_stack_number
 
 
 # Fraction("1e<N>") expands 10**N into an exact integer, in time and memory
@@ -174,17 +175,25 @@ def _separate(args) -> int:
     return 0 if report.valid else 1
 
 
-def _check_failed(what: str) -> int:
-    print(f"check failed: {what}", file=sys.stderr)
-    return 1
+def _check_td(g, td):
+    report = check_tree_decomposition(g, td)
+    if not report.valid:
+        raise InvariantViolationError(f"tree decomposition: {report.first_failure}")
+    return report
+
+
+def _check_layout(g, layout):
+    verdict = check_stack_layout(g, layout)
+    if not verdict.valid:
+        e, f = verdict.first_crossing
+        raise InvariantViolationError(f"stack layout: edges {e} and {f} cross on one stack")
+    return layout
 
 
 def _treedecomp(args) -> int:
     g = _read_graph(args.input)
     td = build_tree_decomposition(g, _effective_c(args, g))
-    report = check_tree_decomposition(g, td)
-    if not report.valid:
-        return _check_failed(f"tree decomposition: {report.first_failure}")
+    _check_td(g, td)
     _write_json(args.out, td.to_json_dict())
     return 0
 
@@ -203,41 +212,28 @@ def _checktd(args) -> int:
 def _tw_exact(args) -> int:
     g = _read_graph(args.input)
     width, witness = exact_treewidth(g)
-    report = check_tree_decomposition(g, witness)
-    if not report.valid:
-        return _check_failed(f"tree decomposition: {report.first_failure}")
+    report = _check_td(g, witness)
     if report.width != width:
-        return _check_failed(f"tree decomposition: width {report.width}, not the treewidth {width}")
+        raise InvariantViolationError(
+            f"tree decomposition: width {report.width}, not the treewidth {width}")
     print(width)
     if args.witness:
         _write_json(args.witness, witness.to_json_dict())
     return 0
 
 
-def _write_checked_layout(path: str, g, layout) -> int:
-    verdict = check_stack_layout(g, layout)
-    if not verdict.valid:
-        e, f = verdict.first_crossing
-        return _check_failed(f"stack layout: edges {e} and {f} cross on one stack")
-    _write_json(path, layout.to_json_dict())
-    return 0
-
-
 def _stack(args) -> int:
     g = _read_graph(args.input)
     td = build_tree_decomposition(g, _effective_c(args, g))
-    try:
-        # layout_from_decomposition checks td as its precondition.
-        layout = layout_from_decomposition(g, td)
-    except PreconditionError:
-        return _check_failed(f"tree decomposition: {check_tree_decomposition(g, td).first_failure}")
-    return _write_checked_layout(args.out, g, layout)
+    _check_td(g, td)
+    _write_json(args.out, _check_layout(g, _layout(g, td)).to_json_dict())
+    return 0
 
 
 def _stack_exact(args) -> int:
     g = _read_graph(args.input)
-    _, layout = exact_stack_number(g)
-    return _write_checked_layout(args.out, g, layout)
+    _write_json(args.out, _check_layout(g, exact_stack_number(g)[1]).to_json_dict())
+    return 0
 
 
 def _subdivide(args) -> int:
@@ -286,7 +282,16 @@ def _subdivide(args) -> int:
 
 
 def _expand3(args) -> int:
-    result, minor_map = expand_to_degree3(_read_graph(args.input))
+    g = _read_graph(args.input)
+    result, minor_map = expand_to_degree3(g)
+    # Linear: the degrees, then one contraction of the map's branch sets.
+    try:
+        if result.max_degree() > 3:
+            raise InvariantViolationError(f"max degree {result.max_degree()} > 3")
+        if contract_minor_map(result, minor_map) != g:
+            raise InvariantViolationError("the map does not contract it back to the input")
+    except GrowthTWError as exc:
+        raise InvariantViolationError(f"degree-3 expansion: {exc}") from exc
     _write(args.out, serialize_edge_list(result))
     if args.map_out:
         _write_json(args.map_out, {str(k): v for k, v in sorted(minor_map.items())})
@@ -399,6 +404,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolationError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
     except GrowthTWError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -206,9 +206,11 @@ def host_subdivision_plan(g: Graph, emb: HostEmbedding, epsilon):
 
 
 def subdivide_in_host(g: Graph, emb: HostEmbedding, epsilon) -> SubdivisionRecord:
-    """Build the host-guided subdivision; the growth certificate
-    f(r) <= (k * max_degree + epsilon) * r + 1 is re-verified by the growth
-    module, not assumed here."""
+    """Build the host-guided subdivision.  Its growth certificate
+    f(r) <= (k * max_degree + epsilon) * r + 1 is neither checked nor
+    assumed here: the t5 suite (`harness`) checks it with
+    `verify_growth_bound`, and `growthtw subdivide` writes the record
+    unchecked."""
     epsilon = Fraction(epsilon)
     gamma, ell, scale, lengths, _ = host_subdivision_plan(g, emb, epsilon)
     result = subdivide(g, lengths)

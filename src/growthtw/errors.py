@@ -36,8 +36,9 @@ class PreconditionError(GrowthTWError, ValueError):
 
 
 class InvariantViolationError(GrowthTWError, RuntimeError):
-    """An internal guarantee failed; indicates a bug, or a growth parameter c
-    below the growth constant the guarantee assumes."""
+    """A failed check: a built object failed its checker, or a guarantee of
+    the theory did not hold, which indicates a bug or a growth parameter c
+    below the growth constant the guarantee assumes.  The CLI exits 1."""
 
 
 class ModelError(GrowthTWError, ValueError):

@@ -90,7 +90,7 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
     maximised over r in [1, min(r_max, n)].  Where `_profile_sweeps(n)`
     holds, all balls grow together in `_ball_rounds`, one per class of
     closed twins, and f(r) is the largest bit count over the classes of
-    round r; otherwise every source runs its BFS
+    round r; otherwise one source per class (`_twin_sources`) runs its BFS
     (`_ball_sizes`) to radius r_max or its whole component.  r_max past
     VERTEX_BUDGET is a CapacityError."""
     if g.n == 0:
@@ -110,7 +110,7 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
             largest[r] = max(map(int.bit_count, balls))
     else:
         seen = [-1] * g.n
-        for v in range(g.n):
+        for v in _twin_sources(g.adj, range(g.n)):
             for r, (size, _) in zip(range(1, r_max + 1), _ball_sizes(g.adj, v, seen)):
                 if size > largest[r]:
                     largest[r] = size
@@ -141,10 +141,10 @@ def growth_constant(g: Graph) -> Fraction:
     as vertex bitmasks (`_sweep`), which raises the best once per radius
     and tests every class against one threshold.  Each mask takes up to
     n/8 bytes and two generations are kept, so the limit caps them at
-    64 MiB; above it, one source per class among those that pass radius 1,
-    keyed by its sorted closed neighbourhood, runs its own BFS
-    (`_ball_sizes`) in O(n) memory, raising the best by each ball and
-    testing it against the threshold of its radius."""
+    64 MiB; above it, one source per class (`_twin_sources`) among those
+    that pass radius 1 runs its own BFS (`_ball_sizes`) in O(n) memory,
+    raising the best by each ball and testing it against the threshold of
+    its radius."""
     n = g.n
     if n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
@@ -161,12 +161,8 @@ def growth_constant(g: Graph) -> Fraction:
         return Fraction(num, den)
     if n <= SWEEP_VERTEX_LIMIT:
         return Fraction(*_sweep(g.adj, passes, delta, num, den))
-    sources = {}
-    for v, nbrs in enumerate(g.adj):
-        if passes[len(nbrs)]:
-            sources.setdefault(tuple(sorted((*nbrs, v))), v)
     seen = [-1] * n
-    for v in sources.values():
+    for v in _twin_sources(g.adj, (v for v, nbrs in enumerate(g.adj) if passes[len(nbrs)])):
         for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
             if size * den > num * r:
                 num, den = size, r
@@ -174,6 +170,17 @@ def growth_constant(g: Graph) -> Fraction:
             if bar is None or size + level * bar[1] < bar[0]:
                 break
     return Fraction(num, den)
+
+
+def _twin_sources(adj, vertices):
+    """The source rule of both per-source BFS loops: the first of
+    `vertices` in each class of closed twins, keyed by its sorted closed
+    neighbourhood, with no n-bit masks.  Twins have equal balls at every
+    radius r >= 1, so the other vertices of a class add nothing."""
+    sources = {}
+    for v in vertices:
+        sources.setdefault(tuple(sorted((*adj[v], v))), v)
+    return sources.values()
 
 
 def _threshold(n: int, delta: int, r: int, num: int, den: int) -> Optional[Tuple[int, int]]:

@@ -26,7 +26,7 @@ from .errors import InvariantViolationError, RangeError
 from .generators import complete, complete_binary_tree, cycle, grid, path, random_cubic, star, strong_product
 from .graphs import Graph
 from .growth import growth_constant, verify_growth_bound
-from .stacklayout import check_stack_layout, layout_from_decomposition
+from .stacklayout import _layout, check_stack_layout
 
 SUITES = ("t1.1", "t1.2", "t3.1", "t5", "all")
 
@@ -158,7 +158,7 @@ def run_theorem_suite(
                 )
             )
         if which in ("t1.2", "all"):
-            layout = layout_from_decomposition(g, td)
+            layout = _layout(g, td)
             verdict = check_stack_layout(g, layout)
             if not verdict.valid:
                 raise InvariantViolationError(

@@ -284,35 +284,37 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
 
 
 def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:
-    """Heuristic layout: vertex order is the first-visit order of a DFS over
-    the decomposition tree (root = largest bag, children ascending); edges
-    go to stacks by `_first_fit`, whose order packs nesting chains into one
-    stack."""
+    """`_layout` of a decomposition, which must pass `check_tree_decomposition`."""
     report = check_tree_decomposition(g, td)
     if not report.valid:
         raise PreconditionError(f"invalid tree decomposition: {report.first_failure}")
-    k_nodes = len(td.bags)
-    neigh = [[] for _ in range(k_nodes)]
+    return _layout(g, td)
+
+
+def _layout(g: Graph, td: TreeDecomposition) -> StackLayout:
+    """Heuristic layout from a decomposition already checked: vertex order
+    is the first-visit order of a DFS over the decomposition tree (root =
+    largest bag, children ascending); edges go to stacks by `_first_fit`,
+    whose order packs nesting chains into one stack."""
+    neigh = [[] for _ in td.bags]
     for a, b in td.edges:
         neigh[a].append(b)
         neigh[b].append(a)
-    root = max(range(k_nodes), key=lambda i: (len(td.bags[i]), -i))
+    root = max(range(len(td.bags)), key=lambda i: (len(td.bags[i]), -i))
     pos = [-1] * g.n
     order = []
-    visited = [False] * k_nodes
-    stack = [root]
-    # The checked index graph is a tree, so each node is pushed once, and
-    # every vertex lies in some bag.
+    stack = [(root, -1)]
+    # The checked index graph is a tree: a node's other neighbours are its
+    # children, each pushed once, and every vertex lies in some bag.
     while stack:
-        node = stack.pop()
-        visited[node] = True
+        node, parent = stack.pop()
         for v in sorted(td.bags[node]):
             if pos[v] < 0:
                 pos[v] = len(order)
                 order.append(v)
         for child in sorted(neigh[node], reverse=True):
-            if not visited[child]:
-                stack.append(child)
+            if child != parent:
+                stack.append((child, node))
 
     assignment, k = _first_fit(g.edges(), pos)
     return StackLayout(order=tuple(order), assignment=assignment, k=k)

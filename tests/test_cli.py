@@ -13,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 import growthtw
 import growthtw.cli as cli_mod
 import growthtw.constructions as constructions_mod
+import growthtw.decomposition as decomposition_mod
+import growthtw.harness as harness_mod
 from growthtw.cli import main
 from growthtw.constructions import subdivide_uniform_superlinear
 from growthtw.decomposition import TreeDecomposition, build_tree_decomposition
@@ -176,7 +178,7 @@ def test_stack_writes_no_layout_that_fails_its_check(tmp_path, monkeypatch):
     def one_stack(g, td=None):
         return StackLayout(tuple(range(g.n)), {e: 1 for e in g.edges()}, 1)
 
-    monkeypatch.setattr(cli_mod, "layout_from_decomposition", one_stack)
+    monkeypatch.setattr(cli_mod, "_layout", one_stack)
     monkeypatch.setattr(cli_mod, "exact_stack_number", lambda g: (1, one_stack(g)))
     src = write_graph(tmp_path, complete(4))
     for argv in (["stack", src, "--c", "4"], ["stack-exact", src]):
@@ -254,6 +256,80 @@ def test_expand3(tmp_path, capsys):
     assert expanded.max_degree() <= 3
     mapping = json.loads(map_file.read_text())
     assert len(mapping) == expanded.n
+
+
+def test_expand3_writes_no_expansion_that_fails_its_check(tmp_path, monkeypatch):
+    g = complete(5)
+    src = write_graph(tmp_path, g)
+    expand = cli_mod.expand_to_degree3
+    for fault, message in (
+        # K5 itself, each vertex its own branch set: degree 4.
+        (lambda h: (h, {v: v for v in range(h.n)}), "max degree 4 > 3"),
+        # New vertex 0 left out of the map.
+        (lambda h: (expand(h)[0], {v: w for v, w in expand(h)[1].items() if v}),
+         "minor map must cover exactly the vertices of h"),
+        # Odd new vertices relabelled: label 0's branch set {0, 2, 17, 19} is disconnected.
+        (lambda h: (expand(h)[0], {v: (w + 1) % 5 if v % 2 else w
+                                   for v, w in expand(h)[1].items()}),
+         "branch set 0 is disconnected"),
+        # K5 minus an edge expanded, under its own valid map.
+        (lambda h: expand(Graph(5, [e for e in h.edges() if e != (0, 1)])),
+         "the map does not contract it back to the input"),
+    ):
+        monkeypatch.setattr(cli_mod, "expand_to_degree3", fault)
+        out_file, map_file = tmp_path / "x.el", tmp_path / "map.json"
+        code, out, err = run_quietly(["expand3", src, "-o", str(out_file),
+                                      "--map-out", str(map_file)])
+        assert (code, out, err) == (1, "", f"check failed: degree-3 expansion: {message}\n")
+        assert not out_file.exists() and not map_file.exists()
+
+
+def test_verify_exits_1_on_a_built_decomposition_that_fails_its_check(monkeypatch):
+    build = harness_mod.build_tree_decomposition
+
+    def drop_vertex_0(g, c):
+        td = build(g, c)
+        return TreeDecomposition(tuple(bag - {0} for bag in td.bags), td.edges)
+
+    monkeypatch.setattr(harness_mod, "build_tree_decomposition", drop_vertex_0)
+    assert run_quietly(["verify", "--suite", "t1.1", "--small"]) == (
+        1, "", "check failed: path-10: built decomposition invalid: vertex 0 appears in no bag\n")
+
+
+def test_explore_lower_bound_exits_1_on_a_ball_past_its_bound(monkeypatch):
+    monkeypatch.setattr(harness_mod, "cubic_ball_bound", lambda n, r: 1)
+    assert run_quietly(["explore-lower-bound", "--sizes", "10", "--seeds", "1"]) == (
+        1, "", "check failed: cubic ball bound violated at n=10, seed=1, r=1\n")
+
+
+def test_each_built_decomposition_is_checked_once(tmp_path, monkeypatch):
+    # check_tree_decomposition is wrapped in every module that binds it.
+    checked = []
+    check = decomposition_mod.check_tree_decomposition
+
+    def counting(g, td):
+        checked.append(td)
+        return check(g, td)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("growthtw") and getattr(module, "check_tree_decomposition", None) is check:
+            monkeypatch.setattr(module, "check_tree_decomposition", counting)
+    src = write_graph(tmp_path, grid(4))
+    assert run_quietly(["stack", src, "--c", "5", "-o", str(tmp_path / "s.json")])[0] == 0
+    assert len(checked) == 1
+    built = []
+    build = harness_mod.build_tree_decomposition
+
+    def recording(g, c):
+        built.append(build(g, c))
+        return built[-1]
+
+    monkeypatch.setattr(harness_mod, "build_tree_decomposition", recording)
+    checked.clear()
+    corpus = harness_mod.default_corpus(small=True)
+    reports = harness_mod.run_theorem_suite(corpus, "all")
+    assert sum(r.theorem == "t1.2" for r in reports) == len(corpus) == len(built)
+    assert [id(td) for td in checked] == [id(td) for td in built]
 
 
 def test_verify_small(capsys):

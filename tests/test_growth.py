@@ -759,14 +759,22 @@ def test_dense_workload_twin_class_counts(seed):
     strong_product(complete(10), path(30)),
     relabelled(blow_up(random_cubic(60, 1), 4), 3),
     two_components(clique_on_path(6, 9), relabelled(blow_up(grid(5), 3), 2)),
+    random_cubic(40, 2),
 ])
 def test_the_per_source_bfs_runs_once_per_twin_class(monkeypatch, g):
-    c = growth_constant(g)
+    c, swept = growth_constant(g), growth_profile(g, g.n)
     calls = record_ball_sizes(monkeypatch)
     monkeypatch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
     assert growth_constant(g) == c == ball_growth_constant(g)
     assert calls
     assert len({closed_neighbourhood(g, v) for v in calls}) == len(calls)
+    # The profile reads every source's ball, so it runs exactly one per class.
+    calls.clear()
+    monkeypatch.setattr(growth_mod, "_profile_sweeps", lambda n: False)
+    assert growth_profile(g, g.n) == swept
+    assert swept.values == bfs_profile(g, g.n)
+    classes = {closed_neighbourhood(g, v) for v in range(g.n)}
+    assert len({closed_neighbourhood(g, v) for v in calls}) == len(calls) == len(classes)
 
 
 def quadratic(r):

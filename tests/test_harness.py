@@ -106,7 +106,7 @@ def test_suite_refuses_a_crossing_layout(monkeypatch):
     # In the order 0 1 2 3 the edges 0-2 and 1-3 of grid(2) cross on one stack.
     g = grid(2)
     crossing = StackLayout(order=(0, 1, 2, 3), assignment={e: 1 for e in g.edges()}, k=1)
-    monkeypatch.setattr(harness_mod, "layout_from_decomposition", lambda g, td: crossing)
+    monkeypatch.setattr(harness_mod, "_layout", lambda g, td: crossing)
     with pytest.raises(InvariantViolationError, match=r"^grid-2: heuristic layout invalid at "):
         run_theorem_suite([("grid-2", g)], "t1.2")
 
