@@ -1,6 +1,11 @@
 """Immutable simple undirected graphs with dense integer vertex ids, plus
 BFS primitives (distances, balls, components), minors of branch sets,
 edge-list I/O, and the integer checks of JSON input.
+
+Where a graph is built, its edges are hashed and sorted as the integer
+keys u * n + v, u < v: the constructor and the edge-list reader key each
+pair under one edge rule (`_edge_key`) and fill the adjacency from the
+sorted keys.
 """
 
 from __future__ import annotations
@@ -32,14 +37,15 @@ def _within_budget(n: int, m: int = 0) -> None:
         raise CapacityError(f"graph would have {m} edges (budget {EDGE_BUDGET})")
 
 
-def _edge(u: int, v: int, n: int) -> Tuple[int, int]:
-    """The one edge rule of a graph on 0..n-1: (u, v) as (min, max) if
-    0 <= min < max < n; an end out of range is a RangeError, else u == v
-    is a StructureError."""
+def _edge_key(u: int, v: int, n: int) -> int:
+    """The one edge rule of a graph on 0..n-1: the key min * n + max of
+    (u, v) if 0 <= min < max < n; an end out of range is a RangeError, else
+    u == v is a StructureError.  Keys order edges by their smaller end, then
+    their larger one, and `divmod(key, n)` gives (min, max) back."""
     if 0 <= u < v < n:
-        return (u, v)
+        return u * n + v
     if 0 <= v < u < n:
-        return (v, u)
+        return v * n + u
     if not (0 <= u < n and 0 <= v < n):
         raise RangeError(f"edge ({u},{v}) out of range for n={n}")
     raise StructureError(f"self-loop at vertex {u}")
@@ -50,7 +56,10 @@ class Graph:
 
     Adjacency lists are strictly increasing tuples; the structure is
     immutable and hashable, so instances can be shared freely.  More than
-    VERTEX_BUDGET vertices is a CapacityError.
+    VERTEX_BUDGET vertices is a CapacityError.  Each pair is deduplicated
+    as its integer key u * n + v, u < v (`_edge_key`); a well-formed pair,
+    in either orientation, is keyed inline, and only a bad one calls the
+    rule, which raises at the first bad pair.
     """
 
     __slots__ = ("n", "adj", "m", "_hash")
@@ -59,19 +68,24 @@ class Graph:
         if n < 0:
             raise RangeError(f"vertex count must be nonnegative, got {n}")
         _within_budget(n)
-        self._store(n, {_edge(u, v, n) for u, v in edges})
+        self._store(n, {
+            u * n + v if 0 <= u < v < n else v * n + u if 0 <= v < u < n else _edge_key(u, v, n)
+            for u, v in edges
+        })
 
-    def _store(self, n: int, edges: set) -> None:
-        """Build the adjacency from a set of edges that passed `_edge`."""
+    def _store(self, n: int, keys: set) -> None:
+        """Build the adjacency from a set of keys that `_edge_key` allows.
+        Sorted keys run by u, then by v, and (u, v) sorts before (v, w)
+        whenever u < v, so every adjacency list fills in increasing order
+        and none is sorted."""
         neigh = [[] for _ in range(n)]
-        for u, v in edges:
+        for key in sorted(keys):
+            u, v = divmod(key, n)
             neigh[u].append(v)
             neigh[v].append(u)
-        for a in neigh:
-            a.sort()
         self.n = n
         self.adj = tuple(map(tuple, neigh))
-        self.m = len(edges)
+        self.m = len(keys)
         self._hash = hash((n, self.adj))
 
     def edges(self) -> Iterator[Tuple[int, int]]:
@@ -89,6 +103,8 @@ class Graph:
         return max((len(a) for a in self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
         return v in self.adj[u]
 
     def _check_vertex(self, v: int) -> None:
@@ -114,48 +130,59 @@ def parse_edge_list(text) -> Graph:
     distinct edge past the header's m.  A header past the vertex or edge
     budget is a CapacityError before any edge line is read.  An edge that
     breaks the rule of `Graph` raises the same error, its message prefixed
-    with "line N: "."""
+    with "line N: ".
+
+    Each line is split once.  After the header, a line of two integers that
+    form a valid pair is keyed as `Graph` keys it.  Every other line is
+    skipped if blank or a comment, must be the header if none came before,
+    and else must hold two integers that pass the edge rule.  `int`
+    accepts no token that starts with '#', so a two-token comment is
+    skipped as a comment."""
     n = None
     declared_m = None
-    edges = set()
+    keys = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if parts[0] != "p" or len(parts) != 3:
-                raise ParseError(f"expected header 'p <n> <m>', got {raw!r}", lineno)
+        parts = raw.split()
+        if n is not None and len(parts) == 2:
             try:
-                n, declared_m = int(parts[1]), int(parts[2])
+                u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"non-integer header field in {raw!r}", lineno) from None
-            if n < 0 or declared_m < 0:
-                raise ParseError("negative count in header", lineno)
-            _within_budget(n, declared_m)
+                if parts[0].startswith("#"):
+                    continue
+                raise ParseError(f"non-integer endpoint in {raw!r}", lineno) from None
+            try:
+                keys.add(
+                    u * n + v if 0 <= u < v < n else v * n + u if 0 <= v < u < n
+                    else _edge_key(u, v, n)
+                )
+            except (RangeError, StructureError) as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
+            if len(keys) > declared_m:
+                raise ParseError(
+                    f"header declares {declared_m} edges but more distinct edges given", lineno
+                )
             continue
-        if len(parts) != 2:
+        if not parts or parts[0].startswith("#"):
+            continue
+        if n is not None:
             raise ParseError(f"expected edge '<u> <v>', got {raw!r}", lineno)
+        if parts[0] != "p" or len(parts) != 3:
+            raise ParseError(f"expected header 'p <n> <m>', got {raw!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            n, declared_m = int(parts[1]), int(parts[2])
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {raw!r}", lineno) from None
-        try:
-            edges.add(_edge(u, v, n))
-        except (RangeError, StructureError) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-        if len(edges) > declared_m:
-            raise ParseError(
-                f"header declares {declared_m} edges but more distinct edges given", lineno
-            )
+            raise ParseError(f"non-integer header field in {raw!r}", lineno) from None
+        if n < 0 or declared_m < 0:
+            raise ParseError("negative count in header", lineno)
+        _within_budget(n, declared_m)
     if n is None:
         raise ParseError("missing header 'p <n> <m>'")
-    if len(edges) != declared_m:
+    if len(keys) != declared_m:
         raise ParseError(
-            f"header declares {declared_m} edges but {len(edges)} distinct edges given"
+            f"header declares {declared_m} edges but {len(keys)} distinct edges given"
         )
     graph = Graph.__new__(Graph)
-    graph._store(n, edges)
+    graph._store(n, keys)
     return graph
 
 
@@ -179,8 +206,10 @@ def json_ints(values, what: str, length: Optional[int] = None) -> list:
 
 
 def serialize_edge_list(g: Graph) -> str:
+    """The edge-list text of g: its header, then one "<u> <v>" line per edge,
+    u < v, in increasing order, read off the adjacency in one flat pass."""
     lines = [f"p {g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines += [f"{u} {v}" for u, nbrs in enumerate(g.adj) for v in nbrs if v > u]
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from growthtw.errors import CapacityError, ModelError, ParseError, RangeError, StructureError
 from growthtw.generators import cycle, path
@@ -7,6 +7,7 @@ from growthtw.graphs import (
     EDGE_BUDGET,
     VERTEX_BUDGET,
     Graph,
+    _within_budget,
     ball,
     bfs_distances,
     components,
@@ -42,6 +43,16 @@ def test_basic_construction():
     assert g.degree(3) == 0
     assert g.max_degree() == 2
     assert g.has_edge(2, 1) and not g.has_edge(0, 2)
+
+
+def test_has_edge_refuses_an_end_out_of_range():
+    # adj[-1] is the last vertex's list, so an unchecked -1 would find the
+    # edge (2, 1) as (-1, 1).
+    g = Graph(3, [(1, 2)])
+    for u, v in [(-1, 1), (1, -1), (5, 0), (0, 5), (3, 3)]:
+        with pytest.raises(RangeError, match="out of range for n=3$"):
+            g.has_edge(u, v)
+    assert g.has_edge(1, 2) and g.has_edge(2, 1) and not g.has_edge(0, 2)
 
 
 def test_construction_rejects_bad_edges():
@@ -299,3 +310,190 @@ def test_moore_gain_never_undercounts_a_ball(g):
             for j, target in enumerate(sizes[r:]):
                 for cap in (target, target + 1, g.n):
                     assert sizes[r] + level * moore_gain(delta, j, cap) >= target
+
+
+# ------------------------------------------- the tuple-keyed reference I/O
+#
+# Copies of the edge-list reader, the constructor and the writer as they
+# stood when edges were (min, max) tuples and each adjacency list was
+# sorted on its own.  The integer-keyed code must agree with them on every
+# text and every list of pairs: the same graph and hash, or the same
+# exception with the same message and line.
+
+
+def _reference_edge(u, v, n):
+    if 0 <= u < v < n:
+        return (u, v)
+    if 0 <= v < u < n:
+        return (v, u)
+    if not (0 <= u < n and 0 <= v < n):
+        raise RangeError(f"edge ({u},{v}) out of range for n={n}")
+    raise StructureError(f"self-loop at vertex {u}")
+
+
+def _reference_store(n, edges):
+    neigh = [[] for _ in range(n)]
+    for u, v in edges:
+        neigh[u].append(v)
+        neigh[v].append(u)
+    for a in neigh:
+        a.sort()
+    adj = tuple(map(tuple, neigh))
+    return n, len(edges), adj, hash((n, adj))
+
+
+def _reference_graph(n, pairs):
+    if n < 0:
+        raise RangeError(f"vertex count must be nonnegative, got {n}")
+    _within_budget(n)
+    return _reference_store(n, {_reference_edge(u, v, n) for u, v in pairs})
+
+
+def _reference_parse(text):
+    n = None
+    declared_m = None
+    edges = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if n is None:
+            if parts[0] != "p" or len(parts) != 3:
+                raise ParseError(f"expected header 'p <n> <m>', got {raw!r}", lineno)
+            try:
+                n, declared_m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"non-integer header field in {raw!r}", lineno) from None
+            if n < 0 or declared_m < 0:
+                raise ParseError("negative count in header", lineno)
+            _within_budget(n, declared_m)
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"expected edge '<u> <v>', got {raw!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer endpoint in {raw!r}", lineno) from None
+        try:
+            edges.add(_reference_edge(u, v, n))
+        except (RangeError, StructureError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        if len(edges) > declared_m:
+            raise ParseError(
+                f"header declares {declared_m} edges but more distinct edges given", lineno
+            )
+    if n is None:
+        raise ParseError("missing header 'p <n> <m>'")
+    if len(edges) != declared_m:
+        raise ParseError(
+            f"header declares {declared_m} edges but {len(edges)} distinct edges given"
+        )
+    return _reference_store(n, edges)
+
+
+def _reference_serialize(n, m, adj):
+    lines = [f"p {n} {m}"]
+    lines.extend(f"{u} {v}" for u in range(n) for v in adj[u] if u < v)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(f, *args):
+    """(n, m, adj, hash) of the graph that f returns, or the exception's
+    type, message and line."""
+    try:
+        g = f(*args)
+    except (ParseError, RangeError, StructureError, CapacityError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return g if isinstance(g, tuple) else (g.n, g.m, g.adj, hash(g))
+
+
+# Every line boundary of str.splitlines, and whitespace that only splits
+# tokens: \x1f and \xa0 are whitespace to str.split but end no line.
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+GAPS = [" ", "  ", "\t", "\x1f", "\xa0", " \x1f"]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@st.composite
+def integer_tokens(draw, value):
+    """`value` written as any token that int() reads back as `value`."""
+    digits = str(abs(value))
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    forms = [digits, "0" * draw(st.integers(1, 2)) + digits, digits.translate(ARABIC_INDIC)]
+    if len(digits) > 1:
+        forms.append(digits[0] + "_" + digits[1:])
+    if value == 0:
+        sign = draw(st.sampled_from(["", "+", "-"]))
+    return sign + draw(st.sampled_from(forms))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Texts near the edge-list format: a header, edge lines with
+    well-formed, reversed, repeated and bad pairs written in any form that
+    int() reads, comments of one and two tokens, blank and malformed lines,
+    all joined by any mix of line boundaries."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    ids = st.integers(min_value=-2, max_value=n + 2)
+    lines, pairs = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["repeat", "comment", "blank", "junk"]))
+        if kind == "repeat" and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            lines.append(f"{v} {u}" if draw(st.booleans()) else f"{u} {v}")
+        elif kind in ("edge", "repeat"):
+            u, v = draw(ids), draw(ids)
+            if draw(st.integers(0, 3)):
+                u, v = u % max(n, 1), v % max(n, 1)
+            pairs.append((u, v))
+            lines.append(draw(integer_tokens(u)) + draw(st.sampled_from(GAPS))
+                         + draw(integer_tokens(v)))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#1 2", "# 0", "#", "#0 1 2", " # p 3 1"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x1f", "\xa0"])))
+        else:
+            lines.append(draw(st.sampled_from(
+                ["x y", "1 x", "1.5 2", "1", "0 1 2", "p 3 1", "\u0663 1e3", "0x1 1"])))
+    valid = {(min(e), max(e)) for e in pairs if 0 <= min(e) < max(e) < n}
+    m = len(valid) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    header = draw(st.sampled_from(
+        [f"p {n} {m}", f" p\t{n} {m} ", f"p {n}", f"p x {m}", f"p {n} -1", "q 1 0"]
+        if draw(st.integers(0, 4)) == 0 else [f"p {n} {m}"]))
+    before = draw(st.sampled_from([[], ["# 0"], ["#1 2"], ["0 1"], [""]]))
+    lines = before + [header] + lines
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.integers(0, 3)) else text[:-len(ends[-1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+def test_parse_equals_the_tuple_keyed_reference(text):
+    assert _outcome(parse_edge_list, text) == _outcome(_reference_parse, text)
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, pairs): pairs of distinct ids in range, in either orientation and
+    repeated, with now and then a pair drawn from a wider range inserted."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    pairs = draw(st.lists(st.sampled_from(possible), max_size=20)) if possible else []
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        bad = (draw(st.integers(-2, n + 1)), draw(st.integers(-2, n + 1)))
+        pairs.insert(draw(st.integers(min_value=0, max_value=len(pairs))), bad)
+    return n, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists())
+def test_graph_equals_the_tuple_keyed_reference(case):
+    n, pairs = case
+    assert _outcome(Graph, n, pairs) == _outcome(_reference_graph, n, pairs)
+
+
+@given(small_graphs(max_n=12))
+def test_serialize_equals_the_tuple_keyed_reference(g):
+    assert serialize_edge_list(g) == _reference_serialize(g.n, g.m, g.adj)

@@ -213,6 +213,7 @@ def test_square_product_growth():
     g = strong_product(path(9), path(9))
     profile = growth_profile(g, 3)
     assert profile.values == (9, 25, 49)
+    assert growth_constant(strong_product(path(4), path(4))) == 9
 
 
 def test_profile_keeps_a_finished_component_at_larger_radii():
@@ -856,3 +857,22 @@ def test_the_profile_sweeps_up_to_2048_vertices(monkeypatch):
     assert calls == []
     assert growth_profile(path(2049), 1).values == (3,)
     assert calls == list(range(2049))
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
+def test_growth_constant_of_a_cube_of_paths_is_twice_k_squared(k):
+    """c(P_k^{⊠3}) = 2k² for even k >= 4, up to k³ = 1,728 vertices.
+
+    Distances in a strong product are the largest coordinate distance, so
+    a radius-r ball is a product of three path balls and has at most
+    (2r + 1)³ vertices.  On 1 <= r < k/2 that is below 2k²·r:
+    (2r + 1)³/r = 8r² + 12r + 6 + 1/r is convex, so it is largest at an
+    end of the range; at r = 1 it is 27 < 2k² as k >= 4, and at
+    r = k/2 - 1 it is (k - 1)³/(k/2 - 1) < 2k² as k² - 3k + 1 > 0.  At
+    r >= k/2 every ball has at most n = k³ vertices and k³/r <= 2k², with
+    equality at the centre (k/2, k/2, k/2), whose eccentricity is k/2.
+
+    The same count fails for d = 2: c(P4 ⊠ P4) = 9 at r = 1, not
+    n/(k/2) = 8 (`test_square_product_growth`)."""
+    cube = strong_product(strong_product(path(k), path(k)), path(k))
+    assert growth_constant(cube) == 2 * k * k
