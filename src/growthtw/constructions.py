@@ -134,7 +134,7 @@ def subdivide(g: Graph, lengths: Dict[Tuple[int, int], int]) -> Graph:
     """Replace each edge (u,v), u < v, by an internally disjoint path of
     lengths[(u,v)] edges; internal vertices are appended after the originals
     in sorted edge order."""
-    edges = list(g.edges())
+    edges = g.edges()
     if set(lengths) != set(edges):
         raise PreconditionError("path lengths must cover exactly the edges")
     total = g.n + sum(lengths[e] - 1 for e in edges)

@@ -108,10 +108,13 @@ def check_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRe
             return fail(f"vertex {v} appears in no bag")
         if top[v] == -2:
             return fail(f"vertex {v}'s bags do not induce a connected subtree")
-    for u, v in g.edges():
-        # Two subtrees meet iff one holds the other's top.
-        if v not in td.bags[top[u]] and u not in td.bags[top[v]]:
-            return fail(f"edge ({u},{v}) covered by no bag")
+    # Two subtrees meet iff one holds the other's top.  Edges (u, v), u < v,
+    # are met in sorted order, so the first uncovered one is named.
+    for u, nbrs in enumerate(g.adj):
+        top_bag = td.bags[top[u]]
+        for v in nbrs:
+            if u < v and v not in top_bag and u not in td.bags[top[v]]:
+                return fail(f"edge ({u},{v}) covered by no bag")
     return DecompositionReport(valid=True, width=width)
 
 

@@ -84,8 +84,8 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     _within_budget(g.n * h.n, g.n * h.m + g.m * h.n + 2 * g.m * h.m)
     nh = h.n
     edges = []
-    h_edges = list(h.edges())
-    g_edges = list(g.edges())
+    h_edges = h.edges()
+    g_edges = g.edges()
     for v in range(g.n):
         base = v * nh
         for w, w2 in h_edges:

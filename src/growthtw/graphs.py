@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import reprlib
 from collections import deque
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import CapacityError, ModelError, ParseError, RangeError, StructureError
 
@@ -88,12 +88,9 @@ class Graph:
         self.m = len(keys)
         self._hash = hash((n, self.adj))
 
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Yield edges (u, v) with u < v, sorted."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+    def edges(self) -> List[Tuple[int, int]]:
+        """The edges (u, v) with u < v, sorted."""
+        return [(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v]
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)

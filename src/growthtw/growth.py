@@ -387,7 +387,7 @@ def _edge_subset_radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     mask of its non-isolated vertices are updated by one edge per subset.
     Like `_radius_table`, its cache is per process: a later call on an
     equal graph skips the enumeration."""
-    edges = list(g.edges())
+    edges = g.edges()
     adj = [0] * g.n
     mask = 0
     best = {0: 1}

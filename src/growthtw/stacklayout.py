@@ -10,6 +10,7 @@ reaches a certified lower bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Optional, Tuple
@@ -77,12 +78,12 @@ def check_stack_layout(g: Graph, layout: StackLayout) -> LayoutVerdict:
         raise StructureError("layout assignment does not cover exactly the edges")
     # Each distinct id is asked (a min/max would let a NaN through); only
     # when one fails are the ids walked in order to name the first bad one.
-    hi = max(layout.k, 1)
+    k = layout.k
     ids = set(assignment.values())
-    if not all(1 <= s <= hi for s in ids):
+    if not all(1 <= s <= k for s in ids):
         for s in assignment.values():
-            if not (1 <= s <= hi):
-                raise StructureError(f"stack id {s} outside [1,{layout.k}]")
+            if not (1 <= s <= k):
+                raise StructureError(f"stack id {s} outside [1,{k}]")
     by_stack = {s: [] for s in ids}
     for e, s in assignment.items():
         by_stack[s].append(span[e])
@@ -130,50 +131,80 @@ def _conflict_masks(edges, pos):
     return masks
 
 
-def _first_fit(edges, pos) -> Tuple[Dict[Tuple[int, int], int], int]:
+def _first_fit(g: Graph, pos, order) -> Tuple[Dict[Tuple[int, int], int], int]:
     """Edges by (left end ascending, right end descending), each to the
     lowest stack it crosses nothing on; returns the map to stacks 1..k and k.
-    pos maps each vertex to its position (a dict or a list).
+    pos maps each vertex to its position in order (a dict or a list).  Each
+    edge is keyed from its left end's adjacency list as
+    left * n + (n - 1 - right), the key that `check_stack_layout` sorts, and
+    is read back from order once placed.
 
     Every span already placed starts at or before the new left end pa, so a
     stack's spans still open at pa nest: their right ends are kept as a
-    list, innermost on top, and tops[s] caches the top of stack s.  The
-    scan reads tops alone.  A top t with pa < t < pb crosses (pa, pb), and
-    it is still the true top, since only ends <= pa are ever popped and pa
-    never decreases; so the stack is skipped with no list access.  A top
-    t >= pb takes the span.  A top t <= pa is stale: the stack's ends <= pa
-    are popped, tops[s] is refreshed, and the stack is decided as before.
-    Each such read pops at least the stale top, so the lists are read at
-    most m times in all."""
-    spans = []
-    for u, v in edges:
-        pu, pv = pos[u], pos[v]
-        spans.append((pu, -pv, u, v) if pu < pv else (pv, -pu, u, v))
-    spans.sort()
+    list, innermost on top, and tops[s] caches the top of stack s.
+
+    The first span at pa, its longest, scans the tops.  A top t with
+    pa < t < pb crosses (pa, pb), and it is still the true top, since only
+    ends <= pa are ever popped and pa never decreases; so the stack is
+    skipped with no list access.  A top t >= pb takes the span.  A top
+    t <= pa is stale: the stack's ends <= pa are popped, tops[s] is
+    refreshed, and the stack is decided as before.  Each such read pops at
+    least the stale top, so the lists are read at most m - k times in all.
+    The scan records each new prefix maximum of the true tops it passes,
+    with the stack that reaches it.
+
+    Every later span at pa is placed with no scan, by this lemma.  Spans
+    that share a left end never cross, and one placed earlier at pa is
+    longer, so it leaves its stack's top above every later right end at pa.
+    So a stack takes a later span (pa, pb) exactly when its true top before
+    pa (its least end > pa; an empty stack takes anything) is >= pb, and
+    first-fit picks the first stack where the prefix maximum of those tops
+    reaches pb.  That is the first record >= pb, found by one bisect, or,
+    past the last record, the first span's stack, which reaches every later
+    pb.  So a left end opens at most one stack, and its scan reads at most
+    1 + s0 tops, s0 being the index of its first span's stack."""
+    n = g.n
+    last = n - 1
+    keys = sorted([pu * n + last - pv for u, nbrs in enumerate(g.adj) for v in nbrs
+                   if (pu := pos[u]) < (pv := pos[v])])
     stacks: list = []  # per stack: right ends of its open spans, non-increasing
     tops: list = []  # per stack: its top right end as last seen
     assignment = {}
-    for pa, neg_pb, u, v in spans:
-        pb = -neg_pb
-        s = 0
-        for t in tops:
-            if t > pa:
-                if t >= pb:
-                    break
-            else:
-                ends = stacks[s]
-                while ends and ends[-1] <= pa:
-                    ends.pop()
-                if not ends or ends[-1] >= pb:
-                    break
-                tops[s] = ends[-1]
-            s += 1
+    left = -1
+    for key in keys:
+        pa = key // n
+        pb = last - key % n
+        if pa == left:
+            j = bisect_left(reach, pb)
+            s = at[j] if j < len(at) else s0
         else:
-            stacks.append([])
-            tops.append(pb)
+            left = hi = pa
+            reach, at = [], []  # the records: prefix maxima of the tops, and their stacks
+            s = 0
+            for t in tops:
+                if t > pa:
+                    if t >= pb:
+                        break
+                else:
+                    ends = stacks[s]
+                    while ends and ends[-1] <= pa:
+                        ends.pop()
+                    if not ends or ends[-1] >= pb:
+                        break
+                    t = tops[s] = ends[-1]
+                if t > hi:
+                    hi = t
+                    reach.append(t)
+                    at.append(s)
+                s += 1
+            else:
+                stacks.append([])
+                tops.append(pb)
+            s0 = s
         stacks[s].append(pb)
         tops[s] = pb
-        assignment[u, v] = s + 1
+        u, v = order[pa], order[pb]
+        assignment[(u, v) if u < v else (v, u)] = s + 1
     return assignment, len(stacks)
 
 
@@ -253,7 +284,7 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
         raise CapacityError(
             f"exact stack number refuses n={g.n} > {EXACT_STACK_VERTEX_BUDGET}"
         )
-    edges = list(g.edges())
+    edges = g.edges()
     if not edges:
         return 0, StackLayout(order=tuple(range(g.n)), assignment={}, k=0)
     lb = stack_number_lower_bound(g)
@@ -265,7 +296,7 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
         order = (0,) + perm
         pos = {v: i for i, v in enumerate(order)}
         masks = _conflict_masks(edges, pos)
-        k = min(best_k - 1, _first_fit(edges, pos)[1])
+        k = min(best_k - 1, _first_fit(g, pos, order)[1])
         colors = _colorable(masks, k)
         if colors is None:
             continue
@@ -316,5 +347,5 @@ def _layout(g: Graph, td: TreeDecomposition) -> StackLayout:
             if child != parent:
                 stack.append((child, node))
 
-    assignment, k = _first_fit(g.edges(), pos)
+    assignment, k = _first_fit(g, pos, order)
     return StackLayout(order=tuple(order), assignment=assignment, k=k)

@@ -497,3 +497,19 @@ def test_graph_equals_the_tuple_keyed_reference(case):
 @given(small_graphs(max_n=12))
 def test_serialize_equals_the_tuple_keyed_reference(g):
     assert serialize_edge_list(g) == _reference_serialize(g.n, g.m, g.adj)
+
+
+def _reference_edges(g):
+    """Graph.edges as it stood when it was a generator over vertex ids."""
+    for u in range(g.n):
+        for v in g.adj[u]:
+            if u < v:
+                yield (u, v)
+
+
+@given(small_graphs(max_n=12))
+def test_edges_equal_the_generator_reference(g):
+    edges = g.edges()
+    assert isinstance(edges, list)
+    assert edges == list(_reference_edges(g))
+    assert edges == sorted(edges) and len(edges) == g.m

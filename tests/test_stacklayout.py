@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from growthtw.decomposition import build_tree_decomposition, exact_treewidth
 from growthtw.errors import CapacityError, PreconditionError, StructureError
 from growthtw.generators import (
+    blow_up,
     complete,
     complete_binary_tree,
     cycle,
@@ -71,6 +72,17 @@ def test_checker_structural_errors():
             g,
             StackLayout(order=(0, 1, 2), assignment={(0, 1): 2, (1, 2): 5}, k=2),
         )
+
+
+def test_checker_bounds_stack_ids_by_k():
+    # A layout of k <= 0 stacks has no stack to hold an edge.
+    g = Graph(2, [(0, 1)])
+    for k in (0, -3):
+        with pytest.raises(StructureError, match=rf"stack id 1 outside \[1,{k}\]"):
+            check_stack_layout(g, StackLayout((0, 1), {(0, 1): 1}, k))
+    assert check_stack_layout(g, StackLayout((0, 1), {(0, 1): 1}, 1)).valid
+    assert check_stack_layout(Graph(3), StackLayout((0, 1, 2), {}, 0)).valid
+    assert check_stack_layout(Graph(0), StackLayout((), {}, 0)).valid
 
 
 def test_nesting_is_fine_sharing_endpoint_is_fine():
@@ -249,27 +261,49 @@ def test_first_fit_matches_quadratic_reference(g):
     assert check_stack_layout(g, layout).valid
 
 
-def first_fit_counting_list_reads(edges, pos):
-    """_first_fit's result, and how often its scan read a stack's list: the
-    executions of the line that fetches the list for a stale top."""
+def first_fit_counting(g, pos, order, marker):
+    """_first_fit's result, and how often it executed the line of its source
+    that holds marker."""
     code = stacklayout._first_fit.__code__
     lines, start = inspect.getsourcelines(stacklayout._first_fit)
-    read_line = start + next(i for i, text in enumerate(lines) if "ends = stacks[s]" in text)
-    reads = 0
+    line = start + next(i for i, text in enumerate(lines) if marker in text)
+    count = 0
 
     def local(frame, event, arg):
-        nonlocal reads
-        if event == "line" and frame.f_lineno == read_line:
-            reads += 1
+        nonlocal count
+        if event == "line" and frame.f_lineno == line:
+            count += 1
         return local
 
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        result = stacklayout._first_fit(edges, pos)
+        result = stacklayout._first_fit(g, pos, order)
     finally:
         sys.settrace(previous)
-    return result, reads
+    return result, count
+
+
+def first_fit_counting_list_reads(g, pos, order):
+    """_first_fit's result, and how often its scan read a stack's list: the
+    executions of the line that fetches the list for a stale top."""
+    return first_fit_counting(g, pos, order, "ends = stacks[s]")
+
+
+def first_fit_counting_top_reads(g, pos, order):
+    """_first_fit's result, and how many cached tops its scans read: the
+    executions of the first line of the scan's loop body."""
+    return first_fit_counting(g, pos, order, "if t > pa:")
+
+
+def scan_bound(g, pos, assignment):
+    """The sum over left ends of 1 + the 0-based stack of the left end's
+    first span, its longest, which is all a scan per left end may read."""
+    first = {}  # left end -> (right end, edge) of its longest span
+    for u, v in g.edges():
+        pa, pb = sorted((pos[u], pos[v]))
+        first[pa] = max(first.get(pa, (pb, (u, v))), (pb, (u, v)))
+    return sum(assignment[e] for _, e in first.values())
 
 
 @given(st.data())
@@ -280,7 +314,7 @@ def test_first_fit_matches_quadratic_reference_on_any_order(data):
     g = data.draw(graphs())
     order = data.draw(st.permutations(range(g.n)))
     (assignment, k), reads = first_fit_counting_list_reads(
-        g.edges(), {v: i for i, v in enumerate(order)}
+        g, {v: i for i, v in enumerate(order)}, order
     )
     assert (assignment, k) == reference_first_fit(g, order)
     # Each read of a list pops at least its stale top, and each of the k
@@ -293,7 +327,57 @@ def test_first_fit_matches_quadratic_reference_on_any_order(data):
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    assert stacklayout._first_fit(g.edges(), pos) == (assignment, k)
+    assert stacklayout._first_fit(g, pos, order) == (assignment, k)
+
+
+@st.composite
+def grouped_graphs(draw):
+    """(graph, order) pairs whose left ends hold long runs of spans: cliques,
+    stars, complete bipartite graphs and blow-ups, in identity or random
+    order."""
+    kind = draw(st.sampled_from(["clique", "star", "bipartite", "blow-up"]))
+    if kind == "clique":
+        g = complete(draw(st.integers(min_value=1, max_value=12)))
+    elif kind == "star":
+        g = star(draw(st.integers(min_value=2, max_value=20)))
+    elif kind == "bipartite":
+        a = draw(st.integers(min_value=1, max_value=7))
+        b = draw(st.integers(min_value=1, max_value=7))
+        g = Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    else:
+        g = blow_up(draw(graphs(max_n=6)), draw(st.integers(min_value=1, max_value=3)))
+    order = draw(st.one_of(st.just(list(range(g.n))), st.permutations(range(g.n))))
+    return g, order
+
+
+@given(grouped_graphs())
+@settings(max_examples=150, deadline=None)
+def test_first_fit_matches_the_reference_on_long_left_end_groups(case):
+    g, order = case
+    pos = {v: i for i, v in enumerate(order)}
+    (assignment, k), tops_read = first_fit_counting_top_reads(g, pos, order)
+    assert (assignment, k) == reference_first_fit(g, order)
+    assert tops_read <= scan_bound(g, pos, assignment)
+    _, lists_read = first_fit_counting_list_reads(g, pos, order)
+    assert lists_read <= g.m - k
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete(12), star(15), Graph(12, [(u, v) for u in range(5) for v in range(5, 12)]),
+     blow_up(cycle(6), 3), strong_product(path(12), complete(4))],
+    ids=["K12", "star-15", "K5,7", "C6-blowup3", "P12xK4"],
+)
+def test_first_fit_scans_the_tops_once_per_left_end(g):
+    # Only a left end's first span scans, and it stops at its own stack, so
+    # the tops read are at most 1 + that stack's index per left end.  A scan
+    # per span also reads at least one top for each later span at a left
+    # end, which on each of these layouts exceeds the bound.
+    order = layout_from_decomposition(g, build_tree_decomposition(g, growth_constant(g))).order
+    pos = {v: i for i, v in enumerate(order)}
+    (assignment, k), tops_read = first_fit_counting_top_reads(g, pos, order)
+    assert (assignment, k) == reference_first_fit(g, order)
+    assert tops_read <= scan_bound(g, pos, assignment)
 
 
 @st.composite
@@ -359,7 +443,7 @@ def reference_check_stack_layout(g: Graph, layout: StackLayout) -> LayoutVerdict
     if set(layout.assignment) != expected:
         raise StructureError("layout assignment does not cover exactly the edges")
     for s in layout.assignment.values():
-        if not (1 <= s <= max(layout.k, 1)):
+        if not (1 <= s <= layout.k):
             raise StructureError(f"stack id {s} outside [1,{layout.k}]")
     pos = {v: i for i, v in enumerate(layout.order)}
     by_stack: Dict[int, list] = {}
@@ -427,6 +511,8 @@ def malformed_layouts():
         ("stack k + 1", g, StackLayout(order, {**base, (1, 2): 3, (2, 3): 2}, 2)),
         ("stack nan", g, StackLayout(order, {**base, (2, 3): nan}, 2)),
         ("two bad stacks", g, StackLayout(order, {(0, 1): 1, (1, 2): 5, (2, 3): 0}, 2)),
+        ("k 0", g, StackLayout(order, base, 0)),
+        ("k negative", g, StackLayout(order, base, -3)),
     ]
 
 
@@ -544,7 +630,7 @@ def test_exact_stack_number_equals_the_full_search():
 
 def test_exact_stack_number_ignores_the_first_fit_bound(monkeypatch):
     # The worst upper bound, one stack per edge, leaves every result as it was.
-    monkeypatch.setattr(stacklayout, "_first_fit", lambda edges, pos: ({}, len(edges)))
+    monkeypatch.setattr(stacklayout, "_first_fit", lambda g, pos, order: ({}, g.m))
     for g in identity_graphs():
         if g.n <= 5:
             k, layout = exact_stack_number(g)
