@@ -122,14 +122,21 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
     """Boundary-tracking construction: a node (X, W) keeps a boundary W
     contained in X separating X\\W from the rest of the graph.  Sets with
     |X\\W| <= max(2, ceil(2c)) become single bags.  Any other X is laid out
-    by `separators.bfs_layering`; if that misses part of X, the components
+    by its layering from min(X); if that misses part of X, the components
     of g[X] hang below a bag W, or form a path when W is empty.  Otherwise
     g[X] is cut at the layer V_j that `_choose_split` ranks first: bag
     W+V_j, children (A, (W&A)+V_j) and (B, (W&B)+V_j).  With c below the
     growth constant the result is still valid, but the 49c^2 + 30c width
     bound does not hold.  Bag ids come in post-order from an explicit work
     stack: children before their parent, A before B, components in
-    `components_within` order."""
+    `components_within` order.
+
+    Only B sides, the root and components without min(X) run
+    `separators.bfs_layering`.  An A side holds its parent's root, so its
+    layering is `Layering.prefix(j)` of the parent's, sliced only once that
+    child turns out not to be a leaf; a layering that misses part of X is
+    already that of the component of min(X), which takes it as it is.
+    Both are the BFS a fresh call would run, so the bags are the same."""
     c = _growth_parameter(c)
     if g.n == 0:
         return TreeDecomposition(bags=(frozenset(),), edges=())
@@ -137,10 +144,12 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
     bags: list = []
     tree_edges: list = []
     roots: list = []  # root ids of finished subtrees, in finishing order
-    # ("node", X, W) decomposes g[X] with boundary W; ("join", bag, k) runs
-    # after its k children, whose roots are then the last k entries of roots,
-    # and hangs them below a new bag, or chains them when bag is None.
-    work = [("node", frozenset(range(g.n)), frozenset())]
+    # ("node", X, W, parent, j) decomposes g[X] with boundary W, laid out by
+    # parent.prefix(j), or by a fresh BFS when parent is None; ("join", bag,
+    # k) runs after its k children, whose roots are then the last k entries
+    # of roots, and hangs them below a new bag, or chains them when bag is
+    # None.
+    work = [("node", frozenset(range(g.n)), frozenset(), None, 0)]
     while work:
         entry = work.pop()
         if entry[0] == "join":
@@ -155,7 +164,7 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
                 roots.append(len(bags) - 1)
                 tree_edges.extend((roots[-1], child) for child in children)
             continue
-        _, X, W = entry
+        _, X, W, parent, j = entry
         # Every node keeps W a subset of X: the root's W is empty, a
         # component gets W & comp, and each side gets (W & side) + V_j with
         # V_j inside the side.
@@ -163,22 +172,26 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
             bags.append(X)
             roots.append(len(bags) - 1)
             continue
-        layering = bfs_layering(g, X, c)
+        layering = bfs_layering(g, X, c) if parent is None else parent.prefix(j)
         if len(layering.order) < len(X):
             comps = components_within(g, X)
             work.append(("join", W or None, len(comps)))
-            work.extend(("node", comp, W & comp) for comp in reversed(comps))
+            work.extend(
+                ("node", comp, W & comp, layering if layering.root in comp else None, layering.p)
+                for comp in reversed(comps)
+            )
             continue
-        a_side, b_side, sep = _choose_split(W, layering)
+        j = _choose_split(W, layering)
+        a_side, b_side, sep = layering.sides(j)
         work.append(("join", W | sep, 2))
-        work.append(("node", b_side, (W & b_side) | sep))
-        work.append(("node", a_side, (W & a_side) | sep))
+        work.append(("node", b_side, (W & b_side) | sep, None, 0))
+        work.append(("node", a_side, (W & a_side) | sep, layering, j))
     return TreeDecomposition(bags=tuple(bags), edges=tuple(tree_edges))
 
 
-def _choose_split(W, layering):
-    """Sides (A, B, V_j) of the layer split at the j in [1,p] with the least
-    rank key among those whose split strictly shrinks both measures
+def _choose_split(W, layering) -> int:
+    """The layer j in [1,p] of the split with the least rank key among
+    those whose split strictly shrinks both measures
     |side \\ W \\ V_j|, where A = layers 0..j and B = layers j..p:
 
     - (0, max(|W&A|, |W&B|), |j - median thin index|, j) for thin j < p;
@@ -213,7 +226,7 @@ def _choose_split(W, layering):
     top = min(hi, p - 1)
     first, stop = bisect_left(thin, lo), bisect_right(thin, top)
     if first == stop:
-        return layering.sides(min(max((p + 1) // 2, lo), hi))
+        return min(max((p + 1) // 2, lo), hi)
     # A cut x lies between thin[k - 1] and thin[k], k = bisect_left(thin, x):
     # the first leads the run ending at x when x <= median, the second the
     # run starting at x when x > median.  The median leads its own run.
@@ -221,8 +234,7 @@ def _choose_split(W, layering):
     leaders = {bisect_left(thin, x, first, stop) - (x <= median) for x in cuts}
     leaders.add(bisect_left(thin, median, first, stop))
     candidates = [thin[k] for k in leaders if first <= k < stop]
-    j = min(candidates, key=lambda j: (max(w_upto(j), len(W) - w_upto(j - 1)), abs(j - median), j))
-    return layering.sides(j)
+    return min(candidates, key=lambda j: (max(w_upto(j), len(W) - w_upto(j - 1)), abs(j - median), j))
 
 
 def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:

@@ -21,6 +21,7 @@ the heavy side until both exclusive sides hold at most 2n/3 vertices.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -60,7 +61,14 @@ class SeparationReport:
 class Layering:
     """BFS layering V_0, ..., V_p of the component of min(X) in g[X], rooted
     at that smallest vertex; g[X] is connected exactly when `order` covers
-    X.  Any root serves, since B_p(root) = X gives n <= f(p) <= c*p."""
+    X.  Any root serves, since B_p(root) = X gives n <= f(p) <= c*p.
+
+    Two layerings follow from this one without a BFS.  When `order` misses
+    part of X, this is already the layering of the component of min(X).
+    And the A side of a cut j, layers 0..j, holds the root, and each vertex
+    of layer i <= j is first reached from layer i - 1, also in A: so the
+    BFS of g[A] from the same root visits `order[:ends[j]]` in the same
+    order, and `prefix(j)` is that layering."""
 
     root: int
     order: Tuple[int, ...]            # the reached vertices, layer by layer
@@ -76,6 +84,22 @@ class Layering:
         """The split at layer j as slices of `order`: (layers 0..j, layers j..p, V_j)."""
         order, start, end = self.order, self.ends[j - 1] if j else 0, self.ends[j]
         return frozenset(order[:end]), frozenset(order[start:]), frozenset(order[start:end])
+
+    def prefix(self, j: int) -> "Layering":
+        """The layering of the A side of the cut at layer j in [1,p], the
+        same as `bfs_layering` of layers 0..j: its order and ends are
+        prefixes of these, its thin indices those <= j."""
+        if j == self.p:
+            return self
+        ends = self.ends[: j + 1]
+        thin = self.thin[: bisect_right(self.thin, j)]
+        return Layering(
+            root=self.root,
+            order=self.order[: ends[j]],
+            ends=ends,
+            thin=thin,
+            median=median_thin_index(thin, j),
+        )
 
     def to_json_dict(self) -> dict:
         """The layer-split trace: root, p, |V_0|, ..., |V_p|, the thick
@@ -223,9 +247,10 @@ def bfs_layer_separation(
     smaller side.  The components of X\\J are those of X minus J, so one
     `components_within` call serves every level: a forward loop peels until
     the rest is at most 2/3 of its host (or one component is left, cut by
-    its own layering), and a backward loop absorbs by side sizes, building
-    each side once.  The layering returned is the one cut, None when only
-    whole components were peeled."""
+    its own layering, which is the layering of X when it holds min(X)), and
+    a backward loop absorbs by side sizes, building each side once.  The
+    layering returned is the one cut, None when only whole components were
+    peeled."""
     c = _growth_parameter(c)
     X = _host_set(g, X)
     if not X:
@@ -240,7 +265,9 @@ def bfs_layer_separation(
         hosts.append(hosts[depth] - len(comps[depth]))
         depth += 1
     if depth == len(comps) - 1:
-        layering = bfs_layering(g, comps[depth], c)
+        # The layering of X already lays out the component of min(X).
+        if layering.root not in comps[depth]:
+            layering = bfs_layering(g, comps[depth], c)
         inner = _median_split(layering)
     else:
         layering = None

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from bisect import bisect_right
@@ -667,12 +668,12 @@ def test_builder_reaches_the_rank_class_each_case_names(monkeypatch, g, c, rank_
     classes = []
 
     def recording(W, layering):
-        a_side, b_side, sep = choose(W, layering)
+        _, _, sep = layering.sides(choose(W, layering))
         # Any vertex of V_j sits at a position of layer j in the BFS order.
         j = bisect_right(layering.ends, layering.order.index(next(iter(sep))))
         assert layering.sides(j)[2] == sep
         classes.append(2 if j == layering.p else 0 if j in layering.thin else 1)
-        return a_side, b_side, sep
+        return j
 
     monkeypatch.setattr(decomposition_mod, "_choose_split", recording)
     build_tree_decomposition(g, c)
@@ -709,6 +710,123 @@ def test_builder_finds_components_only_where_the_layering_misses_some(monkeypatc
     assert calls == []
     build_tree_decomposition(MANY_PATHS, 3)
     assert calls == [frozenset(range(3000))]
+
+
+def reference_build_tree_decomposition(g, c):
+    """The builder with a fresh `bfs_layering` at every node that is not a
+    leaf, A sides and the component of min(X) included."""
+    threshold = max(2, math.ceil(2 * Fraction(c)))
+    if g.n == 0:
+        return TreeDecomposition(bags=(frozenset(),), edges=())
+    bags, tree_edges, roots = [], [], []
+    work = [("node", frozenset(range(g.n)), frozenset())]
+    while work:
+        entry = work.pop()
+        if entry[0] == "join":
+            _, bag, k = entry
+            children = roots[-k:]
+            del roots[-k:]
+            if bag is None:
+                tree_edges.extend(zip(children, children[1:]))
+                roots.append(children[-1])
+            else:
+                bags.append(bag)
+                roots.append(len(bags) - 1)
+                tree_edges.extend((roots[-1], child) for child in children)
+            continue
+        _, X, W = entry
+        if len(X) - len(W) <= threshold:
+            bags.append(X)
+            roots.append(len(bags) - 1)
+            continue
+        layering = bfs_layering(g, X, c)
+        if len(layering.order) < len(X):
+            comps = components_within(g, X)
+            work.append(("join", W or None, len(comps)))
+            work.extend(("node", comp, W & comp) for comp in reversed(comps))
+            continue
+        a_side, b_side, sep = layering.sides(decomposition_mod._choose_split(W, layering))
+        work.append(("join", W | sep, 2))
+        work.append(("node", b_side, (W & b_side) | sep))
+        work.append(("node", a_side, (W & a_side) | sep))
+    return TreeDecomposition(bags=tuple(bags), edges=tuple(tree_edges))
+
+
+@st.composite
+def builder_cases(draw):
+    """A disjoint union of 1 to 4 random connected pieces (a spanning tree
+    plus chords, some of them paths), under a random relabelling so that
+    min(X) lies anywhere, with c drawn from 1, 3/2, 2 or the growth
+    constant: the first three lie below it on most draws."""
+    edges, n = [], 0
+    for size in draw(st.lists(st.integers(1, 40), min_size=1, max_size=4)):
+        if draw(st.booleans()):
+            tree = [(n + v, n + v - 1) for v in range(1, size)]
+        else:
+            tree = [(n + v, n + draw(st.integers(0, v - 1))) for v in range(1, size)]
+        piece = st.integers(n, n + size - 1)
+        chords = draw(st.lists(st.tuples(piece, piece), max_size=size // 2))
+        edges += tree + [(u, v) for u, v in chords if u != v]
+        n += size
+    label = draw(st.permutations(range(n)))
+    g = Graph(n, [(label[u], label[v]) for u, v in edges])
+    c = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), None]))
+    return g, growth_constant(g) if c is None else c
+
+
+@settings(max_examples=150, deadline=None)
+@given(builder_cases())
+def test_builder_equals_the_fresh_layering_reference(case):
+    # Inherited layerings are the BFS a fresh call would run, so the
+    # decomposition is the same bag for bag and edge for edge.
+    g, c = case
+    assert build_tree_decomposition(g, c) == reference_build_tree_decomposition(g, c)
+
+
+def test_builder_equals_the_fresh_layering_reference_on_many_paths():
+    for c in (1, Fraction(3, 2), 3):
+        assert build_tree_decomposition(MANY_PATHS, c) == reference_build_tree_decomposition(MANY_PATHS, c)
+
+
+@pytest.mark.parametrize(
+    "g,c,calls",
+    [
+        (path(2000), 3, 208),
+        (MANY_PATHS, 3, 300),
+        (grid(12), None, None),
+        (cycle(60), None, None),
+        (random_tree(300, 1), None, None),
+        (Graph(40, [(v, v + 1) for v in range(39) if v % 13 != 12]), 1, None),
+    ],
+)
+def test_builder_runs_no_bfs_that_a_parent_layering_fixes(monkeypatch, g, c, calls):
+    # No fresh layering is of an A side, whose layering is a prefix of its
+    # parent's, nor of the component of min(X) under a layering that missed
+    # part of X, which is that layering itself.
+    c = growth_constant(g) if c is None else c
+    inherited, xs = set(), []
+    layer = decomposition_mod.bfs_layering
+    choose = decomposition_mod._choose_split
+
+    def spying_layering(g_, X, c_):
+        assert X not in inherited
+        xs.append(X)
+        layering = layer(g_, X, c_)
+        if len(layering.order) < len(X):
+            inherited.add(frozenset(layering.order))
+        return layering
+
+    def spying_choose(W, layering):
+        j = choose(W, layering)
+        inherited.add(layering.sides(j)[0])
+        return j
+
+    monkeypatch.setattr(decomposition_mod, "bfs_layering", spying_layering)
+    monkeypatch.setattr(decomposition_mod, "_choose_split", spying_choose)
+    build_tree_decomposition(g, c)
+    assert xs
+    if calls is not None:
+        assert len(xs) == calls
 
 
 # ------------------------------------------ the split choice against its old scan
@@ -800,7 +918,7 @@ def test_choose_split_equals_the_reference_scan(case, c):
     layering = bfs_layering(g, X, growth_constant(g) if c is None else c)
     assert len(layering.order) == len(X)
     expected = reference_choose_split(W, ListedLayering(layering))
-    assert decomposition_mod._choose_split(W, layering) == expected
+    assert layering.sides(decomposition_mod._choose_split(W, layering)) == expected
 
 
 # Each host with its growth constant.
@@ -840,7 +958,7 @@ def test_choose_split_equals_the_reference_scan_on_wide_boundaries():
         layering = bfs_layering(g, X, c)
         assert len(layering.order) == len(X)
         expected = reference_choose_split(W, ListedLayering(layering))
-        assert decomposition_mod._choose_split(W, layering) == expected, seed
+        assert layering.sides(decomposition_mod._choose_split(W, layering)) == expected, seed
 
 
 # ---------------------------------------------------------------- grid minors

@@ -468,6 +468,43 @@ def test_the_returned_layering_is_the_one_cut(case, c):
         assert {a, b} == {sep.a & reached, sep.b & reached}
 
 
+def test_lifting_reuses_the_layering_that_lays_out_the_last_component(monkeypatch):
+    # A layering that misses part of X lays out the component of min(X), so
+    # when the peel ends at that component it is cut without a second BFS.
+    calls = []
+
+    def counting(g, X, c):
+        calls.append(X)
+        return bfs_layering(g, X, c)
+
+    monkeypatch.setattr(separators_mod, "bfs_layering", counting)
+    # P12 on 0..11 plus the isolated vertex 12, which is peeled.
+    g = Graph(13, [(i, i + 1) for i in range(11)])
+    layering = bfs_layer_separation(g, None, 3)[1]
+    assert calls == [frozenset(range(13))]
+    assert layering == bfs_layering(g, frozenset(range(12)), 3)
+    # The isolated vertex 0 is the root, so the path on 1..12 is laid out anew.
+    calls.clear()
+    g = Graph(13, [(i, i + 1) for i in range(1, 12)])
+    layering = bfs_layer_separation(g, None, 3)[1]
+    assert calls == [frozenset(range(13)), frozenset(range(1, 13))]
+    assert layering.root == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(disconnected_sets() | relabelled_connected_graphs().map(lambda g: (g, frozenset(range(g.n)))),
+       st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(2)]))
+def test_prefix_is_the_layering_of_the_a_side(case, c):
+    # The A side of a cut j, layers 0..j, holds the root, and each of its
+    # vertices is first reached from the layer before, also in A: its BFS
+    # from the same root is a prefix of this one.
+    g, X = case
+    c = growth_constant(g) if c is None else c
+    layering = bfs_layering(g, X, c)
+    for j in range(1, layering.p + 1):
+        assert layering.prefix(j) == bfs_layering(g, layering.sides(j)[0], c)
+
+
 def test_perfect_matching_separates_without_recursion():
     # 2500 components: the lifting peels 2497 of them before the rest is
     # balanced, far past the default recursion limit.
