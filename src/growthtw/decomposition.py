@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import CapacityError, ModelError, PreconditionError, RangeError
+from .errors import CapacityError, InvariantViolationError, ModelError, PreconditionError, RangeError
 from .graphs import Graph, components_within, iter_bits, json_int, json_ints, minor
 from .separators import _growth_parameter, bfs_layering
 
@@ -183,9 +183,15 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
             continue
         j = _choose_split(W, layering)
         a_side, b_side, sep = layering.sides(j)
+        w_a, w_b = (W & a_side) | sep, (W & b_side) | sep
+        # A split that fails to shrink |X\W| would be pushed again forever.
+        if max(len(a_side) - len(w_a), len(b_side) - len(w_b)) >= len(X) - len(W):
+            raise InvariantViolationError(
+                f"split at layer j={j} of p={layering.p} does not shrink |X\\W| = {len(X) - len(W)}"
+            )
         work.append(("join", W | sep, 2))
-        work.append(("node", b_side, (W & b_side) | sep, None, 0))
-        work.append(("node", a_side, (W & a_side) | sep, layering, j))
+        work.append(("node", b_side, w_b, None, 0))
+        work.append(("node", a_side, w_a, layering, j))
     return TreeDecomposition(bags=tuple(bags), edges=tuple(tree_edges))
 
 

@@ -108,6 +108,11 @@ class Graph:
         if not (0 <= v < self.n):
             raise RangeError(f"vertex {v} out of range for n={self.n}")
 
+    def _check_vertices(self, X) -> None:
+        """Refuses by name an id of X outside [0, n), asking only min and max."""
+        for v in (min(X), max(X)) if X else ():
+            self._check_vertex(v)
+
     def __eq__(self, other):
         if isinstance(other, Graph):
             return self.n == other.n and self.adj == other.adj
@@ -218,8 +223,10 @@ def components(g: Graph) -> list:
 
 def components_within(g: Graph, X) -> list:
     """Components of the induced subgraph g[X] as frozensets, ordered by
-    (size, smallest id) ascending, so the smallest component comes first."""
+    (size, smallest id) ascending, so the smallest component comes first.
+    An id of X outside [0, n) is a RangeError."""
     X = frozenset(X)
+    g._check_vertices(X)
     seen = set()
     comps = []
     for start in X:
@@ -305,6 +312,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 def is_connected(g: Graph, vertices: Optional[frozenset] = None) -> bool:
     if vertices is None:
         return g.n <= 1 or len(bfs_distances(g, 0)) == g.n
+    g._check_vertices(vertices)
     if len(vertices) <= 1:
         return True
     start = next(iter(vertices))

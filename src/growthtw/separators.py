@@ -336,6 +336,5 @@ def _host_set(g: Graph, X) -> frozenset:
     """The host set X of a separation, all of V(g) when None; an id outside
     [0, n) is refused by name."""
     X = frozenset(range(g.n)) if X is None else frozenset(X)
-    for v in (min(X), max(X)) if X else ():
-        g._check_vertex(v)
+    g._check_vertices(X)
     return X

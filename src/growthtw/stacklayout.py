@@ -4,8 +4,10 @@ graphs, and a decomposition-driven heuristic layout.
 Two edges conflict under an order when their endpoints interleave; a layout
 is valid when no two edges on the same stack conflict.  Conflicts depend
 only on the cyclic order up to reflection, so the exact search fixes the
-first vertex and prunes reversed orders; it stops at the first order that
-reaches a certified lower bound.
+first vertex and prunes reversed orders.  It asks each order whether its
+conflict graph colours with fewer colours than the best so far, colours
+only an order that does, climbing from a certified lower bound, and stops
+at the first order that reaches that bound.
 """
 
 from __future__ import annotations
@@ -264,22 +266,12 @@ def _colorable(masks, k) -> Optional[list]:
 
 
 def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
-    """Minimum stacks over all vertex orders.  The first vertex is pinned and
-    reversals pruned (conflicts are invariant under rotation and reflection
-    of the spine); per order the minimum equals the chromatic number of the
-    edge conflict graph.
-
-    The search keeps the first order, in enumeration order, whose chromatic
-    number beats every earlier one, coloured by `_colorable` at that number.
-    An order is asked once whether it colours with min(best - 1, k') colours,
-    where k' is the count of `_first_fit` on it, so at least its chromatic
-    number; only if it does is the count stepped down, one colour at a time
-    while it still colours, to its chromatic number or to
-    lb = `stack_number_lower_bound(g)`.  The search stops at the first order
-    that reaches lb.  No order can go below lb, and an order that cannot
-    beat the best so far is never recorded, so the result is the one a
-    full search over every order, with the exact chromatic number of each,
-    returns."""
+    """Minimum stacks over all vertex orders (first vertex pinned, reversals
+    pruned), with the first order, in enumeration order, that reaches it,
+    coloured by `_colorable` at that minimum.  Each order is asked whether
+    its conflict graph colours with one colour fewer than the best so far;
+    one that does is coloured at lb = `stack_number_lower_bound(g)`,
+    lb + 1, ... until it succeeds, and the search stops once best = lb."""
     if g.n > EXACT_STACK_VERTEX_BUDGET:
         raise CapacityError(
             f"exact stack number refuses n={g.n} > {EXACT_STACK_VERTEX_BUDGET}"
@@ -288,30 +280,21 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
     if not edges:
         return 0, StackLayout(order=tuple(range(g.n)), assignment={}, k=0)
     lb = stack_number_lower_bound(g)
-    best_k = len(edges) + 1
-    best_layout = None
+    best = None
     for perm in permutations(range(1, g.n)):
         if len(perm) >= 2 and perm[0] > perm[-1]:
             continue
         order = (0,) + perm
-        pos = {v: i for i, v in enumerate(order)}
-        masks = _conflict_masks(edges, pos)
-        k = min(best_k - 1, _first_fit(g, pos, order)[1])
-        colors = _colorable(masks, k)
-        if colors is None:
+        masks = _conflict_masks(edges, {v: i for i, v in enumerate(order)})
+        if best is not None and _colorable(masks, best.k - 1) is None:
             continue
-        while k > lb and (fewer := _colorable(masks, k - 1)) is not None:
-            k, colors = k - 1, fewer
-        best_k = k
-        best_layout = StackLayout(
-            order=order,
-            assignment={e: colors[i] for i, e in enumerate(edges)},
-            k=k,
-        )
-        if best_k == lb:
+        k = lb
+        while (colors := _colorable(masks, k)) is None:
+            k += 1
+        best = StackLayout(order=order, assignment=dict(zip(edges, colors)), k=k)
+        if k == lb:
             break
-    assert best_layout is not None
-    return best_k, best_layout
+    return best.k, best
 
 
 def layout_from_decomposition(g: Graph, td: TreeDecomposition) -> StackLayout:

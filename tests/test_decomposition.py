@@ -32,7 +32,7 @@ from growthtw.generators import complete, complete_binary_tree, cycle, grid, pat
 from growthtw.graphs import Graph, bfs_distances, components_within, iter_bits, minor
 from growthtw.growth import growth_constant
 from growthtw.harness import random_tree
-from growthtw.separators import bfs_layering
+from growthtw.separators import Layering, bfs_layering
 
 
 # ---------------------------------------------------------------- checker
@@ -827,6 +827,16 @@ def test_builder_runs_no_bfs_that_a_parent_layering_fixes(monkeypatch, g, c, cal
     assert xs
     if calls is not None:
         assert len(xs) == calls
+
+
+def test_builder_refuses_a_split_that_does_not_shrink(monkeypatch):
+    # A faulty prefix that hands an A side its parent's whole layering makes
+    # the split of grid(4) at c = 1 reproduce its own node, which without the
+    # guard would be pushed forever.
+    prefix = Layering.prefix
+    monkeypatch.setattr(Layering, "prefix", lambda self, j: self if j == self.p - 1 else prefix(self, j))
+    with pytest.raises(InvariantViolationError, match=r"j=2 of p=3 does not shrink \|X\\W\| = 3"):
+        build_tree_decomposition(grid(4), 1)
 
 
 # ------------------------------------------ the split choice against its old scan

@@ -274,6 +274,15 @@ def test_components_within_induced_subgraph():
     assert components_within(g, frozenset()) == []
 
 
+@pytest.mark.parametrize("X,bad", [({-1, 0}, -1), ({0, 7}, 7)])
+def test_set_helpers_refuse_an_out_of_range_id(X, bad):
+    # A negative id would read another vertex's adjacency list from the end,
+    # and one past n would raise a bare IndexError.
+    for helper in (components_within, is_connected):
+        with pytest.raises(RangeError, match=f"vertex {bad} out of range for n=3"):
+            helper(path(3), X)
+
+
 def test_moore_gain_values():
     # A path gains 2 vertices a level: from 3 vertices, 500 takes 249 levels.
     assert moore_gain(2, 249, 500) == 249

@@ -309,8 +309,8 @@ def scan_bound(g, pos, assignment):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_first_fit_matches_quadratic_reference_on_any_order(data):
-    # The exact search runs first-fit on arbitrary orders, not only on the
-    # DFS orders of decompositions.
+    # First-fit must be right on every order, not only on the DFS orders of
+    # decompositions that `_layout` gives it.
     g = data.draw(graphs())
     order = data.draw(st.permutations(range(g.n)))
     (assignment, k), reads = first_fit_counting_list_reads(
@@ -581,10 +581,15 @@ def test_exact_stack_number_stops_at_the_lower_bound(monkeypatch):
     assert exact_stack_number(complete(8))[0] == 4
     assert len(calls) == 1
     # A cubic graph has a 3-core, so 2 stacks stop the search; a full one
-    # builds 7!/2 = 2520 conflict graphs.
+    # builds 7!/2 = 2520 conflict graphs, one per order, as on a cubic graph
+    # that needs 3.
     calls.clear()
     assert exact_stack_number(random_cubic(8, 0))[0] == 2
     assert 1 <= len(calls) < 50
+    calls.clear()
+    g = random_cubic(8, 8)
+    assert (stack_number_lower_bound(g), exact_stack_number(g)[0]) == (2, 3)
+    assert len(calls) == 2520
 
 
 def full_search_stack_number(g):
@@ -609,8 +614,9 @@ def full_search_stack_number(g):
 
 
 def identity_graphs():
-    """Every labelled graph on at most 5 vertices, then seeded random graphs
-    on 6 and 7 vertices."""
+    """Every labelled graph on at most 5 vertices, seeded random graphs on 6
+    and 7 vertices, then cubic graphs on 8 whose stack number 3 exceeds their
+    lower bound 2, so that no order stops the exact search."""
     for n in range(6):
         pairs = list(combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
@@ -619,6 +625,8 @@ def identity_graphs():
     for n in (6, 6, 6, 6, 7, 7):
         density = rng.random()
         yield Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    for seed in (8, 25, 34):
+        yield random_cubic(8, seed)
 
 
 def test_exact_stack_number_equals_the_full_search():
@@ -629,8 +637,10 @@ def test_exact_stack_number_equals_the_full_search():
 
 
 def test_exact_stack_number_ignores_the_first_fit_bound(monkeypatch):
-    # The worst upper bound, one stack per edge, leaves every result as it was.
-    monkeypatch.setattr(stacklayout, "_first_fit", lambda g, pos, order: ({}, g.m))
+    def refuse(g, pos, order):
+        raise AssertionError("the exact search ran first-fit")
+
+    monkeypatch.setattr(stacklayout, "_first_fit", refuse)
     for g in identity_graphs():
         if g.n <= 5:
             k, layout = exact_stack_number(g)
