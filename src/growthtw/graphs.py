@@ -224,7 +224,9 @@ def components(g: Graph) -> list:
 def components_within(g: Graph, X) -> list:
     """Components of the induced subgraph g[X] as frozensets, ordered by
     (size, smallest id) ascending, so the smallest component comes first.
-    An id of X outside [0, n) is a RangeError."""
+    X is read once as a set, so a repeated id counts once.  An id of X
+    outside [0, n) is a RangeError.  It is the one helper that finds
+    components and decides whether a vertex set is connected."""
     X = frozenset(X)
     g._check_vertices(X)
     seen = set()
@@ -247,19 +249,18 @@ def components_within(g: Graph, X) -> list:
     return comps
 
 
-def bfs_distances(g: Graph, source: int, allowed: Optional[frozenset] = None) -> dict:
-    """Distances from `source` within g (optionally restricted to the induced
-    subgraph on `allowed`).  Unreachable vertices are absent."""
+def bfs_distances(g: Graph, source: int) -> dict:
+    """Distances from `source` within the whole of g; unreachable vertices
+    are absent.  There is no vertex filter: the connectivity of a vertex set
+    is decided by `components_within`."""
     g._check_vertex(source)
-    if allowed is not None and source not in allowed:
-        raise RangeError(f"source {source} not in the allowed set")
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
         du = dist[u]
         for w in g.adj[u]:
-            if w not in dist and (allowed is None or w in allowed):
+            if w not in dist:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
@@ -309,21 +310,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def is_connected(g: Graph, vertices: Optional[frozenset] = None) -> bool:
-    if vertices is None:
-        return g.n <= 1 or len(bfs_distances(g, 0)) == g.n
-    g._check_vertices(vertices)
-    if len(vertices) <= 1:
-        return True
-    start = next(iter(vertices))
-    return len(bfs_distances(g, start, frozenset(vertices))) == len(vertices)
-
-
 def minor(g: Graph, parts) -> Graph:
     """The minor of g whose vertex i is the i-th set of `parts`, a mapping
     from names to vertex sets, contracted; vertices in no set are deleted.
     An id outside [0, n) is a RangeError, and the first set that is empty,
-    meets an earlier set or is disconnected in g a ModelError naming it."""
+    meets an earlier set or is disconnected in g a ModelError naming it.
+    A set of more than one vertex is connected when `components_within`
+    finds one component in it; a repeated id counts once."""
     owner = {}
     for i, (key, part) in enumerate(parts.items()):
         if not part:
@@ -334,7 +327,7 @@ def minor(g: Graph, parts) -> Graph:
         if not owner.keys().isdisjoint(part):
             raise ModelError(f"branch set {key} overlaps another")
         owner.update(dict.fromkeys(part, i))
-        if not is_connected(g, part):
+        if len(part) > 1 and len(components_within(g, part)) > 1:
             raise ModelError(f"branch set {key} is disconnected")
     edges = set()
     for v, i in owner.items():
@@ -346,4 +339,4 @@ def minor(g: Graph, parts) -> Graph:
 
 
 def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
+    return g.n >= 1 and g.m == g.n - 1 and len(bfs_distances(g, 0)) == g.n

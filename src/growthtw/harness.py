@@ -24,7 +24,7 @@ from .decomposition import (
 )
 from .errors import InvariantViolationError, RangeError
 from .generators import complete, complete_binary_tree, cycle, grid, path, random_cubic, star, strong_product
-from .graphs import Graph
+from .graphs import Graph, _within_budget
 from .growth import growth_constant, verify_growth_bound
 from .stacklayout import _layout, check_stack_layout
 
@@ -59,9 +59,11 @@ class TheoremReport:
 
 
 def random_tree(n: int, seed: int) -> Graph:
-    """Random recursive tree: vertex i >= 1 attaches to a uniform earlier one."""
+    """Random recursive tree: vertex i >= 1 attaches to a uniform earlier one.
+    Past the vertex budget it is a CapacityError before any pair is drawn."""
     if n < 1:
         raise RangeError(f"tree needs n >= 1, got {n}")
+    _within_budget(n)
     rng = random.Random(seed)
     return Graph(n, [(i, rng.randrange(i)) for i in range(1, n)])
 

@@ -911,7 +911,7 @@ def split_cases(draw):
     X = {draw(vertex)}
     for _ in range(draw(st.integers(2, n - 1))):
         X.add(draw(st.sampled_from(sorted({w for v in X for w in g.adj[v]} - X))))
-    dist = bfs_distances(g, min(X), frozenset(X))
+    dist = bfs_distances(Graph(g.n, [e for e in g.edges() if set(e) <= X]), min(X))
     depths = sorted(dist.values())
     d = draw(st.integers(depths[2] + 1, depths[-1] + 1))
     head = sorted(v for v in X if dist[v] < d)

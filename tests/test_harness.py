@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import growthtw.graphs as graphs_mod
 import growthtw.harness as harness_mod
 from growthtw.errors import CapacityError, InvariantViolationError, RangeError
 from growthtw.decomposition import TreeDecomposition
@@ -27,6 +29,20 @@ def test_random_tree_is_tree_and_deterministic():
     assert random_tree(1, seed=0).n == 1
     with pytest.raises(RangeError):
         random_tree(0, seed=1)
+
+
+def test_random_tree_refuses_past_the_budget_before_it_allocates(monkeypatch):
+    # The n - 1 pairs of 200,000 vertices trace about 24 MiB; the refusal
+    # comes before the first of them is drawn.
+    monkeypatch.setattr(graphs_mod, "VERTEX_BUDGET", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^graph would have 200000 vertices \(budget 1000\)$"):
+            random_tree(200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_default_corpus_shapes():

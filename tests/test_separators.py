@@ -9,7 +9,6 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import growthtw.graphs as graphs_mod
 import growthtw.separators as separators_mod
 from growthtw.errors import InvariantViolationError, PreconditionError, RangeError
 from growthtw.decomposition import build_tree_decomposition, check_tree_decomposition
@@ -157,15 +156,17 @@ def test_disconnected_lifting_unbalanced():
 
 
 def test_layer_split_tests_connectivity_by_its_layering(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("is_connected was called")
-
-    monkeypatch.setattr(graphs_mod, "is_connected", refuse)
-    monkeypatch.setattr(separators_mod, "is_connected", refuse, raising=False)
+    # A set whose layering covers it is connected and split on that
+    # layering; only a disconnected set is cut into its components.
     g = Graph(5, [(0, 1), (2, 3), (3, 4)])
     sep, layering = bfs_layer_separation(g, None, 1)
     assert sep == Separation(a=frozenset({2, 3, 4}), b=frozenset({0, 1}))
     assert layering is None
+
+    def refuse(*args):
+        raise AssertionError("components_within was called")
+
+    monkeypatch.setattr(separators_mod, "components_within", refuse)
     sep, layering = bfs_layer_separation(g, frozenset({2, 3, 4}), 1)
     assert layering.order == (2, 3, 4)
 
@@ -425,7 +426,7 @@ def test_layering_lays_out_the_component_of_the_smallest_vertex(g_and_X):
     # connected.
     g, X = g_and_X
     layering = bfs_layering(g, X, Fraction(3, 2))
-    dist = bfs_distances(g, min(X), X)
+    dist = bfs_distances(Graph(g.n, [e for e in g.edges() if set(e) <= X]), min(X))
     assert len(set(layering.order)) == len(layering.order)
     assert layer_of(layering) == dist
     assert layers(layering) == [
