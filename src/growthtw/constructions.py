@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
-from .errors import CapacityError, PreconditionError, RangeError
+from .errors import CapacityError, ParseError, PreconditionError, RangeError
 from .graphs import Graph, bfs_distances, is_tree, json_int, json_ints, minor
 
 SUBDIVISION_VERTEX_BUDGET = 500_000
@@ -42,18 +42,20 @@ class HostEmbedding:
     def from_json_dict(data: dict) -> "HostEmbedding":
         """Inverse of `to_json_dict`; without "tree_n" the tree has the
         nodes up to the largest edge end.  Every number must be a JSON
-        integer and each tree edge a pair (ParseError)."""
+        integer, each tree edge a pair and each map vertex listed once
+        (ParseError)."""
         edges = [tuple(json_ints(e, "tree edge", 2)) for e in data["tree_edges"]]
         if "tree_n" in data:
             n = json_int(data["tree_n"], "tree_n")
         else:
             n = 1 + max((max(e) for e in edges), default=0)
         tree = Graph(n, edges)
-        vmap = {
-            json_int(d["v"], "map v"): (json_int(d["node"], "map node"),
-                                        json_int(d["copy"], "map copy"))
-            for d in data["map"]
-        }
+        vmap = {}
+        for d in data["map"]:
+            v = json_int(d["v"], "map v")
+            if v in vmap:
+                raise ParseError(f"malformed map: vertex {v} listed twice")
+            vmap[v] = (json_int(d["node"], "map node"), json_int(d["copy"], "map copy"))
         return HostEmbedding(host_tree=tree, root=json_int(data["root"], "root"),
                              k=json_int(data["k"], "k"), vertex_map=vmap)
 
@@ -65,9 +67,9 @@ class EmbeddingVerdict:
 
 
 def check_product_embedding(g: Graph, emb: HostEmbedding) -> EmbeddingVerdict:
-    """Valid iff every edge of g maps to a strong-product adjacency of
-    host_tree boxed with K_k: tree nodes equal (with distinct copies) or
-    adjacent."""
+    """Valid iff the map is injective on exactly the vertices of g and every
+    edge of g maps to a strong-product adjacency of host_tree boxed with
+    K_k: tree nodes equal (with distinct copies) or adjacent."""
     if not is_tree(emb.host_tree):
         raise PreconditionError("embedding host must be a tree")
     emb.host_tree._check_vertex(emb.root)
@@ -78,6 +80,8 @@ def check_product_embedding(g: Graph, emb: HostEmbedding) -> EmbeddingVerdict:
             return EmbeddingVerdict(False, f"vertex {v} has no image")
     images = set()
     for v, (node, copy) in emb.vertex_map.items():
+        if not (0 <= v < g.n):
+            return EmbeddingVerdict(False, f"vertex {v} is not in the graph")
         if not (0 <= node < emb.host_tree.n):
             return EmbeddingVerdict(False, f"vertex {v} maps to missing tree node {node}")
         if not (1 <= copy <= emb.k):

@@ -4,15 +4,15 @@ edge-list I/O, and the integer checks of JSON input.
 
 Where a graph is built, its edges are hashed and sorted as the integer
 keys u * n + v, u < v: the constructor and the edge-list reader key each
-pair under one edge rule (`_edge_key`) and fill the adjacency from the
-sorted keys.
+well-formed pair inline, refuse a bad one with `_refuse_edge`, and fill the
+adjacency from the sorted keys.
 """
 
 from __future__ import annotations
 
 import reprlib
 from collections import deque
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NoReturn, Optional, Tuple
 
 from .errors import CapacityError, ModelError, ParseError, RangeError, StructureError
 
@@ -37,15 +37,9 @@ def _within_budget(n: int, m: int = 0) -> None:
         raise CapacityError(f"graph would have {m} edges (budget {EDGE_BUDGET})")
 
 
-def _edge_key(u: int, v: int, n: int) -> int:
-    """The one edge rule of a graph on 0..n-1: the key min * n + max of
-    (u, v) if 0 <= min < max < n; an end out of range is a RangeError, else
-    u == v is a StructureError.  Keys order edges by their smaller end, then
-    their larger one, and `divmod(key, n)` gives (min, max) back."""
-    if 0 <= u < v < n:
-        return u * n + v
-    if 0 <= v < u < n:
-        return v * n + u
+def _refuse_edge(u: int, v: int, n: int) -> NoReturn:
+    """Refuse a pair that is no edge of a graph on 0..n-1: an end out of
+    range is a RangeError, else u == v is a StructureError."""
     if not (0 <= u < n and 0 <= v < n):
         raise RangeError(f"edge ({u},{v}) out of range for n={n}")
     raise StructureError(f"self-loop at vertex {u}")
@@ -57,9 +51,10 @@ class Graph:
     Adjacency lists are strictly increasing tuples; the structure is
     immutable and hashable, so instances can be shared freely.  More than
     VERTEX_BUDGET vertices is a CapacityError.  Each pair is deduplicated
-    as its integer key u * n + v, u < v (`_edge_key`); a well-formed pair,
-    in either orientation, is keyed inline, and only a bad one calls the
-    rule, which raises at the first bad pair.
+    as its integer key u * n + v, u < v, keyed inline in either
+    orientation; keys order edges by their smaller end, then their larger
+    one, and `divmod(key, n)` gives (u, v) back.  The first bad pair is
+    refused by `_refuse_edge`.
     """
 
     __slots__ = ("n", "adj", "m", "_hash")
@@ -69,12 +64,12 @@ class Graph:
             raise RangeError(f"vertex count must be nonnegative, got {n}")
         _within_budget(n)
         self._store(n, {
-            u * n + v if 0 <= u < v < n else v * n + u if 0 <= v < u < n else _edge_key(u, v, n)
+            u * n + v if 0 <= u < v < n else v * n + u if 0 <= v < u < n else _refuse_edge(u, v, n)
             for u, v in edges
         })
 
     def _store(self, n: int, keys: set) -> None:
-        """Build the adjacency from a set of keys that `_edge_key` allows.
+        """Build the adjacency from a set of well-formed edge keys.
         Sorted keys run by u, then by v, and (u, v) sorts before (v, w)
         whenever u < v, so every adjacency list fills in increasing order
         and none is sorted."""
@@ -137,7 +132,7 @@ def parse_edge_list(text) -> Graph:
     Each line is split once.  After the header, a line of two integers that
     form a valid pair is keyed as `Graph` keys it.  Every other line is
     skipped if blank or a comment, must be the header if none came before,
-    and else must hold two integers that pass the edge rule.  `int`
+    and else must hold two integers that form a valid pair.  `int`
     accepts no token that starts with '#', so a two-token comment is
     skipped as a comment."""
     n = None
@@ -155,7 +150,7 @@ def parse_edge_list(text) -> Graph:
             try:
                 keys.add(
                     u * n + v if 0 <= u < v < n else v * n + u if 0 <= v < u < n
-                    else _edge_key(u, v, n)
+                    else _refuse_edge(u, v, n)
                 )
             except (RangeError, StructureError) as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from None

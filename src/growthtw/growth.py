@@ -26,9 +26,19 @@ BRUTE_FORCE_VERTEX_BUDGET = 16
 # growth_constant grows all balls at once as bitmasks only up to this many
 # vertices: two generations of n masks of n bits each take at most 64 MiB.
 SWEEP_VERTEX_LIMIT = 1 << 14
-# growth_profile grows all balls at once only while a ball fits in this many
-# 64-bit words (n <= 2048); `_profile_sweeps` gives the cost model.
-PROFILE_SWEEP_WORDS = 32
+# growth_profile grows all balls at once only up to this many vertices, where
+# a ball fits in 32 64-bit words.  Per radius, the sweep pays deg(v) ORs of
+# ceil(n/64) words for every vertex v, and a BFS pays for every vertex it
+# reaches, scanning that vertex's edges.  Both pay in proportion to the
+# edges and run at most min(r_max, n) radii, so m and r_max scale the two
+# alike and the word count decides.  The sweep's worst case is a path-like
+# graph, where a source reaches only about 2 vertices per radius.  Measured
+# raw on a shared 2-vCPU host with Python 3.11, on path(n) at r_max = n // 3
+# the sweep took 0.73, 0.67, 1.06 and 1.08 times the BFS's time at n = 1024,
+# 2048, 3072 and 4096 (16, 32, 48 and 64 words), and 2.5 times on the host
+# subdivision of path(6) (n = 8749, 137 words, r_max = 2915: 43.2 s swept
+# against 17.1 s by BFS).
+PROFILE_SWEEP_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -68,27 +78,10 @@ def _ball_sizes(adj, v: int, seen: list):
         frontier = level
 
 
-def _profile_sweeps(n: int) -> bool:
-    """The one rule by which `growth_profile` picks the ball sweep over the
-    per-source BFS: sweep iff a ball of n bits fits in PROFILE_SWEEP_WORDS
-    64-bit words.  Per radius, the sweep pays deg(v) ORs of ceil(n/64)
-    words for every vertex v, and a BFS pays for every vertex it reaches,
-    scanning that vertex's edges.  Both pay in proportion to the edges and
-    run at most min(r_max, n) radii, so m and r_max scale the two alike and
-    the word count decides.  The sweep's worst case is a path-like graph,
-    where a source reaches only about 2 vertices per radius.  Measured raw
-    on a shared 2-vCPU host with Python 3.11, on path(n) at r_max = n // 3
-    the sweep took 0.73, 0.67, 1.06 and 1.08 times the BFS's time at
-    n = 1024, 2048, 3072 and 4096 (16, 32, 48 and 64 words), and 2.5 times
-    on the host subdivision of path(6) (n = 8749, 137 words, r_max = 2915:
-    43.2 s swept against 17.1 s by BFS)."""
-    return -(-n // 64) <= PROFILE_SWEEP_WORDS
-
-
 def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
     """f(r) = max_v |B_r(v)| for r in [1, r_max], with the growth constant
-    maximised over r in [1, min(r_max, n)].  Where `_profile_sweeps(n)`
-    holds, all balls grow together in `_ball_rounds`, one per class of
+    maximised over r in [1, min(r_max, n)].  Up to PROFILE_SWEEP_LIMIT
+    vertices, all balls grow together in `_ball_rounds`, one per class of
     closed twins, and f(r) is the largest bit count over the classes of
     round r; otherwise one source per class (`_twin_sources`) runs its BFS
     (`_ball_sizes`) to radius r_max or its whole component.  r_max past
@@ -105,7 +98,7 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
     # that stopped growing at an earlier radius e holds at most largest[e],
     # and f never shrinks, so f(r) is the running maximum of largest[1..r].
     largest = [1] * (r_max + 1)
-    if _profile_sweeps(g.n):
+    if g.n <= PROFILE_SWEEP_LIMIT:
         for r, balls in zip(range(1, r_max + 1), _ball_rounds(g.adj)):
             largest[r] = max(map(int.bit_count, balls))
     else:

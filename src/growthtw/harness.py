@@ -149,16 +149,7 @@ def run_theorem_suite(
                 f"{name}: built decomposition invalid: {rep.first_failure}"
             )
         bound = treewidth_bound(c)
-        if which in ("t1.1", "all"):
-            reports.append(
-                TheoremReport(
-                    theorem="t1.1",
-                    name=name,
-                    measured={"n": g.n, "m": g.m, "c": c, "width": rep.width},
-                    bound=Fraction(bound),
-                    passed=rep.width <= bound,
-                )
-            )
+        rows = [("t1.1", "width", rep.width, bound)] if which in ("t1.1", "all") else []
         if which in ("t1.2", "all"):
             layout = _layout(g, td)
             verdict = check_stack_layout(g, layout)
@@ -166,15 +157,13 @@ def run_theorem_suite(
                 raise InvariantViolationError(
                     f"{name}: heuristic layout invalid at {verdict.first_crossing}"
                 )
-            reports.append(
-                TheoremReport(
-                    theorem="t1.2",
-                    name=name,
-                    measured={"n": g.n, "m": g.m, "c": c, "stacks": layout.k},
-                    bound=Fraction(bound + 1),
-                    passed=layout.k <= bound + 1,
-                )
-            )
+            rows.append(("t1.2", "stacks", layout.k, bound + 1))
+        reports.extend(
+            TheoremReport(theorem=theorem, name=name,
+                          measured={"n": g.n, "m": g.m, "c": c, key: value},
+                          bound=Fraction(limit), passed=value <= limit)
+            for theorem, key, value, limit in rows
+        )
     reports.extend(grid_reports)
     if which in ("t5", "all"):
         reports.extend(_run_subdivision_suite())
@@ -201,52 +190,38 @@ def identity_tree_embedding(tree: Graph) -> HostEmbedding:
 
 
 def _run_subdivision_suite() -> List[TheoremReport]:
+    """One row per subdivision: its theorem, name, record, growth bound and
+    the bound as printed, the measured fields, and the values its record
+    must show.  A row passes iff the record shows them and the bound holds."""
+
+    def host(g: Graph):
+        return subdivide_in_host(g, identity_tree_embedding(g), epsilon=1)
+
+    def quadratic(r: int) -> Fraction:
+        return Fraction(r * r + 3 * r + 1)
+
+    rows = [
+        # Two-vertex worked example: one edge stretched into a 5-vertex path.
+        ("t5-host", "P2-in-P2", host(path(2)), lambda r: Fraction(2 * r + 1), "2r+1",
+         ("result_n", "scale_table"), {"result_n": 5}),
+        # Degree-3 tree in itself: certificate (k*Delta + eps)*r + 1 = 4r + 1.
+        ("t5-host", "cbt7-in-itself", host(complete_binary_tree(7)),
+         lambda r: Fraction(4 * r + 1), "4r+1", ("result_n",), {}),
+        # Uniform superlinear subdivision of K_4 under r^2 + 3r + 1.
+        ("t5-uniform", "K4-quadratic", subdivide_uniform_superlinear(complete(4), quadratic),
+         quadratic, "r^2+3r+1", ("subdivisions", "result_n"),
+         {"subdivisions": 20, "result_n": 124}),
+    ]
     reports = []
-
-    # Two-vertex worked example: one edge stretched into a 5-vertex path.
-    g = path(2)
-    rec = subdivide_in_host(g, identity_tree_embedding(g), epsilon=1)
-    cert = verify_growth_bound(rec.result, lambda r: Fraction(2 * r + 1))
-    reports.append(
-        TheoremReport(
-            theorem="t5-host",
-            name="P2-in-P2",
-            measured={"result_n": rec.result.n, "scale_table": rec.scale_table},
-            bound=None,
-            passed=rec.result.n == 5 and cert.holds,
-            detail="certificate f(r) <= 2r+1",
-        )
-    )
-
-    # Degree-3 tree in itself: certificate (k*Delta + eps)*r + 1 = 4r + 1.
-    tree = complete_binary_tree(7)
-    rec = subdivide_in_host(tree, identity_tree_embedding(tree), epsilon=1)
-    cert = verify_growth_bound(rec.result, lambda r: Fraction(4 * r + 1))
-    reports.append(
-        TheoremReport(
-            theorem="t5-host",
-            name="cbt7-in-itself",
-            measured={"result_n": rec.result.n},
-            bound=None,
-            passed=cert.holds,
-            detail="certificate f(r) <= 4r+1",
-        )
-    )
-
-    # Uniform superlinear subdivision of K_4 under r^2 + 3r + 1.
-    k4 = complete(4)
-    rec = subdivide_uniform_superlinear(k4, lambda r: Fraction(r * r + 3 * r + 1))
-    cert = verify_growth_bound(rec.result, lambda r: Fraction(r * r + 3 * r + 1))
-    reports.append(
-        TheoremReport(
-            theorem="t5-uniform",
-            name="K4-quadratic",
-            measured={"subdivisions": rec.uniform_subdivisions, "result_n": rec.result.n},
-            bound=None,
-            passed=rec.uniform_subdivisions == 20 and rec.result.n == 124 and cert.holds,
-            detail="certificate f(r) <= r^2+3r+1",
-        )
-    )
+    for theorem, name, rec, bound, printed, keys, expected in rows:
+        fields = {"result_n": rec.result.n, "scale_table": rec.scale_table,
+                  "subdivisions": rec.uniform_subdivisions}
+        holds = verify_growth_bound(rec.result, bound).holds
+        reports.append(TheoremReport(
+            theorem=theorem, name=name, measured={k: fields[k] for k in keys}, bound=None,
+            passed=all(fields[k] == v for k, v in expected.items()) and holds,
+            detail=f"certificate f(r) <= {printed}",
+        ))
     return reports
 
 

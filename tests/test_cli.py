@@ -155,6 +155,13 @@ def test_treedecomp_checktd_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == "invalid: vertex 4 appears in no bag\n"
 
 
+def test_checktd_refuses_a_decomposition_without_nodes(tmp_path, capsys):
+    td_file = tmp_path / "td.json"
+    td_file.write_text(json.dumps({"nodes": [], "edges": []}))
+    assert main(["checktd", write_graph(tmp_path, path(3)), "--td", str(td_file)]) == 1
+    assert capsys.readouterr().out == "invalid: decomposition has no nodes\n"
+
+
 def test_treedecomp_writes_no_decomposition_that_fails_its_check(tmp_path, monkeypatch):
     build = cli_mod.build_tree_decomposition
 
@@ -571,6 +578,22 @@ def test_subdivide_malformed_embedding_is_input_error(tmp_path, capsys, content)
     assert main(["subdivide", src, "--mode", "host",
                  "--embedding", str(emb_file)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+# With k = 2 copies on the tree path(2), the extra entry is a valid image:
+# only the vertex it names is wrong, listed twice or not in path(2).
+@pytest.mark.parametrize("extra, message", [
+    ({"v": 0, "node": 0, "copy": 2}, "error: malformed map: vertex 0 listed twice\n"),
+    ({"v": 7, "node": 0, "copy": 2}, "error: invalid embedding: vertex 7 is not in the graph\n"),
+], ids=["listed-twice", "not-in-the-graph"])
+def test_subdivide_refuses_a_map_entry_for_no_vertex_of_the_graph(tmp_path, capsys, extra,
+                                                                  message):
+    emb_file = tmp_path / "emb.json"
+    emb_file.write_text(json.dumps({**EMBEDDING, "k": 2, "map": EMBEDDING["map"] + [extra]}))
+    assert main(["subdivide", write_graph(tmp_path, path(2)), "--mode", "host",
+                 "--embedding", str(emb_file)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
 
 
 def test_vertex_budget_is_a_budget_error(tmp_path, capsys):

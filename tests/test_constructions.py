@@ -19,6 +19,7 @@ from growthtw.errors import (
     CapacityError,
     GrowthTWError,
     ModelError,
+    ParseError,
     PreconditionError,
     RangeError,
 )
@@ -129,6 +130,9 @@ def test_embedding_names_each_bad_image():
     assert verdict({0: (-1, 1), 1: (1, 1)}) == "vertex 0 maps to missing tree node -1"
     assert verdict({0: (0, 1), 1: (1, 2)}) == "vertex 1 maps to copy 2 outside [1,1]"
     assert verdict({0: (0, 0), 1: (1, 1)}) == "vertex 0 maps to copy 0 outside [1,1]"
+    # A map entry for no vertex of g, even with a free image (0,2).
+    for v in (7, 2, -1):
+        assert verdict({0: (0, 1), 1: (1, 1), v: (0, 2)}, k=2) == f"vertex {v} is not in the graph"
     with pytest.raises(RangeError, match="copies per node must be >= 1, got 0"):
         verdict({0: (0, 1), 1: (1, 1)}, k=0)
 
@@ -148,6 +152,13 @@ def test_embedding_json_without_tree_n_ends_at_the_largest_edge_end():
     assert HostEmbedding.from_json_dict(data).host_tree == path(3)
     data["tree_edges"] = []
     assert HostEmbedding.from_json_dict(data).host_tree == Graph(1)
+
+
+def test_embedding_json_lists_each_vertex_once():
+    data = identity_embedding(path(2)).to_json_dict()
+    data["map"].append({"v": 1, "node": 0, "copy": 1})
+    with pytest.raises(ParseError, match=r"^malformed map: vertex 1 listed twice$"):
+        HostEmbedding.from_json_dict(data)
 
 
 @pytest.mark.parametrize("edges", [[[0, 1, 1]], [[0]], [[0, 1.0]], [[False, 1]]])

@@ -103,6 +103,9 @@ def test_checker_empty_graph():
     assert check_tree_decomposition(Graph(0), td([set()], [])).valid
     assert not check_tree_decomposition(Graph(0), td([{0}], [])).valid
     assert not check_tree_decomposition(Graph(1), td([set()], [])).valid
+    for g in (Graph(0), path(3)):
+        report = check_tree_decomposition(g, TreeDecomposition((), ()))
+        assert (report.valid, report.first_failure) == (False, "decomposition has no nodes")
 
 
 def reference_check(g, dec):
@@ -374,6 +377,17 @@ def small_graphs(draw, max_n=10):
 @settings(max_examples=60, deadline=None)
 def test_exact_treewidth_matches_subset_dp_reference_hypothesis(g):
     assert_exact_against_reference(g)
+
+
+@given(small_graphs(max_n=12))
+@settings(max_examples=40, deadline=None)
+def test_exact_treewidth_is_at_most_the_networkx_heuristics(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    width = exact_treewidth(g)[0]
+    assert width <= nx.approximation.treewidth_min_degree(h)[0]
+    assert width <= nx.approximation.treewidth_min_fill_in(h)[0]
 
 
 @given(small_graphs())

@@ -269,6 +269,27 @@ def test_components_within_induced_subgraph():
     assert components_within(g, [2, 3, 3]) == [frozenset({2, 3})]
 
 
+@given(small_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_components_within_equals_networkx(g, data):
+    nx = pytest.importorskip("networkx")
+    X = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2)) if g.n else []
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    expected = {frozenset(c) for c in nx.connected_components(h.subgraph(X))}
+    found = components_within(g, X)
+    assert len(found) == len(expected) and set(found) == expected
+
+
+@given(small_graphs().filter(lambda g: g.n >= 1))
+@settings(max_examples=100, deadline=None)
+def test_is_tree_equals_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    assert is_tree(g) == nx.is_tree(h)
+
+
 @pytest.mark.parametrize("X,bad", [({-1, 0}, -1), ({0, 7}, 7)])
 def test_set_helpers_refuse_an_out_of_range_id(X, bad):
     # A negative id would read another vertex's adjacency list from the end,

@@ -655,7 +655,7 @@ def test_swept_profile_equals_a_per_source_bfs(case):
         swept = growth_profile(g, r_max)
     assert swept.values == bfs_profile(g, r_max)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(growth_mod, "PROFILE_SWEEP_WORDS", 0)
+        patch.setattr(growth_mod, "PROFILE_SWEEP_LIMIT", 0)
         patch.setattr(growth_mod, "_ball_rounds", forbid("_ball_rounds"))
         assert growth_profile(g, r_max) == swept
 
@@ -715,7 +715,7 @@ def test_twin_classes_equal_the_ball_and_bfs_references(g):
     assert growth_profile(g, g.n).values == profile
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
-        patch.setattr(growth_mod, "PROFILE_SWEEP_WORDS", 0)
+        patch.setattr(growth_mod, "PROFILE_SWEEP_LIMIT", 0)
         patch.setattr(growth_mod, "_ball_rounds", forbid("_ball_rounds"))
         assert growth_constant(g) == c
         assert growth_profile(g, g.n).values == profile
@@ -734,7 +734,7 @@ def test_a_blow_up_scales_growth_by_its_factor(g, t, swept):
     with pytest.MonkeyPatch.context() as patch:
         if not swept:
             patch.setattr(growth_mod, "SWEEP_VERTEX_LIMIT", 0)
-            patch.setattr(growth_mod, "PROFILE_SWEEP_WORDS", 0)
+            patch.setattr(growth_mod, "PROFILE_SWEEP_LIMIT", 0)
             patch.setattr(growth_mod, "_ball_rounds", forbid("_ball_rounds"))
         assert growth_constant(h) == t * growth_constant(g)
         assert growth_profile(h, g.n).values == tuple(t * f for f in growth_profile(g, g.n).values)
@@ -771,7 +771,7 @@ def test_the_per_source_bfs_runs_once_per_twin_class(monkeypatch, g):
     assert len({closed_neighbourhood(g, v) for v in calls}) == len(calls)
     # The profile reads every source's ball, so it runs exactly one per class.
     calls.clear()
-    monkeypatch.setattr(growth_mod, "_profile_sweeps", lambda n: False)
+    monkeypatch.setattr(growth_mod, "PROFILE_SWEEP_LIMIT", 0)
     assert growth_profile(g, g.n) == swept
     assert swept.values == bfs_profile(g, g.n)
     classes = {closed_neighbourhood(g, v) for v in range(g.n)}
@@ -824,7 +824,7 @@ def test_growth_certificates(monkeypatch, name, make, nm, bound, r_max, verdict)
     g = make()
     assert (g.n, g.m) == nm
     assert max(r for r in range(1, g.n + 1) if bound(r) < g.n) == r_max
-    assert growth_mod._profile_sweeps(g.n)
+    assert g.n <= growth_mod.PROFILE_SWEEP_LIMIT
     monkeypatch.setattr(growth_mod, "_ball_sizes", forbid("_ball_sizes"))
     assert verify_growth_bound(g, bound) == verdict
 
@@ -847,12 +847,12 @@ def test_the_host_subdivision_of_path_6_stays_on_per_source_bfs():
     g = host_subdivision(path(6))
     assert (g.n, g.m) == (8749, 8748)
     assert max(r for r in range(1, g.n + 1) if 3 * r + 1 < g.n) == 2915
-    assert not growth_mod._profile_sweeps(g.n)
+    assert g.n > growth_mod.PROFILE_SWEEP_LIMIT
 
 
 def test_the_profile_sweeps_up_to_2048_vertices(monkeypatch):
     calls = record_ball_sizes(monkeypatch)
-    assert growth_mod._profile_sweeps(2048) and not growth_mod._profile_sweeps(2049)
+    assert growth_mod.PROFILE_SWEEP_LIMIT == 2048
     assert growth_profile(path(2048), 1).values == (3,)
     assert calls == []
     assert growth_profile(path(2049), 1).values == (3,)
