@@ -68,17 +68,25 @@ class Layering:
     And the A side of a cut j, layers 0..j, holds the root, and each vertex
     of layer i <= j is first reached from layer i - 1, also in A: so the
     BFS of g[A] from the same root visits `order[:ends[j]]` in the same
-    order, and `prefix(j)` is that layering."""
+    order, and `prefix(j)` is that layering.  The record holds only what
+    the BFS measured; the cut `median` is read off `thin`."""
 
     root: int
     order: Tuple[int, ...]            # the reached vertices, layer by layer
     ends: Tuple[int, ...]             # ends[i] = |V_0| + ... + |V_i|
     thin: Tuple[int, ...]             # S: indices in [1,p] with |V_i| < 2c
-    median: int                       # median_thin_index(thin, p)
 
     @property
     def p(self) -> int:
         return len(self.ends) - 1
+
+    @property
+    def median(self) -> int:
+        """The cut: the minimum thin index j with 2 * |S & [0,j]| >= |S|,
+        which is thin[(|S| - 1) // 2]; p when every layer of [1,p] is thick,
+        so that a valid (if unbalanced) separation is still produced."""
+        thin = self.thin
+        return thin[(len(thin) - 1) // 2] if thin else self.p
 
     def sides(self, j: int) -> Tuple[frozenset, frozenset, frozenset]:
         """The split at layer j as slices of `order`: (layers 0..j, layers j..p, V_j)."""
@@ -92,13 +100,11 @@ class Layering:
         if j == self.p:
             return self
         ends = self.ends[: j + 1]
-        thin = self.thin[: bisect_right(self.thin, j)]
         return Layering(
             root=self.root,
             order=self.order[: ends[j]],
             ends=ends,
-            thin=thin,
-            median=median_thin_index(thin, j),
+            thin=self.thin[: bisect_right(self.thin, j)],
         )
 
     def to_json_dict(self) -> dict:
@@ -116,15 +122,14 @@ class Layering:
 
 
 def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
-    """Layering of g[X] from min(X), with the thin layers and the median
-    thin index; the one layering behind both the layer split and the
-    builder.  One BFS appends each vertex to `order`, and at the first
-    vertex of each layer, where that layer ends to `ends`; it reaches only
-    the component of min(X), so it covers X exactly when g[X] is
-    connected.  Any root serves: the thick-layer count rests on n =
-    |B_p(root)| <= f(p) <= c*p, true from every root.  An id of X outside
-    [0, n) is a RangeError; only a layering that misses part of X needs
-    max(X) checked, since it reaches only ids of g."""
+    """Layering of g[X] from min(X) with its thin layers, the one layering
+    behind both the layer split and the builder.  One BFS appends each
+    vertex to `order`, and at the first vertex of each layer, where that
+    layer ends to `ends`; it reaches only the component of min(X), so it
+    covers X exactly when g[X] is connected.  Any root serves: the
+    thick-layer count rests on n = |B_p(root)| <= f(p) <= c*p, true from
+    every root.  An id of X outside [0, n) is a RangeError; only a layering
+    that misses part of X needs max(X) checked, as it reaches only ids of g."""
     root = min(X)
     g._check_vertex(root)
     adj = g.adj
@@ -151,19 +156,7 @@ def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
         order=tuple(order),
         ends=tuple(ends),
         thin=thin,
-        median=median_thin_index(thin, p),
     )
-
-
-def median_thin_index(thin: Tuple[int, ...], p: int) -> int:
-    """Minimum thin index j with |S intersect [0,j]| >= |S| / 2, compared
-    exactly as 2 * count >= |S|: the count is ceil(|S| / 2), so j is
-    thin[(|S| - 1) // 2]."""
-    if not thin:
-        # Every layer in [1,p] is thick; fall back to the last layer so a
-        # well-formed (if unbalanced) separation is still produced.
-        return p
-    return thin[(len(thin) - 1) // 2]
 
 
 def iteration_cap(alpha) -> int:
@@ -261,7 +254,7 @@ def bfs_layer_separation(
     comps = components_within(g, X)
     hosts = [len(X)]  # hosts[i] = |X minus comps[:i]|
     depth = 0
-    while depth < len(comps) - 1 and 3 * (hosts[depth] - len(comps[depth])) > 2 * hosts[depth]:
+    while 3 * (hosts[depth] - len(comps[depth])) > 2 * hosts[depth]:
         hosts.append(hosts[depth] - len(comps[depth]))
         depth += 1
     if depth == len(comps) - 1:

@@ -282,7 +282,7 @@ def exact_stack_number(g: Graph) -> Tuple[int, StackLayout]:
     lb = stack_number_lower_bound(g)
     best = None
     for perm in permutations(range(1, g.n)):
-        if len(perm) >= 2 and perm[0] > perm[-1]:
+        if perm[0] > perm[-1]:
             continue
         order = (0,) + perm
         masks = _conflict_masks(edges, {v: i for i, v in enumerate(order)})

@@ -23,7 +23,15 @@ from growthtw.errors import (
     PreconditionError,
     RangeError,
 )
-from growthtw.generators import complete, complete_binary_tree, cycle, grid, path, star
+from growthtw.generators import (
+    complete,
+    complete_binary_tree,
+    cycle,
+    grid,
+    path,
+    random_cubic,
+    star,
+)
 from growthtw.graphs import Graph, is_tree
 from growthtw.growth import growth_profile, verify_growth_bound
 
@@ -335,10 +343,11 @@ def test_expand_star_shape():
 
 
 def test_expand_low_degree_is_identity():
-    g = cycle(6)
-    h, minor_map = expand_to_degree3(g)
-    assert h == g
-    assert minor_map == {v: v for v in range(6)}
+    # Degree at most 3 everywhere, degree-3 vertices included: nothing to expand.
+    for g in (cycle(6), complete(4), random_cubic(10, 1)):
+        h, minor_map = expand_to_degree3(g)
+        assert h == g
+        assert minor_map == {v: v for v in range(g.n)}
 
 
 def test_contract_requires_connected_preimages():

@@ -266,12 +266,14 @@ def test_rebalance_names_c_when_the_cap_is_exceeded():
 
 def test_rebalance_single_call_when_balanced(monkeypatch):
     # The exact cap takes O(c) rational multiplications, seconds at c = 10**4,
-    # so a balanced first split returns without computing it.
+    # so a balanced first split returns without computing it.  On cbt-9 at
+    # c = 2 the first split leaves exactly 6 = 2n/3 vertices in B\A, which
+    # is balanced.
     def no_cap(alpha):
         raise AssertionError(f"iteration_cap({alpha}) computed for a balanced split")
 
     monkeypatch.setattr(separators_mod, "iteration_cap", no_cap)
-    for g, c in ((path(9), 3), (path(5), 10**4)):
+    for g, c in ((path(9), 3), (path(5), 10**4), (complete_binary_tree(9), 2)):
         sep, calls = two_thirds_separation(g, None, c)
         assert calls == 1
         assert 3 * max(*sep.exclusive_sides) <= 2 * g.n

@@ -136,6 +136,7 @@ def unpruned_stack_number(g):
         (complete(5), 3),
         (complete(6), 3),
         (grid(2), 1),
+        (path(2), 1),
     ],
 )
 def test_exact_stack_number_known(g, expected):
@@ -590,6 +591,20 @@ def test_exact_stack_number_stops_at_the_lower_bound(monkeypatch):
     g = random_cubic(8, 8)
     assert (stack_number_lower_bound(g), exact_stack_number(g)[0]) == (2, 3)
     assert len(calls) == 2520
+
+
+def test_exact_stack_number_climbs_from_the_lower_bound(monkeypatch):
+    # Four chords with lower bound 1: the first order crosses all of them
+    # (4 stacks) and the second puts each chord's ends next to each other
+    # (1 stack), so it beats the best by three and must be coloured from
+    # lb up, not at best - 1.
+    g = Graph(8, [(0, 4), (1, 5), (2, 6), (3, 7)])
+    orders = [(1, 2, 3, 4, 5, 6, 7), (4, 1, 5, 2, 6, 3, 7)]
+    monkeypatch.setattr(stacklayout, "permutations", lambda vertices: iter(orders))
+    assert stack_number_lower_bound(g) == 1
+    k, layout = exact_stack_number(g)
+    assert (k, layout.k, layout.order) == (1, 1, (0, 4, 1, 5, 2, 6, 3, 7))
+    assert check_stack_layout(g, layout).valid
 
 
 def full_search_stack_number(g):
