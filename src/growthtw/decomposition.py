@@ -313,10 +313,15 @@ def _min_fill_order(adjm) -> list:
 def _eliminate(adj, v: int) -> int:
     """One step of the elimination game on the bitmask adjacency `adj`: v's
     neighbours become a clique and v leaves the graph.  Returns v's
-    neighbourhood, which is Q(S, v) for the set S eliminated before v."""
-    nbrs = adj[v]
-    for u in iter_bits(nbrs):
-        adj[u] = (adj[u] | nbrs) & ~(1 << u) & ~(1 << v)
+    neighbourhood, which is Q(S, v) for the set S eliminated before v.  Its
+    bits are walked inline: every push of the decision pass calls it."""
+    nbrs = rest = adj[v]
+    gone = 1 << v
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        adj[u] = (adj[u] | nbrs) & ~(low | gone)
     return nbrs
 
 

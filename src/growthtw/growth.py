@@ -22,6 +22,7 @@ from .graphs import VERTEX_BUDGET, Graph, moore_gain
 # Exhaustive enumeration refuses beyond these sizes.
 BRUTE_FORCE_EDGE_BUDGET = 20
 BRUTE_FORCE_VERTEX_BUDGET = 16
+BRUTE_FORCE_EDGE_SUBSET_BUDGET = 14
 
 # growth_constant grows all balls at once as bitmasks only up to this many
 # vertices: two generations of n masks of n bits each take at most 64 MiB.
@@ -281,11 +282,12 @@ def _sweep(adj, passes: list, delta: int, num: int, den: int) -> Tuple[int, int]
 def brute_force_growth(g: Graph, r: int) -> int:
     """Independent oracle: max |V(H)| over ALL subgraphs H with radius <= r.
 
-    Enumerates vertex subsets and checks the radius of the induced subgraph.
-    This covers every subgraph: a spanning subgraph of g[W] has distances at
-    least those of g[W], so its radius is no smaller; candidates with extra
-    isolated vertices are disconnected (hence of infinite radius) except for
-    the bare single vertex, which is handled directly.  No ball reasoning is
+    Enumerates the connected vertex subsets W and takes the radius of each
+    g[W].  This covers every subgraph: a spanning subgraph of g[W] has
+    distances at least those of g[W], so its radius is no smaller, and
+    infinite when g[W] is disconnected; candidates with extra isolated
+    vertices are disconnected too, except for the bare single vertex,
+    which is handled directly.  No ball reasoning is
     used anywhere."""
     if g.n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
@@ -299,8 +301,13 @@ def brute_force_growth(g: Graph, r: int) -> int:
 
 @lru_cache(maxsize=256)
 def _radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
-    """(radius, max vertex count) pairs over connected induced subgraphs,
-    computed by plain 2^V enumeration over non-isolated vertices."""
+    """(radius, max vertex count) pairs over connected induced subgraphs of
+    the non-isolated vertices, each visited once.  The sets whose smallest
+    vertex is v are grown from {v}: a set S adds each neighbour w above v
+    that is still allowed, and once w's branch is taken w is barred from
+    S's later branches.  So a connected set T is reached along one path
+    only, adding at each step the first allowed neighbour of the current
+    set that lies in T."""
     support = [v for v in range(g.n) if g.adj[v]]
     if len(support) > BRUTE_FORCE_VERTEX_BUDGET:
         raise CapacityError(
@@ -313,15 +320,25 @@ def _radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     adj_masks = [
         sum(1 << index[w] for w in g.adj[v] if w in index) for v in support
     ]
-    for mask in range(3, 1 << len(support)):
-        if mask & (mask - 1) == 0:
-            continue
-        rad = _mask_radius(adj_masks, mask)
-        if rad is None:
-            continue
-        size = bin(mask).count("1")
-        if best.get(rad, 0) < size:
-            best[rad] = size
+    full = (1 << len(support)) - 1
+    for v, nbrs in enumerate(adj_masks):
+        first = 1 << v
+        # Per set: its mask, the union of its members' neighbours, and the
+        # vertices it may still add.
+        todo = [(first, nbrs, full & ~(2 * first - 1))]
+        while todo:
+            mask, near, allowed = todo.pop()
+            grow = near & allowed
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                allowed ^= low
+                bigger = mask | low
+                todo.append((bigger, near | adj_masks[low.bit_length() - 1], allowed))
+                rad = _mask_radius(adj_masks, bigger)
+                size = bigger.bit_count()
+                if best.get(rad, 0) < size:
+                    best[rad] = size
     return tuple(sorted(best.items()))
 
 
@@ -331,7 +348,10 @@ def _mask_radius(adj_masks, mask: int) -> Optional[int]:
     `_radius_table`, the subset's own edges for `_edge_subset_radius_table`),
     or None if it is disconnected.  The BFS from the lowest vertex decides
     connectivity; every later BFS stops once its depth reaches the smallest
-    eccentricity seen, since its source can then no longer beat it."""
+    eccentricity seen, since its source can then no longer beat it.  No
+    eccentricity exceeds twice the radius, so the radius is at least
+    ceil(e / 2) for the first source's eccentricity e, and the sources stop
+    once the radius reaches it."""
     rad = None
     rest = mask
     while rest:
@@ -352,10 +372,14 @@ def _mask_radius(adj_masks, mask: int) -> Optional[int]:
             ecc += 1
             reached |= nxt
             frontier = nxt
-        if rad is None and reached != mask:
-            return None
+        if rad is None:
+            if reached != mask:
+                return None
+            floor = (ecc + 1) // 2
         # A BFS that stopped early has ecc == rad; one that finished, ecc < rad.
         rad = ecc
+        if rad == floor:
+            break
     return rad
 
 
@@ -364,8 +388,10 @@ def brute_force_growth_edge_subsets(g: Graph, r: int) -> int:
     used to cross-validate the vertex-subset oracle on tiny graphs."""
     if g.n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
-    if g.m > 14:
-        raise CapacityError(f"edge-subset enumeration refuses m={g.m} > 14")
+    if g.m > BRUTE_FORCE_EDGE_SUBSET_BUDGET:
+        raise CapacityError(
+            f"edge-subset enumeration refuses m={g.m} > {BRUTE_FORCE_EDGE_SUBSET_BUDGET}"
+        )
     table = _edge_subset_radius_table(g)
     return max((size for rad, size in table if rad <= r), default=1)
 
@@ -378,8 +404,11 @@ def _edge_subset_radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     order: subset i differs from subset i - 1 in the edge numbered by the
     lowest set bit of i, so one adjacency over g's own vertex ids and the
     mask of its non-isolated vertices are updated by one edge per subset.
-    Like `_radius_table`, its cache is per process: a later call on an
-    equal graph skips the enumeration."""
+    Subset i is the Gray code i ^ i >> 1, so its edge count is that code's
+    bit count, and a subset with fewer edges than its vertices less one is
+    disconnected and skipped before any BFS.  Like `_radius_table`, its
+    cache is per process: a later call on an equal graph skips the
+    enumeration."""
     edges = g.edges()
     adj = [0] * g.n
     mask = 0
@@ -390,8 +419,10 @@ def _edge_subset_radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
         adj[v] ^= 1 << u
         mask &= ~(1 << u | 1 << v)
         mask |= bool(adj[u]) << u | bool(adj[v]) << v
-        rad = _mask_radius(adj, mask)
         size = mask.bit_count()
+        if (i ^ i >> 1).bit_count() < size - 1:
+            continue
+        rad = _mask_radius(adj, mask)
         if rad is not None and best.get(rad, 0) < size:
             best[rad] = size
     return tuple(sorted(best.items()))

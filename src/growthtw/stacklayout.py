@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import xor
 from typing import Dict, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, StructureError
 from .decomposition import TreeDecomposition, check_tree_decomposition
-from .graphs import Graph, iter_bits
+from .graphs import Graph
 
 EXACT_STACK_VERTEX_BUDGET = 8
 
@@ -119,17 +120,29 @@ def _edge_at(order, i, j):
 
 
 def _conflict_masks(edges, pos):
-    """Conflict graph over edges as bitmasks."""
-    spans = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges]
-    m = len(edges)
-    masks = [0] * m
-    for i in range(m):
-        pa, pb = spans[i]
-        for j in range(i + 1, m):
-            pc, pd = spans[j]
-            if pa < pc < pb < pd or pc < pa < pd < pb:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    """Conflict graph over edges as bitmasks: bit j of entry i is set when
+    edges i and j interleave under pos, which maps each vertex to its
+    position.  Edge j crosses the span (pa, pb) exactly when one of its
+    ends lies strictly inside it and the other strictly outside [pa, pb].
+    The XOR of the incidence masks at the positions strictly inside holds
+    the edges with an odd number of ends there, that is exactly one, and
+    removing those incident to pa or pb leaves the crossing ones.  With the
+    prefix XORs of the incidence masks that is two lookups per edge, O(n + m)
+    per order."""
+    incident = [0] * len(pos)
+    bit = 1
+    for u, v in edges:
+        incident[pos[u]] |= bit
+        incident[pos[v]] |= bit
+        bit <<= 1
+    # parity[p]: the edges with an odd number of ends at positions < p.
+    parity = list(accumulate(incident, xor, initial=0))
+    masks = []
+    for u, v in edges:
+        pa, pb = pos[u], pos[v]
+        if pa > pb:
+            pa, pb = pb, pa
+        masks.append((parity[pb] ^ parity[pa + 1]) & ~(incident[pa] | incident[pb]))
     return masks
 
 
@@ -244,22 +257,29 @@ def _colorable(masks, k) -> Optional[list]:
     """A colouring of the conflict graph with at most k colours, or None.
     Backtracking over the edges by falling degree; each takes the least free
     colour first and at most one colour above those already used, so the
-    colouring found for given masks and k is always the same."""
+    colouring found for given masks and k is always the same.  held[c] is
+    the mask of the edges holding colour c, so colour c is free for edge i
+    when masks[i] & held[c] is 0."""
     m = len(masks)
-    order = sorted(range(m), key=lambda i: -masks[i].bit_count())
+    degree = [-mask.bit_count() for mask in masks]
+    order = sorted(range(m), key=degree.__getitem__)
     colors = [0] * m
+    held = [0] * (k + 1)
 
     def place(idx, top):
         if idx == m:
             return True
         i = order[idx]
-        used = {colors[j] for j in iter_bits(masks[i]) if colors[j]}
-        for c in range(1, min(k, top + 1) + 1):
-            if c not in used:
+        conflicts = masks[i]
+        bit = 1 << i
+        # Colours 1..top + 1, capped at k; top never exceeds k.
+        for c in range(1, top + 2 if top < k else k + 1):
+            if not conflicts & held[c]:
+                held[c] |= bit
                 colors[i] = c
-                if place(idx + 1, max(top, c)):
+                if place(idx + 1, c if c > top else top):
                     return True
-                colors[i] = 0
+                held[c] ^= bit
         return False
 
     return colors if place(0, 0) else None

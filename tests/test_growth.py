@@ -119,11 +119,12 @@ def test_brute_force_refuses_the_empty_graph_and_radius_zero():
         brute_force_growth(path(3), 0)
 
 
-def full_radius(adj):
+def full_radius(adj, sources=None):
     """Radius of the graph given as {vertex: neighbours}, from every
-    eccentricity in full, or None if it is disconnected."""
+    eccentricity in full, or None if it is disconnected.  With `sources`,
+    the least eccentricity among those vertices only."""
     eccs = []
-    for s in adj:
+    for s in adj if sources is None else sources:
         dist = {s: 0}
         queue = [s]
         for u in queue:
@@ -183,6 +184,11 @@ def test_brute_force_tables_equal_the_full_eccentricity_references():
     rng = random.Random(12)
     graphs = list(CENTRE_PATHS) + [random_small_graph(rng, max_n=9, max_m=12) for _ in range(30)]
     graphs += [g for s in range(6) for g in (random_tree(12, s), random_cubic(8, s))]
+    # The path 0-1-2-3-4, the lone vertex 5 and K4 on 6-9: the path alone
+    # gives radius 2 and K4 alone radius 1 with 4 vertices, so a connected-set
+    # walk that missed either component, or an edge-count skip that dropped a
+    # connected subset such as the path itself, would change the tables.
+    graphs.append(two_components(two_components(path(5), Graph(1)), complete(4)))
     for g in graphs:
         assert growth_mod._edge_subset_radius_table.__wrapped__(g) == reference_edge_subset_table(g), g
         assert growth_mod._radius_table.__wrapped__(g) == reference_radius_table(g), g
@@ -190,6 +196,26 @@ def test_brute_force_tables_equal_the_full_eccentricity_references():
     for s in range(6):
         g = random_cubic(10, s)
         assert growth_mod._radius_table.__wrapped__(g) == reference_radius_table(g), g
+
+
+def test_mask_radius_equals_every_eccentricity():
+    # Every vertex subset of seeded random graphs on up to 9 vertices, as the
+    # induced subgraph.  The radius is at least ceil(e / 2) for the first
+    # source's eccentricity e, and the search stops there; the subsets whose
+    # radius meets that floor at an odd e >= 3 exercise the rounding.
+    rng = random.Random(40)
+    stopped_at_odd = 0
+    for _ in range(12):
+        g = random_small_graph(rng, max_n=9, max_m=16)
+        adj_masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+        for mask in range(1, 1 << g.n):
+            sub = {v: [w for w in g.adj[v] if mask >> w & 1] for v in range(g.n) if mask >> v & 1}
+            rad = full_radius(sub)
+            assert growth_mod._mask_radius(adj_masks, mask) == rad, (g, mask)
+            if rad is not None:
+                e = full_radius(sub, sources=[min(sub)])
+                stopped_at_odd += e % 2 == 1 and e >= 3 and rad == (e + 1) // 2
+    assert stopped_at_odd > 0
 
 
 def test_empty_graph_rejected():

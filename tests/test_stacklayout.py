@@ -670,3 +670,61 @@ def test_exact_stack_number_ignores_the_first_fit_bound(monkeypatch):
     monkeypatch.setattr(stacklayout, "_conflict_masks", counted)
     assert exact_stack_number(complete(8))[0] == 4
     assert len(calls) == 1
+
+
+# ------------------------------------------ the exact search's kernels
+
+def pairwise_conflict_masks(edges, pos):
+    """The conflict graph by testing every pair of edges for interleaving."""
+    masks = [0] * len(edges)
+    for i, j in combinations(range(len(edges)), 2):
+        if crosses(pos, edges[i], edges[j]):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
+
+
+def set_colorable(masks, k):
+    """Backtracking over the edges by falling degree, each taking the least
+    colour that no coloured neighbour holds, up to one above those used."""
+    m = len(masks)
+    order = sorted(range(m), key=lambda i: -masks[i].bit_count())
+    colors = [0] * m
+
+    def place(idx, top):
+        if idx == m:
+            return True
+        i = order[idx]
+        used = {colors[j] for j in range(m) if masks[i] >> j & 1 and colors[j]}
+        for c in range(1, min(k, top + 1) + 1):
+            if c not in used:
+                colors[i] = c
+                if place(idx + 1, max(top, c)):
+                    return True
+                colors[i] = 0
+        return False
+
+    return colors if place(0, 0) else None
+
+
+@given(graphs(max_n=10), st.data())
+@settings(max_examples=200, deadline=None)
+def test_conflict_masks_equal_pairwise_interleaving(g, data):
+    order = data.draw(st.permutations(range(g.n)))
+    edges = g.edges()
+    pos = {v: i for i, v in enumerate(order)}
+    assert stacklayout._conflict_masks(edges, pos) == pairwise_conflict_masks(edges, pos)
+
+
+@given(graphs(max_n=9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_colorable_equals_set_based_backtracking(g, data):
+    # The conflict graph of a random order, and g itself read as a graph
+    # to colour, at every k from 1 to 4.
+    order = data.draw(st.permutations(range(g.n)))
+    edges = g.edges()
+    conflicts = pairwise_conflict_masks(edges, {v: i for i, v in enumerate(order)})
+    adjacency = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    for masks in (conflicts, adjacency):
+        for k in range(1, 5):
+            assert stacklayout._colorable(masks, k) == set_colorable(masks, k)
