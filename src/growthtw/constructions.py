@@ -5,12 +5,14 @@ contraction."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import CapacityError, ParseError, PreconditionError, RangeError
-from .graphs import Graph, bfs_distances, is_tree, json_int, json_ints, minor
+from .graphs import Graph, _within_budget, bfs_distances, is_tree, json_int, json_ints, minor
 
 SUBDIVISION_VERTEX_BUDGET = 500_000
 SUPERLINEAR_SCAN_BUDGET = 1_000_000
@@ -263,32 +265,29 @@ def subdivide_uniform_superlinear(g: Graph, f: Callable[[int], Fraction]) -> Sub
 
 
 def expand_to_degree3(g: Graph) -> Tuple[Graph, Dict[int, int]]:
-    """Split every vertex of degree >= 4 into a path whose i-th vertex
-    inherits the i-th incident edge (neighbors ascending).  Returns the new
-    graph and the map from new vertices back to originals; contracting the
-    map recovers g exactly."""
-    slot: Dict[Tuple[int, int], int] = {}
-    minor_map: Dict[int, int] = {}
-    new_edges = []
-    next_id = 0
-    for v in range(g.n):
-        deg = len(g.adj[v])
-        if deg <= 3:
-            vid = next_id
-            next_id += 1
-            minor_map[vid] = v
-            for w in g.adj[v]:
-                slot[(v, w)] = vid
-        else:
-            ids = list(range(next_id, next_id + deg))
-            next_id += deg
-            for i, w in enumerate(g.adj[v]):
-                minor_map[ids[i]] = v
-                slot[(v, w)] = ids[i]
-            new_edges.extend(zip(ids, ids[1:]))
-    for u, v in g.edges():
-        new_edges.append((slot[(u, v)], slot[(v, u)]))
-    return Graph(next_id, new_edges), minor_map
+    """Split every vertex v of degree >= 4 into a path of deg(v) copies whose
+    i-th copy inherits the edge to v's i-th neighbour (ascending); others keep
+    one copy.  v's copies are first[v] .. first[v + 1] - 1 for the prefix sums
+    `first` of the copy counts, whose total is refused past the vertex budget
+    before anything of size n is built.  Returns the new graph and the map
+    from new vertices back to originals; contracting the map recovers g."""
+    adj = g.adj
+    total = sum(map(_copies, adj))
+    _within_budget(total)
+    first = list(accumulate(map(_copies, adj), initial=0))
+
+    def holder(v: int, w: int) -> int:  # the copy of v that holds the edge to w
+        return first[v] + bisect_left(adj[v], w) if len(adj[v]) > 3 else first[v]
+
+    edges = [(x, x + 1) for v in range(g.n) for x in range(first[v], first[v + 1] - 1)]
+    edges += [(holder(u, v), holder(v, u)) for u, v in g.edges()]
+    minor_map = {x: v for v in range(g.n) for x in range(first[v], first[v + 1])}
+    return Graph(total, edges), minor_map
+
+
+def _copies(nbrs: Tuple[int, ...]) -> int:
+    """A vertex's copies in the degree-3 expansion: deg >= 4 of them, else 1."""
+    return len(nbrs) if len(nbrs) > 3 else 1
 
 
 def contract_minor_map(h: Graph, minor_map: Dict[int, int]) -> Graph:

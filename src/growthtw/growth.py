@@ -20,7 +20,6 @@ from .errors import CapacityError, PreconditionError, RangeError
 from .graphs import VERTEX_BUDGET, Graph, moore_gain
 
 # Exhaustive enumeration refuses beyond these sizes.
-BRUTE_FORCE_EDGE_BUDGET = 20
 BRUTE_FORCE_VERTEX_BUDGET = 16
 BRUTE_FORCE_EDGE_SUBSET_BUDGET = 14
 
@@ -293,8 +292,6 @@ def brute_force_growth(g: Graph, r: int) -> int:
         raise PreconditionError("growth is undefined for the empty graph")
     if r < 1:
         raise RangeError(f"r must be >= 1, got {r}")
-    if g.m > BRUTE_FORCE_EDGE_BUDGET:
-        raise CapacityError(f"brute force refuses m={g.m} > {BRUTE_FORCE_EDGE_BUDGET}")
     table = _radius_table(g)
     return max(size for rad, size in table if rad <= r)
 

@@ -244,12 +244,13 @@ def lower_bound_exploration(
     """Measurement table for random cubic graphs: the 3-regular ball bound
     f(r) <= min(n, 3*2^r - 2) is asserted; growth constant and exact
     treewidth are reported for trend inspection, with no asymptotic claim.
-    A size above the exact-treewidth budget raises `exact_treewidth`'s
-    CapacityError."""
+    Exact treewidth runs first, so a size above its budget raises its
+    CapacityError before c is measured."""
     rows = []
     for n in sizes:
         for seed in seeds:
             g = random_cubic(n, seed)
+            width, _ = exact_treewidth(g)
             c = growth_constant(g)
             verdict = verify_growth_bound(g, lambda r: cubic_ball_bound(n, r))
             if not verdict.holds:
@@ -257,6 +258,5 @@ def lower_bound_exploration(
                 raise InvariantViolationError(
                     f"cubic ball bound violated at n={n}, seed={seed}, r={r}"
                 )
-            width, _ = exact_treewidth(g)
             rows.append(ExplorationRow(n=n, seed=seed, growth_constant=c, treewidth=width))
     return rows

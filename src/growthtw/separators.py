@@ -283,31 +283,32 @@ def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separati
     """Iterate `bfs_layer_separation` until both exclusive sides have size
     at most 2n/3: while one exceeds it, orient it as B\\A, split g[B\\A] into
     (C, D) with |D| >= |C|, and set A <- A + C, B <- D + (A & B).  Returns the
-    separation and the number of layer splits made.  Exceeding the exact cap
-    ceil(log_alpha(2/3)) means a split was not alpha-balanced, which happens
-    only where f(r) > c*r.  The cap takes O(c) exact multiplications, so it
-    is computed only once a split leaves a side above 2n/3."""
+    separation and the number of layer splits made.  A side still above
+    2n/3 after the exact cap ceil(log_alpha(2/3)) of splits means a split was
+    not alpha-balanced, which happens only where f(r) > c*r.  The calls reach
+    the cap exactly when alpha^calls <= 2/3, tested on a running product, so
+    the cap itself is never computed."""
     c = _growth_parameter(c)
     X = _host_set(g, X)
     n = len(X)
+    alpha = separation_alpha(c)
     sep = bfs_layer_separation(g, X, c)[0]
-    calls, cap = 1, None
+    calls, power = 1, alpha
     while True:
         a, b = sep.a, sep.b
         excl_a, excl_b = len(a - b), len(b - a)
         if 3 * max(excl_a, excl_b) <= 2 * n:
             return sep, calls
-        if cap is None:
-            cap = iteration_cap(separation_alpha(c))
-        if calls >= cap:
+        if 3 * power <= 2:
             raise InvariantViolationError(
-                f"not 2/3-balanced after {calls} layer splits (cap {cap}) at c = {c}; "
+                f"not 2/3-balanced after {calls} layer splits (cap {calls}) at c = {c}; "
                 "the layer split is only (1 - 1/(4c))-balanced where f(r) <= c*r"
             )
         if excl_a > excl_b:
             a, b = b, a
         inner = bfs_layer_separation(g, b - a, c)[0]
         calls += 1
+        power *= alpha
         c_side, d_side = _orient_by_size(inner.a, inner.b)
         sep = Separation(a=a | c_side, b=d_side | (a & b))
 

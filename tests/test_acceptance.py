@@ -6,7 +6,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -37,9 +36,9 @@ from growthtw.generators import (
     star,
     strong_product,
 )
-from growthtw.graphs import Graph
+from growthtw.graphs import Graph, components
 from growthtw.growth import (
-    BRUTE_FORCE_EDGE_BUDGET,
+    BRUTE_FORCE_VERTEX_BUDGET,
     brute_force_growth,
     growth_constant,
     growth_profile,
@@ -57,6 +56,8 @@ from growthtw.separators import (
     two_thirds_separation,
 )
 from growthtw.stacklayout import StackLayout, check_stack_layout, exact_stack_number
+from test_growth import random_small_graph
+from test_stacklayout import unpruned_stack_number
 
 
 def report(number, title, passed, extra=""):
@@ -64,13 +65,6 @@ def report(number, title, passed, extra=""):
     tail = f" ({extra})" if extra else ""
     print(f"[{status}] criterion {number:02d}: {title}{tail}")
     assert passed, f"criterion {number} failed{tail}"
-
-
-def random_small_graph(rng, max_n=8, max_m=20):
-    n = rng.randint(1, max_n)
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(possible)
-    return Graph(n, possible[: rng.randint(0, min(max_m, len(possible)))])
 
 
 def test_criterion_01_growth_definition_equivalence():
@@ -82,7 +76,7 @@ def test_criterion_01_growth_definition_equivalence():
     graphs += [path(k) for k in range(1, 9)]
     graphs += [cycle(k) for k in range(3, 9)]
     graphs += [star(k) for k in range(2, 9)]
-    graphs += [complete(k) for k in range(2, 7)]  # K_7 exceeds the 20-edge cap
+    graphs += [complete(k) for k in range(2, 9)]
     graphs += [complete_binary_tree(k) for k in range(1, 9)]
     graphs.append(grid(2))
     ok = True
@@ -113,7 +107,7 @@ def test_criterion_03_layer_split_guarantees_on_corpus():
     for name, g in default_corpus():
         c = growth_constant(g)
         alpha = 1 - Fraction(1, 4 * c)
-        comps = [frozenset(comp) for comp in _components(g)]
+        comps = [frozenset(comp) for comp in components(g)]
         for comp in comps:
             if len(comp) < 2:
                 continue
@@ -130,12 +124,6 @@ def test_criterion_03_layer_split_guarantees_on_corpus():
     report(3, "layer splits: order < 2c, exclusive sides <= (1-1/4c)n, "
               "thick layers <= half the depth",
            ok and elapsed < 300, f"{checked} splits, {elapsed:.1f}s")
-
-
-def _components(g):
-    from growthtw.graphs import components
-
-    return components(g)
 
 
 def test_criterion_04_rebalancing_terminates_within_cap(monkeypatch):
@@ -205,40 +193,6 @@ def test_criterion_07_grid_self_consistency():
     report(7, "grids: identity minor model validates and ceil(2c) exceeds the side", ok)
 
 
-def _unpruned_stack_number(g):
-    """Independent cross-check: least k such that some vertex order (no
-    symmetry pruning) admits a k-stack assignment by plain backtracking."""
-    edges = list(g.edges())
-    if not edges:
-        return 0
-
-    def fits(spans, k):
-        stacks = [[] for _ in range(k)]
-
-        def place(i):
-            if i == len(spans):
-                return True
-            pa, pb = spans[i]
-            for s in range(k):
-                if any(pa < pc < pb < pd or pc < pa < pd < pb for pc, pd in stacks[s]):
-                    continue
-                stacks[s].append((pa, pb))
-                if place(i + 1):
-                    return True
-                stacks[s].pop()
-            return False
-
-        return place(0)
-
-    for k in range(1, len(edges) + 1):
-        for order in permutations(range(g.n)):
-            pos = {v: i for i, v in enumerate(order)}
-            spans = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges]
-            if fits(spans, k):
-                return k
-    raise AssertionError("unreachable")
-
-
 def test_criterion_08_stack_layouts():
     start = time.monotonic()
     k4 = complete(4)
@@ -257,7 +211,7 @@ def test_criterion_08_stack_layouts():
     for g, want in expected:
         k, layout = exact_stack_number(g)
         if not (k == want and check_stack_layout(g, layout).valid
-                and k == _unpruned_stack_number(g)):
+                and k == unpruned_stack_number(g)):
             exact_ok = False
 
     reports = run_theorem_suite(default_corpus(), "t1.2")
@@ -405,7 +359,7 @@ def test_criterion_12_cubic_growth_constant_claim():
                         for r in range(1, n + 1))
             row = f"n={n},seed={seed},c={c}"
             ok = ok and c == exact and 4 <= c <= upper
-            if g.m <= BRUTE_FORCE_EDGE_BUDGET:
+            if g.n <= BRUTE_FORCE_VERTEX_BUDGET:
                 brute = max(Fraction(brute_force_growth(g, r), r)
                             for r in range(1, g.n + 1))
                 ok = ok and c == brute

@@ -3,8 +3,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import growthtw.constructions as constructions_mod
+import growthtw.graphs as graphs_mod
 from growthtw.constructions import (
     HostEmbedding,
     check_product_embedding,
@@ -348,6 +350,83 @@ def test_expand_low_degree_is_identity():
         h, minor_map = expand_to_degree3(g)
         assert h == g
         assert minor_map == {v: v for v in range(g.n)}
+
+
+def slot_dict_expansion(g):
+    """The expansion numbered copy by copy while a dict records the copy
+    that holds each directed edge: the reference for the prefix sums."""
+    slot = {}
+    minor_map = {}
+    new_edges = []
+    next_id = 0
+    for v in range(g.n):
+        deg = len(g.adj[v])
+        if deg <= 3:
+            vid = next_id
+            next_id += 1
+            minor_map[vid] = v
+            for w in g.adj[v]:
+                slot[(v, w)] = vid
+        else:
+            ids = list(range(next_id, next_id + deg))
+            next_id += deg
+            for i, w in enumerate(g.adj[v]):
+                minor_map[ids[i]] = v
+                slot[(v, w)] = ids[i]
+            new_edges.extend(zip(ids, ids[1:]))
+    for u, v in g.edges():
+        new_edges.append((slot[(u, v)], slot[(v, u)]))
+    return Graph(next_id, new_edges), minor_map
+
+
+def assert_expansion_equals_the_slot_dict(g):
+    h, minor_map = expand_to_degree3(g)
+    ref_h, ref_map = slot_dict_expansion(g)
+    assert h == ref_h
+    assert list(minor_map.items()) == list(ref_map.items())
+
+
+@st.composite
+def expansion_cases(draw):
+    """A random simple graph on up to 12 vertices, where isolated vertices
+    and degrees on both sides of 3/4 all occur."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.sets(st.sampled_from(possible))) if possible else [])
+
+
+@given(expansion_cases())
+@settings(max_examples=200, deadline=None)
+def test_expand_equals_the_slot_dict_reference(g):
+    assert_expansion_equals_the_slot_dict(g)
+
+
+@pytest.mark.parametrize("g", [complete(k) for k in range(1, 9)] + [
+    star(4),  # centre of degree 3 keeps one copy
+    star(5),  # centre of degree 4 splits
+    Graph(7, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 3), (5, 6)]),  # isolated 0, degrees 3 and 4
+])
+def test_expand_equals_the_slot_dict_reference_on_cliques_and_boundaries(g):
+    assert_expansion_equals_the_slot_dict(g)
+
+
+def test_expand_refuses_past_the_budget_before_it_builds(monkeypatch):
+    # The star's 99,999 leaves and its centre's 99,999 copies pass a vertex
+    # budget of 1000.  The copy count is refused before any graph or list of
+    # size n is built; a dict of every directed edge would trace about 10 MiB.
+    g = star(100_000)
+    monkeypatch.setattr(graphs_mod, "VERTEX_BUDGET", 1000)
+    built = []
+    monkeypatch.setattr(constructions_mod, "Graph", lambda *args: built.append(args))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^graph would have 199998 vertices \(budget 1000\)$"):
+            expand_to_degree3(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    assert peak < 1 << 20
 
 
 def test_contract_requires_connected_preimages():

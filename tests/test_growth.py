@@ -100,12 +100,15 @@ def test_edge_subset_oracle_keeps_the_most_vertices_per_radius():
 
 
 def test_brute_force_budget():
-    with pytest.raises(CapacityError):
-        brute_force_growth(complete(8), 1)  # 28 edges
+    # Only the non-isolated vertices bound the connected-set walk, so K8's
+    # 28 edges are no refusal.
+    k8 = complete(8)
+    profile = growth_profile(k8, k8.n)
+    assert [brute_force_growth(k8, r) for r in range(1, 9)] == [profile.f(r) for r in range(1, 9)]
     with pytest.raises(CapacityError):
         brute_force_growth_edge_subsets(complete(6), 1)  # 15 edges
-    # A perfect matching on 18 vertices has 9 edges, within the edge budget,
-    # but 18 non-isolated vertices.
+    # A perfect matching on 18 vertices has 9 edges but 18 non-isolated
+    # vertices.
     matching = Graph(18, [(2 * i, 2 * i + 1) for i in range(9)])
     with pytest.raises(CapacityError, match="refuses 18 non-isolated vertices"):
         brute_force_growth(matching, 1)

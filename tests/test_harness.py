@@ -151,6 +151,16 @@ def test_exploration_rows():
         lower_bound_exploration([20], [1])
 
 
+def test_exploration_refuses_before_it_measures_c(monkeypatch):
+    # Exact treewidth refuses n = 20 first, so no growth constant is measured.
+    def no_growth(g):
+        raise AssertionError("growth constant measured past the treewidth budget")
+
+    monkeypatch.setattr(harness_mod, "growth_constant", no_growth)
+    with pytest.raises(CapacityError, match=r"^exact treewidth refuses n=20 > 18$"):
+        lower_bound_exploration([20], [1])
+
+
 def test_exploration_names_the_first_radius_past_the_ball_bound(monkeypatch):
     # A bound of 3 at r = 2 is below every 10-vertex cubic graph's f(2).
     monkeypatch.setattr(harness_mod, "cubic_ball_bound", lambda n, r: 3 if r == 2 else n)

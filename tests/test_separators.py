@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -253,42 +254,60 @@ def test_rebalance_terminates_within_cap():
         assert 3 * max(*sep.exclusive_sides) <= 2 * g.n
 
 
-def test_rebalance_names_c_when_the_cap_is_exceeded():
+def forbid_iteration_cap(monkeypatch):
+    # The rebalance tests alpha^calls <= 2/3 on a running product; the exact
+    # cap takes O(c) rational multiplications, seconds at c = 10**4.
+    def no_cap(alpha):
+        raise AssertionError(f"iteration_cap({alpha}) computed by the rebalance")
+
+    monkeypatch.setattr(separators_mod, "iteration_cap", no_cap)
+
+
+def test_rebalance_names_c_when_the_cap_is_exceeded(monkeypatch):
     # grid(20) grows faster than 3r, so its layer splits at c = 3 are not
     # 11/12-balanced and the cap of five splits does not reach 2/3.
+    forbid_iteration_cap(monkeypatch)
     with pytest.raises(InvariantViolationError) as err:
         two_thirds_separation(grid(20), None, 3)
-    message = str(err.value)
-    assert "after 5 layer splits (cap 5)" in message
-    assert "c = 3" in message
-    assert "(1 - 1/(4c))-balanced where f(r) <= c*r" in message
+    assert str(err.value) == (
+        "not 2/3-balanced after 5 layer splits (cap 5) at c = 3; "
+        "the layer split is only (1 - 1/(4c))-balanced where f(r) <= c*r"
+    )
 
 
 def test_rebalance_single_call_when_balanced(monkeypatch):
-    # The exact cap takes O(c) rational multiplications, seconds at c = 10**4,
-    # so a balanced first split returns without computing it.  On cbt-9 at
-    # c = 2 the first split leaves exactly 6 = 2n/3 vertices in B\A, which
-    # is balanced.
-    def no_cap(alpha):
-        raise AssertionError(f"iteration_cap({alpha}) computed for a balanced split")
-
-    monkeypatch.setattr(separators_mod, "iteration_cap", no_cap)
+    # On cbt-9 at c = 2 the first split leaves exactly 6 = 2n/3 vertices in
+    # B\A, which is balanced.
+    forbid_iteration_cap(monkeypatch)
     for g, c in ((path(9), 3), (path(5), 10**4), (complete_binary_tree(9), 2)):
         sep, calls = two_thirds_separation(g, None, c)
         assert calls == 1
         assert 3 * max(*sep.exclusive_sides) <= 2 * g.n
 
 
-def test_rebalance_splits_only_the_exclusive_heavy_side():
+def test_rebalance_splits_only_the_exclusive_heavy_side(monkeypatch):
     # cbt-31 at its growth constant 31/4: the first split has A = {0..6},
     # A & B = {3..6} and 24 > 2n/3 vertices in B\A = {7..30}, so B\A is
     # split again and its smaller side joins A.  Splitting all of B instead
     # would lay out {3..6} too and move other leaves.
+    forbid_iteration_cap(monkeypatch)
     g = complete_binary_tree(31)
     sep, calls = two_thirds_separation(g, None, growth_constant(g))
     assert calls == 2
     assert sorted(sep.a) == [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, *range(19, 27)]
     assert sorted(sep.b) == [3, 4, 5, 6, 7, 8, *range(13, 19), *range(27, 31)]
+
+
+def test_rebalance_at_a_huge_c_splits_without_the_cap(monkeypatch):
+    # A broom, the path 0..9 with 100 leaves on vertex 9, needs 3 splits.
+    # The exact cap at c = 10**9 is about 1.6 * 10**9 multiplications.
+    forbid_iteration_cap(monkeypatch)
+    broom = Graph(110, [(v, v + 1) for v in range(9)] + [(9, leaf) for leaf in range(10, 110)])
+    start = time.monotonic()
+    sep, calls = two_thirds_separation(broom, None, 10**9)
+    assert time.monotonic() - start < 1
+    assert calls == 3
+    assert 3 * max(*sep.exclusive_sides) <= 2 * broom.n
 
 
 def test_layer_split_order_bound_random():
