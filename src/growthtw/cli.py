@@ -141,7 +141,7 @@ def _generate(args) -> int:
 
 def _growth(args) -> int:
     g = _read_graph(args.input)
-    r_max = args.r_max if args.r_max is not None else max(1, g.n)
+    r_max = args.r_max if args.r_max is not None else g.n
     profile = growth_profile(g, r_max)
     lines = [f"{r},{f}" for r, f in enumerate(profile.values, start=1)]
     lines.append(f"# c = {profile.growth_constant} at r = {profile.argmax_radius}")

@@ -194,7 +194,7 @@ def host_subdivision_plan(g: Graph, emb: HostEmbedding, epsilon):
     projected = g.n
     for i in range(deepest, -1, -1):
         need = Fraction(2 * scale[i + 1] * ell[i] + g.n, epsilon)
-        scale[i] = max(1, math.ceil(need))
+        scale[i] = math.ceil(need)
         projected += at_depth[i] * (2 * scale[i] - 1)
         if projected > SUBDIVISION_VERTEX_BUDGET:
             # The count grows like (n/epsilon)^depth and may pass the 4300

@@ -121,7 +121,7 @@ def check_tree_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRe
 def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
     """Boundary-tracking construction: a node (X, W) keeps a boundary W
     contained in X separating X\\W from the rest of the graph.  Sets with
-    |X\\W| <= max(2, ceil(2c)) become single bags.  Any other X is laid out
+    |X\\W| <= ceil(2c) become single bags.  Any other X is laid out
     by its layering from min(X); if that misses part of X, the components
     of g[X] hang below a bag W, or form a path when W is empty.  Otherwise
     g[X] is cut at the layer V_j that `_choose_split` ranks first: bag
@@ -140,7 +140,7 @@ def build_tree_decomposition(g: Graph, c) -> TreeDecomposition:
     c = _growth_parameter(c)
     if g.n == 0:
         return TreeDecomposition(bags=(frozenset(),), edges=())
-    threshold = max(2, math.ceil(2 * c))
+    threshold = math.ceil(2 * c)
     bags: list = []
     tree_edges: list = []
     roots: list = []  # root ids of finished subtrees, in finishing order
@@ -204,43 +204,37 @@ def _choose_split(W, layering) -> int:
     - (1, |j - ceil(p/2)|, j) for every other j, seen to run only with c
       below the growth constant.
 
-    With free_upto[i] the non-W vertices in layers 0..i, both measures
-    free_upto[j-1] and free_upto[p] - free_upto[j] fall below |X\\W| =
-    free_upto[p] iff free_upto[j] > 0 and free_upto[j-1] < free_upto[p].
-    free_upto never decreases, so these j form one interval [lo, hi] from
-    the first layer (at least 1) holding a non-W vertex to the last one,
-    nonempty since |X\\W| > 1 puts a non-W vertex outside V_0.  With no
-    thin j < p in it, all of it is class 1, led by ceil(p/2) clamped into
-    [lo, hi].
+    Every bound below is the layer l(t) = bisect_right(ends, t) of a
+    position t in `order`, where W's vertices sit at the positions `at`.
+    Both measures shrink iff layers 0..j and j..p each hold a non-W
+    vertex, so these j form one interval [lo, hi] from the layer (at least
+    1) of the first non-W vertex to that of the last, nonempty since
+    |X\\W| > 1 puts a non-W vertex outside V_0.  With no thin j < p in it,
+    all of it is class 1, led by ceil(p/2) clamped into [lo, hi].
 
-    The imbalance max(w_upto[j], |W| - w_upto[j-1]), with w_upto[i] the W
-    vertices in layers 0..i, changes from j-1 to j only if layer j or j-1
-    holds a W vertex.  So the cuts j = i and j = i+1 for each such layer i
-    split the class-0 range [lo, min(hi, p-1)] into O(|W| + 1) runs of
-    constant imbalance, and each run is led by its thin j nearest the
-    median: the last of a run below the median, the first of a run above
-    it, and the median itself in the run that holds it.  Only these, one
-    per run, are scored."""
+    For m < |W|, |W&A| <= m iff j < l(at[m]) and |W&B| <= m iff
+    j > l(at[-m-1]), so the class-0 cuts of imbalance at most m are one
+    slice of the thin j in [lo, min(hi, p-1)], which grows with m to all of
+    them at m = |W|.  One bisect finds the least m with a nonempty slice.
+    The median is thin, so the slice's j nearest it is the median or an
+    end of the slice."""
     ends, p, thin, median = layering.ends, layering.p, layering.thin, layering.median
-    # at lists the positions of W's vertices in `order`, so w_upto(i) and
-    # free_upto(i) count the W and non-W vertices in layers 0..i.
     at = [t for t, v in enumerate(layering.order) if v in W]
-    w_upto = lambda i: bisect_left(at, ends[i])
-    free_upto = lambda i: ends[i] - w_upto(i)
-    lo = max(1, bisect_right(range(p + 1), 0, key=free_upto))
-    hi = bisect_left(range(p + 1), free_upto(p), key=free_upto)
-    top = min(hi, p - 1)
-    first, stop = bisect_left(thin, lo), bisect_right(thin, top)
+    # gaps[i] counts the non-W vertices before at[i] and never decreases, so
+    # the k-th non-W vertex, from 0, sits at k + bisect_left(gaps, k + 1).
+    gaps = [t - i for i, t in enumerate(at)]
+    free = len(layering.order) - len(at)
+    lo = max(1, bisect_right(ends, bisect_left(gaps, 1)))
+    hi = bisect_right(ends, bisect_left(gaps, free) + free - 1)
+    first, stop = bisect_left(thin, lo), bisect_right(thin, min(hi, p - 1))
     if first == stop:
         return min(max((p + 1) // 2, lo), hi)
-    # A cut x lies between thin[k - 1] and thin[k], k = bisect_left(thin, x):
-    # the first leads the run ending at x when x <= median, the second the
-    # run starting at x when x > median.  The median leads its own run.
-    cuts = {lo, top + 1, *(bisect_right(ends, t) + d for t in at for d in (0, 1))}
-    leaders = {bisect_left(thin, x, first, stop) - (x <= median) for x in cuts}
-    leaders.add(bisect_left(thin, median, first, stop))
-    candidates = [thin[k] for k in leaders if first <= k < stop]
-    return min(candidates, key=lambda j: (max(w_upto(j), len(W) - w_upto(j - 1)), abs(j - median), j))
+    # Sentinels in layers 0 and p + 1 make the slice at m = |W| all of thin[first:stop].
+    spots = [-1, *at, len(layering.order)]
+    within = lambda m: range(bisect_right(thin, bisect_right(ends, spots[-m - 2]), first, stop),
+                             bisect_left(thin, bisect_right(ends, spots[m + 1]), first, stop))
+    best = within(bisect_left(range(len(at) + 1), 1, key=lambda m: len(within(m))))
+    return thin[min(bisect_left(thin, median, best.start, best.stop), best.stop - 1)]
 
 
 def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
@@ -270,10 +264,7 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
     n = g.n
     if n == 0:
         raise PreconditionError("treewidth is undefined for the empty graph")
-    if n > EXACT_TREEWIDTH_VERTEX_BUDGET:
-        raise CapacityError(
-            f"exact treewidth refuses n={n} > {EXACT_TREEWIDTH_VERTEX_BUDGET}"
-        )
+    _exact_treewidth_size(n)
     adjm = [sum(1 << w for w in g.adj[v]) for v in range(n)]
     lb, contracted = _contraction_walk(adjm)
     witness = _order_decomposition(adjm, _min_fill_order(adjm))
@@ -289,6 +280,12 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
             witness = _order_decomposition(adjm, order)
             break
     return witness.width, witness
+
+
+def _exact_treewidth_size(n: int) -> None:
+    """Refuses n past the budget, also before a caller builds the graph."""
+    if n > EXACT_TREEWIDTH_VERTEX_BUDGET:
+        raise CapacityError(f"exact treewidth refuses n={n} > {EXACT_TREEWIDTH_VERTEX_BUDGET}")
 
 
 def _min_fill_order(adjm) -> list:

@@ -16,6 +16,7 @@ from .constructions import (
     subdivide_uniform_superlinear,
 )
 from .decomposition import (
+    _exact_treewidth_size,
     build_tree_decomposition,
     check_tree_decomposition,
     exact_treewidth,
@@ -244,8 +245,10 @@ def lower_bound_exploration(
     """Measurement table for random cubic graphs: the 3-regular ball bound
     f(r) <= min(n, 3*2^r - 2) is asserted; growth constant and exact
     treewidth are reported for trend inspection, with no asymptotic claim.
-    Exact treewidth runs first, so a size above its budget raises its
-    CapacityError before c is measured."""
+    Every size is held to exact treewidth's budget before the first graph
+    is drawn, so a size above it raises that CapacityError at once."""
+    for n in sizes:
+        _exact_treewidth_size(n)
     rows = []
     for n in sizes:
         for seed in seeds:

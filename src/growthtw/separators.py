@@ -222,17 +222,17 @@ def check_separation(g: Graph, X: Optional[frozenset], s: Separation, alpha) -> 
 
 
 def separation_alpha(c) -> Fraction:
-    """The balance max(2/3, 1 - 1/(4c)) of the layer split for a growth
-    parameter c, which must be at least 1."""
+    """The balance 1 - 1/(4c) of the layer split for a growth parameter c,
+    which must be at least 1, so alpha is at least 3/4."""
     c = _growth_parameter(c)
-    return max(Fraction(2, 3), 1 - Fraction(1, 4 * c))
+    return 1 - Fraction(1, 4 * c)
 
 
 def bfs_layer_separation(
     g: Graph, X: Optional[frozenset], c
 ) -> Tuple[Separation, Optional[Layering]]:
     """Layer split of any nonempty set X with the layering it cut,
-    alpha-balanced for alpha = max(2/3, 1 - 1/(4c)) where f(r) <= c*r.  When
+    alpha-balanced for alpha = 1 - 1/(4c) where f(r) <= c*r.  When
     the layering of X covers X it is cut at its median thin index, so one
     vertex gives (X, X); any root serves, since n <= f(p) <= c*p bounds the
     thick layers.  Otherwise the smallest component J is peeled: either

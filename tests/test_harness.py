@@ -161,6 +161,17 @@ def test_exploration_refuses_before_it_measures_c(monkeypatch):
         lower_bound_exploration([20], [1])
 
 
+def test_exploration_refuses_every_size_before_it_draws_a_graph(monkeypatch):
+    # A size past the budget anywhere in the list is refused before the
+    # first graph, of any size, is drawn.
+    def no_graph(n, seed):
+        raise AssertionError(f"random_cubic({n}, {seed}) drawn before the sizes were checked")
+
+    monkeypatch.setattr(harness_mod, "random_cubic", no_graph)
+    with pytest.raises(CapacityError, match=r"^exact treewidth refuses n=2000000 > 18$"):
+        lower_bound_exploration([10, 2_000_000], [1])
+
+
 def test_exploration_names_the_first_radius_past_the_ball_bound(monkeypatch):
     # A bound of 3 at r = 2 is below every 10-vertex cubic graph's f(2).
     monkeypatch.setattr(harness_mod, "cubic_ball_bound", lambda n, r: 3 if r == 2 else n)

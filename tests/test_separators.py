@@ -23,6 +23,7 @@ from growthtw.separators import (
     bfs_layering,
     check_separation,
     iteration_cap,
+    separation_alpha,
     two_thirds_separation,
 )
 
@@ -179,6 +180,14 @@ def test_separators_validate_c_and_the_set():
     for separator in (bfs_layer_separation, two_thirds_separation):
         with pytest.raises(PreconditionError, match="empty set"):
             separator(g, frozenset(), 3)
+
+
+def test_separation_alpha_values():
+    for c in (1, Fraction(3, 2), 7, 10**9):
+        assert separation_alpha(c) == 1 - Fraction(1, 4 * c)
+    assert separation_alpha(1) == Fraction(3, 4)
+    with pytest.raises(RangeError, match="c must be >= 1"):
+        separation_alpha(Fraction(999, 1000))
 
 
 def test_separators_name_an_out_of_range_host_vertex():
