@@ -445,12 +445,11 @@ def _order_decomposition(adjm, order) -> TreeDecomposition:
     adj = list(adjm)
     bags = [frozenset(iter_bits(_eliminate(adj, v) | (1 << v))) for v in order]
     position = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i, v in enumerate(order[:-1]):
-        later = [w for w in bags[i] if position[w] > i]
-        parent = min((position[w] for w in later), default=i + 1)
-        edges.append((i, parent))
-    return TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
+    edges = tuple(
+        (i, min((position[w] for w in bags[i] if w != v), default=i + 1))
+        for i, v in enumerate(order[:-1])
+    )
+    return TreeDecomposition(bags=tuple(bags), edges=edges)
 
 
 @dataclass(frozen=True)

@@ -108,13 +108,9 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
                 if size > largest[r]:
                     largest[r] = size
     values = tuple(accumulate(largest[1:], max))
-    ratio = Fraction(0)
-    ratio_r = 1
-    for r in range(1, min(r_max, g.n) + 1):
-        if Fraction(values[r - 1], r) > ratio:
-            ratio = Fraction(values[r - 1], r)
-            ratio_r = r
-    return GrowthProfile(values, ratio, ratio_r)
+    # max keeps the first of equal ratios: the smallest radius attaining c.
+    r = max(range(1, min(r_max, g.n) + 1), key=lambda r: Fraction(values[r - 1], r))
+    return GrowthProfile(values, Fraction(values[r - 1], r), r)
 
 
 def growth_constant(g: Graph) -> Fraction:

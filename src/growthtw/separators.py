@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Tuple
 
 from .errors import InvariantViolationError, PreconditionError, RangeError
@@ -174,49 +175,32 @@ def iteration_cap(alpha) -> int:
     return i
 
 
-def _orient_by_size(x: frozenset, y: frozenset) -> Tuple[frozenset, frozenset]:
-    """Return (smaller, larger); ties broken by smallest contained id."""
-    if len(x) != len(y):
-        return (x, y) if len(x) < len(y) else (y, x)
-    return (y, x) if min(x) < min(y) else (x, y)
-
-
 def check_separation(g: Graph, X: Optional[frozenset], s: Separation, alpha) -> SeparationReport:
     """Validity and balance report; all failures are verdicts, never raises
-    for bad separations."""
+    for bad separations.  The crossing edge named is the first (u, w) with
+    w in B\\A, searched u by u over A\\B and each u's adjacency list in
+    order.  Both ratios are 0 on an empty host set, whatever the sides hold."""
     alpha = Fraction(alpha)
     X = _host_set(g, X)
     a, b = s.a, s.b
     n = len(X)
+    excl_a, excl_b = a - b, b - a
+    sides = (len(excl_a), len(a & b), len(excl_b))
     failure = None
     if not (a <= X and b <= X):
         failure = "A or B contains vertices outside the host set"
     elif a | b != X:
         failure = "A union B does not cover the host set"
-    else:
-        excl_a, excl_b = a - b, b - a
-        for u in excl_a:
-            for w in g.adj[u]:
-                if w in excl_b:
-                    failure = f"crossing edge ({u},{w}) between A\\B and B\\A"
-                    break
-            if failure:
-                break
-    order = len(a & b)
-    sides = (len(a - b), order, len(b - a))
-    if n == 0:
-        alpha_achieved = Fraction(0)
-        exclusive = Fraction(0)
-    else:
-        alpha_achieved = Fraction(max(len(a), len(b)), n)
-        exclusive = Fraction(max(sides[0], sides[2]), n)
+    elif crossing := next(((u, w) for u in excl_a for w in g.adj[u] if w in excl_b), None):
+        failure = "crossing edge ({},{}) between A\\B and B\\A".format(*crossing)
+    alpha_achieved = Fraction(max(len(a), len(b)), n) if n else Fraction(0)
     return SeparationReport(
         valid=failure is None,
-        order=order,
+        order=sides[1],
         alpha_achieved=alpha_achieved,
         sides=sides,
         within_alpha=alpha_achieved <= alpha,
-        exclusive_ratio=exclusive,
+        exclusive_ratio=Fraction(max(sides[0], sides[2]), n) if n else Fraction(0),
         failure=failure,
     )
 
@@ -238,10 +222,10 @@ def bfs_layer_separation(
     thick layers.  Otherwise the smallest component J is peeled: either
     (X\\J, J) is balanced, or X\\J is separated the same way and J joins the
     smaller side.  The components of X\\J are those of X minus J, so one
-    `components_within` call serves every level: a forward loop peels until
-    the rest is at most 2/3 of its host (or one component is left, cut by
-    its own layering, which is the layering of X when it holds min(X)), and
-    a backward loop absorbs by side sizes, building each side once.  The
+    `components_within` call serves every level: the peel stops at the
+    first rest of at most 2/3 of its host (or at one component, cut by its
+    own layering, the layering of X when it holds min(X)), and a backward
+    loop absorbs by side sizes, building each side once.  The
     layering returned is the one cut, None when only whole components were
     peeled."""
     c = _growth_parameter(c)
@@ -252,11 +236,9 @@ def bfs_layer_separation(
     if len(layering.order) == len(X):
         return _median_split(layering), layering
     comps = components_within(g, X)
-    hosts = [len(X)]  # hosts[i] = |X minus comps[:i]|
-    depth = 0
-    while 3 * (hosts[depth] - len(comps[depth])) > 2 * hosts[depth]:
-        hosts.append(hosts[depth] - len(comps[depth]))
-        depth += 1
+    # hosts[i] = |X minus comps[:i]|, the suffix sums of the sizes.
+    hosts = list(accumulate(map(len, reversed(comps)), initial=0))[::-1]
+    depth = next(i for i in range(len(comps)) if 3 * hosts[i + 1] <= 2 * hosts[i])
     if depth == len(comps) - 1:
         # The layering of X already lays out the component of min(X).
         if layering.root not in comps[depth]:
@@ -282,12 +264,13 @@ def bfs_layer_separation(
 def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separation, int]:
     """Iterate `bfs_layer_separation` until both exclusive sides have size
     at most 2n/3: while one exceeds it, orient it as B\\A, split g[B\\A] into
-    (C, D) with |D| >= |C|, and set A <- A + C, B <- D + (A & B).  Returns the
-    separation and the number of layer splits made.  A side still above
-    2n/3 after the exact cap ceil(log_alpha(2/3)) of splits means a split was
-    not alpha-balanced, which happens only where f(r) > c*r.  The calls reach
-    the cap exactly when alpha^calls <= 2/3, tested on a running product, so
-    the cap itself is never computed."""
+    (C, D) with |D| >= |C|, D holding the smaller least id on a tie, and set
+    A <- A + C, B <- D + (A & B).  Returns the separation and the number of
+    layer splits made.  A side still above 2n/3 after the exact cap
+    ceil(log_alpha(2/3)) of splits means a split was not alpha-balanced,
+    which happens only where f(r) > c*r.  The calls reach the cap exactly
+    when alpha^calls <= 2/3, tested on a running product, so the cap itself
+    is never computed."""
     c = _growth_parameter(c)
     X = _host_set(g, X)
     n = len(X)
@@ -309,7 +292,9 @@ def two_thirds_separation(g: Graph, X: Optional[frozenset], c) -> Tuple[Separati
         inner = bfs_layer_separation(g, b - a, c)[0]
         calls += 1
         power *= alpha
-        c_side, d_side = _orient_by_size(inner.a, inner.b)
+        c_side, d_side = inner.a, inner.b
+        if len(c_side) > len(d_side) or len(c_side) == len(d_side) and min(c_side) < min(d_side):
+            c_side, d_side = d_side, c_side
         sep = Separation(a=a | c_side, b=d_side | (a & b))
 
 

@@ -19,6 +19,7 @@ from growthtw.growth import growth_constant
 from growthtw.harness import treewidth_bound
 from growthtw.separators import (
     Separation,
+    SeparationReport,
     bfs_layer_separation,
     bfs_layering,
     check_separation,
@@ -100,7 +101,7 @@ def test_check_separation_rejects_bad_pairs():
     bad = Separation(a=frozenset({0, 1}), b=frozenset({2, 3, 4}))
     report = check_separation(g, None, bad, Fraction(2, 3))
     assert not report.valid
-    assert "crossing edge" in report.failure
+    assert report.failure == "crossing edge (1,2) between A\\B and B\\A"
 
     uncovered = Separation(a=frozenset({0, 1}), b=frozenset({3, 4}))
     assert "cover" in check_separation(g, None, uncovered, Fraction(2, 3)).failure
@@ -116,6 +117,84 @@ def test_check_separation_of_the_empty_graph():
     assert report.valid and report.within_alpha
     assert (report.order, report.sides) == (0, (0, 0, 0))
     assert report.alpha_achieved == report.exclusive_ratio == 0
+
+
+def nested_loop_check(g, X, s, alpha):
+    """The checker written with explicit loops: the first crossing edge is
+    found u by u over A\\B and then along u's adjacency list."""
+    alpha = Fraction(alpha)
+    X = frozenset(range(g.n)) if X is None else frozenset(X)
+    a, b = s.a, s.b
+    n = len(X)
+    failure = None
+    if not (a <= X and b <= X):
+        failure = "A or B contains vertices outside the host set"
+    elif a | b != X:
+        failure = "A union B does not cover the host set"
+    else:
+        excl_a, excl_b = a - b, b - a
+        for u in excl_a:
+            for w in g.adj[u]:
+                if w in excl_b:
+                    failure = f"crossing edge ({u},{w}) between A\\B and B\\A"
+                    break
+            if failure:
+                break
+    order = len(a & b)
+    sides = (len(a - b), order, len(b - a))
+    if n == 0:
+        alpha_achieved = Fraction(0)
+        exclusive = Fraction(0)
+    else:
+        alpha_achieved = Fraction(max(len(a), len(b)), n)
+        exclusive = Fraction(max(sides[0], sides[2]), n)
+    return SeparationReport(
+        valid=failure is None,
+        order=order,
+        alpha_achieved=alpha_achieved,
+        sides=sides,
+        within_alpha=alpha_achieved <= alpha,
+        exclusive_ratio=exclusive,
+        failure=failure,
+    )
+
+
+@st.composite
+def separation_cases(draw):
+    """A random graph, a host set (None for all of V(g)) and a pair (A, B):
+    each host vertex joins A only, B only or both, and up to two strays of
+    range(n + 2) then join a side or leave both, so that uncovered hosts
+    and ids outside the host set occur too."""
+    n = draw(st.integers(0, 12))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)) if n else []
+    g = Graph(n, [(u, v) for u, v in edges if u != v])
+    X = draw(st.none() | st.frozensets(vertex, max_size=n)) if n else None
+    host = sorted(range(n) if X is None else X)
+    labels = draw(st.lists(st.sampled_from(["a", "b", "ab"]), min_size=len(host), max_size=len(host)))
+    a = {v for v, label in zip(host, labels) if "a" in label}
+    b = {v for v, label in zip(host, labels) if "b" in label}
+    for v, label in draw(st.lists(st.tuples(st.integers(0, n + 1), st.sampled_from(["a", "b", ""])),
+                                  max_size=2)):
+        if label:
+            (a if label == "a" else b).add(v)
+        else:
+            a.discard(v)
+            b.discard(v)
+    return g, X, Separation(a=frozenset(a), b=frozenset(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(separation_cases())
+@example((Graph(0), None, Separation(frozenset({0}), frozenset())))
+def test_check_separation_equals_the_nested_loop_checker(case):
+    # The whole report agrees, the crossing edge named included.  On an
+    # empty host set both ratios are 0 even when a side is not empty.
+    g, X, s = case
+    report = check_separation(g, X, s, Fraction(2, 3))
+    assert report == nested_loop_check(g, X, s, Fraction(2, 3))
+    if not (range(g.n) if X is None else X):
+        assert report.alpha_achieved == report.exclusive_ratio == 0
 
 
 def test_check_separation_numbers():
@@ -305,6 +384,16 @@ def test_rebalance_splits_only_the_exclusive_heavy_side(monkeypatch):
     assert calls == 2
     assert sorted(sep.a) == [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, *range(19, 27)]
     assert sorted(sep.b) == [3, 4, 5, 6, 7, 8, *range(13, 19), *range(27, 31)]
+
+
+def test_rebalance_breaks_a_size_tie_by_the_smallest_id():
+    # cbt-15 at c = 3/2: B\A = {3, ..., 14} is split into two sides of 6
+    # vertices, and the side without its smallest id 3, {5, 6, 11, ..., 14},
+    # joins A.
+    sep, calls = two_thirds_separation(complete_binary_tree(15), None, Fraction(3, 2))
+    assert calls == 2
+    assert sep.a == frozenset({0, 1, 2, 5, 6, 11, 12, 13, 14})
+    assert sep.b == frozenset({1, 2, 3, 4, 7, 8, 9, 10})
 
 
 def test_rebalance_at_a_huge_c_splits_without_the_cap(monkeypatch):
