@@ -55,6 +55,7 @@ from .constructions import (
     host_subdivision_plan,
     subdivide,
     subdivide_in_host,
+    subdivide_uniform_polynomial,
     subdivide_uniform_superlinear,
 )
 from .harness import (

@@ -11,12 +11,11 @@ from fractions import Fraction
 
 from . import harness
 from .constructions import (
-    SUPERLINEAR_SCAN_BUDGET,
     HostEmbedding,
     contract_minor_map,
     expand_to_degree3,
     subdivide_in_host,
-    subdivide_uniform_superlinear,
+    subdivide_uniform_polynomial,
 )
 from .decomposition import (
     TreeDecomposition,
@@ -246,35 +245,7 @@ def _subdivide(args) -> int:
     else:
         if not args.poly:
             raise GrowthTWError("--mode uniform requires --poly COEFF...")
-        coeffs = list(args.poly)
-        # For f(r) = a*r + b with a <= 2m, f(r) - 2rm - n never grows with r,
-        # so f reaches 2rm + n at some radius only if it does at r = 1.
-        a, b = ([0, 0] + coeffs)[-2:]
-        if not any(coeffs[:-2]) and a <= 2 * g.m and a + b < 2 * g.m + g.n:
-            raise GrowthTWError(
-                f"f(r) = {a}*r + {b} never reaches 2*r*m + n (m = {g.m}, n = {g.n})"
-            )
-
-        def bound(r):
-            total = Fraction(0)
-            for coef in coeffs:
-                total = total * r + coef
-            return total
-
-        # With nonnegative coefficients f, and so p(r) = f(r) - 2rm - n, is
-        # convex on r >= 1: p < 0 at r = 1 and at the scan budget means p < 0
-        # at every radius the scan tries.  If also f(1) >= delta + 1 and
-        # f'(1) >= delta, then f(r) >= delta*r + 1 at every radius, so the
-        # scan could only end at its budget.
-        budget, delta = SUPERLINEAR_SCAN_BUDGET, g.max_degree()
-        slope = sum(i * coef for i, coef in enumerate(reversed(coeffs)))
-        if (min(coeffs) >= 0 and bound(1) >= delta + 1 and slope >= delta
-                and all(bound(r) < 2 * r * g.m + g.n for r in (1, budget))):
-            raise GrowthTWError(
-                f"f(r) < 2*r*m + n for all r <= {budget}; f is not superlinear enough"
-            )
-
-        record = subdivide_uniform_superlinear(g, bound)
+        record = subdivide_uniform_polynomial(g, args.poly)
     _write_json(args.out, record.to_json_dict())
     if args.result_out:
         _write(args.result_out, serialize_edge_list(record.result))

@@ -16,6 +16,7 @@ from .graphs import Graph, _within_budget, bfs_distances, is_tree, json_int, jso
 
 SUBDIVISION_VERTEX_BUDGET = 500_000
 SUPERLINEAR_SCAN_BUDGET = 1_000_000
+_SCAN_REFUSAL = "f(r) < 2*r*m + n for all r <= {}; f is not superlinear enough"
 
 
 @dataclass(frozen=True)
@@ -246,10 +247,7 @@ def subdivide_uniform_superlinear(g: Graph, f: Callable[[int], Fraction]) -> Sub
             ell = r
             break
     if ell is None:
-        raise PreconditionError(
-            f"f(r) < 2*r*m + n for all r <= {SUPERLINEAR_SCAN_BUDGET}; "
-            "f is not superlinear enough"
-        )
+        raise PreconditionError(_SCAN_REFUSAL.format(SUPERLINEAR_SCAN_BUDGET))
     # Monotonicity spot check past the threshold.
     prev = Fraction(f(1))
     for r in range(2, ell + n + 1):
@@ -262,6 +260,39 @@ def subdivide_uniform_superlinear(g: Graph, f: Callable[[int], Fraction]) -> Sub
     return SubdivisionRecord(
         base=g, lengths=lengths, result=result, uniform_subdivisions=2 * ell,
     )
+
+
+def subdivide_uniform_polynomial(g: Graph, coeffs) -> SubdivisionRecord:
+    """`subdivide_uniform_superlinear` for the polynomial f whose
+    coefficients come highest degree first, evaluated by Horner's rule.  Two
+    bounds that the scan could only refuse are refused before it runs:
+    - f(r) = a*r + b with a <= 2m and a + b < 2m + n: f(r) - 2rm - n never
+      grows with r, so f reaches 2rm + n at some radius only if at r = 1;
+    - nonnegative coefficients with f(1) >= delta + 1 and f'(1) >= delta,
+      below 2rm + n at r = 1 and at the scan budget.  Such an f, and so
+      p(r) = f(r) - 2rm - n, is convex on r >= 1: p < 0 at both ends means
+      p < 0 at every radius the scan tries, and f(r) >= delta*r + 1 at
+      every radius, so the scan would end at its budget, with this message.
+    The budget and the scan are this module's globals, read when called."""
+    coeffs = list(coeffs)
+    m, n = g.m, g.n
+    a, b = ([0, 0] + coeffs)[-2:]
+    if not any(coeffs[:-2]) and a <= 2 * m and a + b < 2 * m + n:
+        raise PreconditionError(
+            f"f(r) = {a}*r + {b} never reaches 2*r*m + n (m = {m}, n = {n})")
+
+    def f(r):
+        total = Fraction(0)
+        for coef in coeffs:
+            total = total * r + coef
+        return total
+
+    budget, delta = SUPERLINEAR_SCAN_BUDGET, g.max_degree()
+    slope = sum(i * coef for i, coef in enumerate(reversed(coeffs)))
+    if (min(coeffs, default=0) >= 0 and f(1) >= delta + 1 and slope >= delta
+            and all(f(r) < 2 * r * m + n for r in (1, budget))):
+        raise PreconditionError(_SCAN_REFUSAL.format(budget))
+    return subdivide_uniform_superlinear(g, f)
 
 
 def expand_to_degree3(g: Graph) -> Tuple[Graph, Dict[int, int]]:

@@ -61,8 +61,7 @@ class SeparationReport:
 @dataclass(frozen=True)
 class Layering:
     """BFS layering V_0, ..., V_p of the component of min(X) in g[X], rooted
-    at that smallest vertex; g[X] is connected exactly when `order` covers
-    X.  Any root serves, since B_p(root) = X gives n <= f(p) <= c*p.
+    at that smallest vertex; g[X] is connected exactly when `order` covers X.
 
     Two layerings follow from this one without a BFS.  When `order` misses
     part of X, this is already the layering of the component of min(X).
@@ -70,12 +69,16 @@ class Layering:
     of layer i <= j is first reached from layer i - 1, also in A: so the
     BFS of g[A] from the same root visits `order[:ends[j]]` in the same
     order, and `prefix(j)` is that layering.  The record holds only what
-    the BFS measured; the cut `median` is read off `thin`."""
+    the BFS measured: the root is read off `order`, which it opens, and the
+    cut `median` off `thin`."""
 
-    root: int
     order: Tuple[int, ...]            # the reached vertices, layer by layer
     ends: Tuple[int, ...]             # ends[i] = |V_0| + ... + |V_i|
     thin: Tuple[int, ...]             # S: indices in [1,p] with |V_i| < 2c
+
+    @property
+    def root(self) -> int:
+        return self.order[0]
 
     @property
     def p(self) -> int:
@@ -102,7 +105,6 @@ class Layering:
             return self
         ends = self.ends[: j + 1]
         return Layering(
-            root=self.root,
             order=self.order[: ends[j]],
             ends=ends,
             thin=self.thin[: bisect_right(self.thin, j)],
@@ -127,10 +129,9 @@ def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
     behind both the layer split and the builder.  One BFS appends each
     vertex to `order`, and at the first vertex of each layer, where that
     layer ends to `ends`; it reaches only the component of min(X), so it
-    covers X exactly when g[X] is connected.  Any root serves: the
-    thick-layer count rests on n = |B_p(root)| <= f(p) <= c*p, true from
-    every root.  An id of X outside [0, n) is a RangeError; only a layering
-    that misses part of X needs max(X) checked, as it reaches only ids of g."""
+    covers X exactly when g[X] is connected.  An id of X outside [0, n) is
+    a RangeError; only a layering that misses part of X needs max(X)
+    checked, as it reaches only ids of g."""
     root = min(X)
     g._check_vertex(root)
     adj = g.adj
@@ -152,12 +153,7 @@ def bfs_layering(g: Graph, X: frozenset, c: Fraction) -> Layering:
     # ceil(2c), taken on c's integer terms.
     thick_size = -(-2 * c.numerator // c.denominator)
     thin = tuple(i for i in range(1, p + 1) if ends[i] - ends[i - 1] < thick_size)
-    return Layering(
-        root=root,
-        order=tuple(order),
-        ends=tuple(ends),
-        thin=thin,
-    )
+    return Layering(order=tuple(order), ends=tuple(ends), thin=thin)
 
 
 def iteration_cap(alpha) -> int:
@@ -216,10 +212,9 @@ def bfs_layer_separation(
     g: Graph, X: Optional[frozenset], c
 ) -> Tuple[Separation, Optional[Layering]]:
     """Layer split of any nonempty set X with the layering it cut,
-    alpha-balanced for alpha = 1 - 1/(4c) where f(r) <= c*r.  When
-    the layering of X covers X it is cut at its median thin index, so one
-    vertex gives (X, X); any root serves, since n <= f(p) <= c*p bounds the
-    thick layers.  Otherwise the smallest component J is peeled: either
+    alpha-balanced for alpha = 1 - 1/(4c) where f(r) <= c*r.  When the
+    layering of X covers X it is cut at its median thin index, so one vertex
+    gives (X, X).  Otherwise the smallest component J is peeled: either
     (X\\J, J) is balanced, or X\\J is separated the same way and J joins the
     smaller side.  The components of X\\J are those of X minus J, so one
     `components_within` call serves every level: the peel stops at the

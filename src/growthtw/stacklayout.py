@@ -149,10 +149,9 @@ def _conflict_masks(edges, pos):
 def _first_fit(g: Graph, pos, order) -> Tuple[Dict[Tuple[int, int], int], int]:
     """Edges by (left end ascending, right end descending), each to the
     lowest stack it crosses nothing on; returns the map to stacks 1..k and k.
-    pos maps each vertex to its position in order (a dict or a list).  Each
-    edge is keyed from its left end's adjacency list as
-    left * n + (n - 1 - right), the key that `check_stack_layout` sorts, and
-    is read back from order once placed.
+    pos lists each vertex's position in order.  Each edge is keyed from its
+    left end's adjacency list as left * n + (n - 1 - right), the key that
+    `check_stack_layout` sorts, and is read back from order once placed.
 
     Every span already placed starts at or before the new left end pa, so a
     stack's spans still open at pa nest: their right ends are kept as a

@@ -16,7 +16,7 @@ import growthtw.constructions as constructions_mod
 import growthtw.decomposition as decomposition_mod
 import growthtw.harness as harness_mod
 from growthtw.cli import main
-from growthtw.constructions import subdivide_uniform_superlinear
+from growthtw.constructions import subdivide_uniform_polynomial, subdivide_uniform_superlinear
 from growthtw.decomposition import TreeDecomposition, build_tree_decomposition
 from growthtw.errors import PreconditionError
 from growthtw.generators import FAMILIES, complete, grid, path, star
@@ -469,7 +469,7 @@ def test_subdivide_refuses_a_hopeless_convex_bound_at_once(tmp_path, monkeypatch
     def scan(*args, **kwargs):
         raise AssertionError("the scan ran")
 
-    monkeypatch.setattr(cli_mod, "subdivide_uniform_superlinear", scan)
+    monkeypatch.setattr(constructions_mod, "subdivide_uniform_superlinear", scan)
     p4 = write_graph(tmp_path, path(4))
     code, _, err = run_quietly(["subdivide", p4, "--mode", "uniform",
                                 "--poly", "1/1000000", "3", "1"])
@@ -501,8 +501,9 @@ SCAN_BUDGET = 40
 @example(Fraction(1, 1000), [Fraction(2), Fraction(0)], path(4))  # f(1) < 2*1 + 1
 @example(Fraction(1, 100), [Fraction(-1), Fraction(10), Fraction(0)], path(4))  # ell = 2
 def test_early_refusal_agrees_with_the_scan(fuzz_dir, leading, rest, g):
-    # With the budget cut to SCAN_BUDGET radii, the CLI's exit code and
-    # message equal those of the scan alone, for bounds of degree >= 2.
+    # With the budget cut to SCAN_BUDGET radii in `constructions` alone, the
+    # coefficient entry's record or message, and the CLI's exit code and
+    # message, equal those of the scan alone, for bounds of degree >= 2.
     # Negative coefficients, fractions such as -1/2 among them, are separate
     # tokens.
     coeffs = [leading] + rest
@@ -513,15 +514,18 @@ def test_early_refusal_agrees_with_the_scan(fuzz_dir, leading, rest, g):
             total = total * r + coef
         return total
 
+    def outcome(build, f):
+        try:
+            return build(g, f).to_json_dict()
+        except PreconditionError as exc:
+            return str(exc)
+
     src = write_graph(fuzz_dir, g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constructions_mod, "SUPERLINEAR_SCAN_BUDGET", SCAN_BUDGET)
-        mp.setattr(cli_mod, "SUPERLINEAR_SCAN_BUDGET", SCAN_BUDGET)
-        try:
-            subdivide_uniform_superlinear(g, bound)
-            expected = (0, "")
-        except PreconditionError as exc:
-            expected = (2, f"error: {exc}\n")
+        scanned = outcome(subdivide_uniform_superlinear, bound)
+        assert outcome(subdivide_uniform_polynomial, coeffs) == scanned
+        expected = (2, f"error: {scanned}\n") if isinstance(scanned, str) else (0, "")
         code, _, err = run_quietly(["subdivide", src, "--mode", "uniform",
                                     "--poly", *map(str, coeffs)])
     assert (code, err) == expected

@@ -15,6 +15,7 @@ from growthtw.constructions import (
     host_subdivision_plan,
     subdivide,
     subdivide_in_host,
+    subdivide_uniform_polynomial,
     subdivide_uniform_superlinear,
 )
 from growthtw.errors import (
@@ -324,6 +325,34 @@ def test_uniform_scan_budget(monkeypatch):
     monkeypatch.setattr(constructions_mod, "SUPERLINEAR_SCAN_BUDGET", 200)
     with pytest.raises(PreconditionError, match="for all r <= 200;"):
         subdivide_uniform_superlinear(complete(4), lambda r: Fraction(3 * r + 1))
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(constructions_mod, "subdivide_uniform_superlinear", scan)
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    # On path(4), r^2/10^6 + 3r + 1 stays below 2rm + n = 6r + 4 for every
+    # r <= 10^6, and 3r + 1 never reaches it.
+    ([Fraction(1, 10**6), 3, 1],
+     "f(r) < 2*r*m + n for all r <= 1000000; f is not superlinear enough"),
+    ([3, 1], "f(r) = 3*r + 1 never reaches 2*r*m + n (m = 3, n = 4)"),
+    ([], "f(r) = 0*r + 0 never reaches 2*r*m + n (m = 3, n = 4)"),
+])
+def test_uniform_polynomial_refuses_hopeless_bounds_without_the_scan(no_scan, coeffs, message):
+    with pytest.raises(PreconditionError) as exc:
+        subdivide_uniform_polynomial(path(4), coeffs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("coeffs", [[], [1, 0, 1]])
+def test_uniform_polynomial_refuses_the_empty_graph(coeffs):
+    with pytest.raises(PreconditionError, match="^cannot subdivide the empty graph$"):
+        subdivide_uniform_polynomial(Graph(0), coeffs)
 
 
 # ---------------------------------------------------------------- degree-3 expansion
