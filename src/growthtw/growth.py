@@ -282,8 +282,9 @@ def brute_force_growth(g: Graph, r: int) -> int:
     distances at least those of g[W], so its radius is no smaller, and
     infinite when g[W] is disconnected; candidates with extra isolated
     vertices are disconnected too, except for the bare single vertex,
-    which is handled directly.  No ball reasoning is
-    used anywhere."""
+    which is handled directly.  A set whose size can no longer raise the
+    table skips its BFS (see `_radius_table`).  No ball reasoning is used
+    anywhere."""
     if g.n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
     if r < 1:
@@ -300,7 +301,11 @@ def _radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     that is still allowed, and once w's branch is taken w is barred from
     S's later branches.  So a connected set T is reached along one path
     only, adding at each step the first allowed neighbour of the current
-    set that lies in T."""
+    set that lies in T.  A set of s vertices skips its radius BFS when
+    `_settled` marks s: every radius its window [1 or 2, s // 2] allows
+    already holds at least s vertices.  The skip is exact, since `best`
+    only grows and a settled size stays settled; the window reads only s
+    and the maximum degree, so no ball of g or induced radius enters."""
     support = [v for v in range(g.n) if g.adj[v]]
     if len(support) > BRUTE_FORCE_VERTEX_BUDGET:
         raise CapacityError(
@@ -309,6 +314,8 @@ def _radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
         )
     # A single vertex is a subgraph of radius 0.
     best = {0: 1}
+    delta = g.max_degree()
+    settled = _settled(best, delta, len(support))
     index = {v: i for i, v in enumerate(support)}
     adj_masks = [
         sum(1 << index[w] for w in g.adj[v] if w in index) for v in support
@@ -328,11 +335,27 @@ def _radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
                 allowed ^= low
                 bigger = mask | low
                 todo.append((bigger, near | adj_masks[low.bit_length() - 1], allowed))
-                rad = _mask_radius(adj_masks, bigger)
                 size = bigger.bit_count()
+                if settled[size]:
+                    continue
+                rad = _mask_radius(adj_masks, bigger)
                 if best.get(rad, 0) < size:
                     best[rad] = size
+                    settled = _settled(best, delta, len(support))
     return tuple(sorted(best.items()))
+
+
+def _settled(best: dict, delta: int, n: int) -> list:
+    """settled[s] for s = 0..n: whether no subgraph on s vertices can raise
+    `best`.  A connected subgraph on s >= 2 vertices of a graph of maximum
+    degree delta has radius at least 1, and at least 2 once s > delta + 1,
+    since a radius-1 centre is adjacent to the other s - 1 vertices; its
+    radius is at most s // 2, the most a spanning tree can have.  So it can
+    raise `best` only at a radius r in that window with best[r] < s."""
+    return [
+        all(best.get(r, 0) >= s for r in range(1 if s <= delta + 1 else 2, s // 2 + 1))
+        for s in range(n + 1)
+    ]
 
 
 def _mask_radius(adj_masks, mask: int) -> Optional[int]:
@@ -399,13 +422,18 @@ def _edge_subset_radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     mask of its non-isolated vertices are updated by one edge per subset.
     Subset i is the Gray code i ^ i >> 1, so its edge count is that code's
     bit count, and a subset with fewer edges than its vertices less one is
-    disconnected and skipped before any BFS.  Like `_radius_table`, its
-    cache is per process: a later call on an equal graph skips the
-    enumeration."""
+    disconnected and skipped before any BFS.  Before that, a subset whose
+    vertex count `_settled` marks is skipped, exactly as in `_radius_table`:
+    no radius in its window [1 or 2, s // 2] can rise, as `best` only
+    grows; no ball of g or induced radius enters.  Like
+    `_radius_table`, its cache is per process: a later call on an equal
+    graph skips the enumeration."""
     edges = g.edges()
     adj = [0] * g.n
     mask = 0
     best = {0: 1}
+    delta = g.max_degree()
+    settled = _settled(best, delta, g.n)
     for i in range(1, 1 << len(edges)):
         u, v = edges[(i & -i).bit_length() - 1]
         adj[u] ^= 1 << v
@@ -413,11 +441,12 @@ def _edge_subset_radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
         mask &= ~(1 << u | 1 << v)
         mask |= bool(adj[u]) << u | bool(adj[v]) << v
         size = mask.bit_count()
-        if (i ^ i >> 1).bit_count() < size - 1:
+        if settled[size] or (i ^ i >> 1).bit_count() < size - 1:
             continue
         rad = _mask_radius(adj, mask)
         if rad is not None and best.get(rad, 0) < size:
             best[rad] = size
+            settled = _settled(best, delta, g.n)
     return tuple(sorted(best.items()))
 
 

@@ -192,6 +192,14 @@ def test_brute_force_tables_equal_the_full_eccentricity_references():
     # walk that missed either component, or an edge-count skip that dropped a
     # connected subset such as the path itself, would change the tables.
     graphs.append(two_components(two_components(path(5), Graph(1)), complete(4)))
+    # The ends of the radius window [1 or 2, s // 2] that lets a subgraph on
+    # s vertices skip its BFS: a perfect matching (maximum degree 1, so no
+    # size above 2 has a radius left), a star (radius 1 at every size), K5,
+    # a path (radius exactly s // 2), and star(5) beside path(7), whose path
+    # raises radius-2 and radius-3 entries after the star has settled the
+    # small sizes.
+    graphs += [Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), star(7), complete(5), path(9),
+               two_components(star(5), path(7))]
     for g in graphs:
         assert growth_mod._edge_subset_radius_table.__wrapped__(g) == reference_edge_subset_table(g), g
         assert growth_mod._radius_table.__wrapped__(g) == reference_radius_table(g), g
@@ -199,6 +207,28 @@ def test_brute_force_tables_equal_the_full_eccentricity_references():
     for s in range(6):
         g = random_cubic(10, s)
         assert growth_mod._radius_table.__wrapped__(g) == reference_radius_table(g), g
+
+
+def test_brute_force_tables_skip_the_radius_of_settled_sizes(monkeypatch):
+    # A subgraph on s vertices whose whole radius window already holds s
+    # vertices in the table cannot raise it, so its BFS is skipped: 54 of the
+    # 4,095 edge subsets of this cubic graph and 67 of the connected sets of
+    # the 10-vertex one are measured, where every candidate was before.
+    calls = []
+    mask_radius = growth_mod._mask_radius
+
+    def counting(adj_masks, mask):
+        calls.append(mask)
+        return mask_radius(adj_masks, mask)
+
+    monkeypatch.setattr(growth_mod, "_mask_radius", counting)
+    for table, reference, g in (
+        (growth_mod._edge_subset_radius_table, reference_edge_subset_table, random_cubic(8, 1)),
+        (growth_mod._radius_table, reference_radius_table, random_cubic(10, 1)),
+    ):
+        calls.clear()
+        assert table.__wrapped__(g) == reference(g), g
+        assert len(calls) <= 100, (g, len(calls))
 
 
 def test_mask_radius_equals_every_eccentricity():
