@@ -268,11 +268,13 @@ def subdivide_uniform_polynomial(g: Graph, coeffs) -> SubdivisionRecord:
     bounds that the scan could only refuse are refused before it runs:
     - f(r) = a*r + b with a <= 2m and a + b < 2m + n: f(r) - 2rm - n never
       grows with r, so f reaches 2rm + n at some radius only if at r = 1;
-    - nonnegative coefficients with f(1) >= delta + 1 and f'(1) >= delta,
-      below 2rm + n at r = 1 and at the scan budget.  Such an f, and so
-      p(r) = f(r) - 2rm - n, is convex on r >= 1: p < 0 at both ends means
-      p < 0 at every radius the scan tries, and f(r) >= delta*r + 1 at
-      every radius, so the scan would end at its budget, with this message.
+    - with f = f+ - f-, both parts of nonnegative coefficients and B the
+      scan budget: f(1) >= delta + 1, f+'(1) - f-'(B) >= delta, and
+      f+(r) - f-(1) < 2rm + n at r = 1 and at r = B.  On [1, B] f' >=
+      f+'(1) - f-'(B) >= delta, so f(r) >= delta*r + 1, and f(r) <= f+(r) -
+      f-(1), whose excess over 2rm + n is convex and negative at both ends.
+      So the scan would end at its budget, with this message.  f itself
+      need not be convex there.  With no negative coefficient, f- = 0.
     The budget and the scan are this module's globals, read when called."""
     coeffs = list(coeffs)
     m, n = g.m, g.n
@@ -281,18 +283,21 @@ def subdivide_uniform_polynomial(g: Graph, coeffs) -> SubdivisionRecord:
         raise PreconditionError(
             f"f(r) = {a}*r + {b} never reaches 2*r*m + n (m = {m}, n = {n})")
 
-    def f(r):
+    def value(cs, r):
         total = Fraction(0)
-        for coef in coeffs:
+        for coef in cs:
             total = total * r + coef
         return total
 
+    def slope(cs, r):
+        return value([(len(cs) - 1 - i) * coef for i, coef in enumerate(cs[:-1])], r)
+
     budget, delta = SUPERLINEAR_SCAN_BUDGET, g.max_degree()
-    slope = sum(i * coef for i, coef in enumerate(reversed(coeffs)))
-    if (min(coeffs, default=0) >= 0 and f(1) >= delta + 1 and slope >= delta
-            and all(f(r) < 2 * r * m + n for r in (1, budget))):
+    up, down = [max(coef, 0) for coef in coeffs], [max(-coef, 0) for coef in coeffs]
+    if (value(coeffs, 1) >= delta + 1 and slope(up, 1) - slope(down, budget) >= delta
+            and all(value(up, r) - value(down, 1) < 2 * r * m + n for r in (1, budget))):
         raise PreconditionError(_SCAN_REFUSAL.format(budget))
-    return subdivide_uniform_superlinear(g, f)
+    return subdivide_uniform_superlinear(g, lambda r: value(coeffs, r))
 
 
 def expand_to_degree3(g: Graph) -> Tuple[Graph, Dict[int, int]]:

@@ -1,8 +1,9 @@
 """Tree-decompositions: boundary-tracking construction from layer-split
 separators, validity/width checking, exact treewidth on small instances by
 decision passes over elimination prefixes between a minor-min-width lower
-bound and a min-fill upper bound (each k tried first on the contraction
-minors behind that lower bound), and grid-minor model verification.
+bound and a min-fill upper bound (each k climbs the contraction minors
+behind that lower bound, smallest first, then the graph), and grid-minor
+model verification.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Tuple
 
 from .errors import CapacityError, InvariantViolationError, ModelError, PreconditionError, RangeError
@@ -251,16 +253,15 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
     winning elimination order, so its bags may differ from those of another
     exact solver while its width is exact.
 
-    Each k is first tried on the minors H of the walk, smallest first,
-    skipping those with at most k + 1 vertices, whose pass always succeeds.
-    Every minor H of g has tw(H) <= tw(g), and the pass is exact at every
-    k, so a minor whose pass fails proves tw(g) > k: k is refuted without
-    the pass on g (the contraction lower bounds of Bodlaender, Koster &
-    Wolle, JGAA 2006).  The next k starts from that minor, since the
-    smaller ones succeeded at k and so succeed at k + 1.  Only a k that no
-    minor refutes runs the pass on g, the same call as without minors, so
-    the width and witness do not depend on them.  Minors are compacted only
-    when some k is tried."""
+    Every k climbs one ladder: the minors H of the walk, smallest first,
+    then g.  A rung passes at k if it has at most k + 1 vertices (g never
+    does, as k < ub <= n - 1) or if its pass succeeds.  Every minor H of g
+    has tw(H) <= tw(g) and the pass is exact, so a failing rung refutes k;
+    a minor does so without the pass on g (the contraction lower bounds of
+    Bodlaender, Koster & Wolle, JGAA 2006).  The next k starts on that
+    rung, since the rungs below passed at k and so pass at k + 1.  g's pass
+    is the same call as without minors, so the width and witness do not
+    depend on them.  Each minor is compacted when the ladder reaches it."""
     n = g.n
     if n == 0:
         raise PreconditionError("treewidth is undefined for the empty graph")
@@ -268,17 +269,14 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
     adjm = [sum(1 << w for w in g.adj[v]) for v in range(n)]
     lb, contracted = _contraction_walk(adjm)
     witness = _order_decomposition(adjm, _min_fill_order(adjm))
-    minors = map(_compact_minor, reversed(contracted))
-    h = next(minors, None)
+    ladder = chain((_compact_minor(state)[0] for state in reversed(contracted)), [adjm])
+    h = next(ladder)
     for k in range(lb, witness.width):
-        while h is not None and (len(h[0]) <= k + 1 or _elimination_order_within(h[0], k) is not None):
-            h = next(minors, None)
-        if h is not None:
-            continue
-        order = _elimination_order_within(adjm, k)
-        if order is not None:
-            witness = _order_decomposition(adjm, order)
-            break
+        while len(h) <= k + 1 or (order := _elimination_order_within(h, k)) is not None:
+            if h is adjm:
+                witness = _order_decomposition(adjm, order)
+                return witness.width, witness
+            h = next(ladder)
     return witness.width, witness
 
 

@@ -404,12 +404,14 @@ def brute_force_growth_edge_subsets(g: Graph, r: int) -> int:
     used to cross-validate the vertex-subset oracle on tiny graphs."""
     if g.n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
+    if r < 1:
+        raise RangeError(f"r must be >= 1, got {r}")
     if g.m > BRUTE_FORCE_EDGE_SUBSET_BUDGET:
         raise CapacityError(
             f"edge-subset enumeration refuses m={g.m} > {BRUTE_FORCE_EDGE_SUBSET_BUDGET}"
         )
     table = _edge_subset_radius_table(g)
-    return max((size for rad, size in table if rad <= r), default=1)
+    return max(size for rad, size in table if rad <= r)
 
 
 @lru_cache(maxsize=256)

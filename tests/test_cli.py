@@ -138,6 +138,18 @@ def test_separate_perfect_matching(tmp_path, capsys):
     assert check_separation(g, None, sep, Fraction(data["alpha"])).valid
 
 
+def test_separate_exits_1_and_writes_the_report_when_the_check_fails(tmp_path, monkeypatch):
+    # The edge 1-2 crosses A = {0, 1} and B = {2, 3} on path(4): the report
+    # is still written, and only the exit code says that the check failed.
+    monkeypatch.setattr(cli_mod, "bfs_layer_separation",
+                        lambda g, w, c: (Separation(frozenset({0, 1}), frozenset({2, 3})), None))
+    src = write_graph(tmp_path, path(4))
+    out = tmp_path / "sep.json"
+    assert main(["separate", src, "--c", "3", "-o", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert (data["valid"], data["order"]) == (False, 0)
+
+
 def test_treedecomp_checktd_round_trip(tmp_path, capsys):
     src = write_graph(tmp_path, grid(3))
     td_file = tmp_path / "td.json"
@@ -477,6 +489,22 @@ def test_subdivide_refuses_a_hopeless_convex_bound_at_once(tmp_path, monkeypatch
     assert err == "error: f(r) < 2*r*m + n for all r <= 1000000; f is not superlinear enough\n"
 
 
+def test_subdivide_refuses_a_hopeless_bound_with_a_negative_coefficient_at_once(tmp_path,
+                                                                                 monkeypatch):
+    # On path(4), f = r^3/10^12 - r^2/10^9 + 3r + 1 is concave for r < 1000/3,
+    # and f+(r) - f-(1) = r^3/10^12 + 3r + 1 - 1/10^9 stays below 6r + 4 for
+    # every r <= 10^6, where f' >= 3 - 2/1000; the scan took about 14 s.
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(constructions_mod, "subdivide_uniform_superlinear", scan)
+    p4 = write_graph(tmp_path, path(4))
+    code, _, err = run_quietly(["subdivide", p4, "--mode", "uniform",
+                                "--poly", "1/1000000000000", "-1/1000000000", "3", "1"])
+    assert code == 2
+    assert err == "error: f(r) < 2*r*m + n for all r <= 1000000; f is not superlinear enough\n"
+
+
 def test_subdivide_names_a_failing_radius_without_printing_f(tmp_path):
     # Each coefficient passes the print cap, but f(1) = 1/a + 1/b + 1 has a
     # denominator of about 8600 digits, which str() refuses to print.
@@ -500,6 +528,8 @@ SCAN_BUDGET = 40
 @example(Fraction(1, 1000), [Fraction(1), Fraction(5)], path(4))  # f(5) < 2*5 + 1
 @example(Fraction(1, 1000), [Fraction(2), Fraction(0)], path(4))  # f(1) < 2*1 + 1
 @example(Fraction(1, 100), [Fraction(-1), Fraction(10), Fraction(0)], path(4))  # ell = 2
+@example(Fraction(1, 10**12), [Fraction(-1, 10**9), Fraction(3), Fraction(1)],
+         path(4))  # refused at once, though concave on [1, 40]
 def test_early_refusal_agrees_with_the_scan(fuzz_dir, leading, rest, g):
     # With the budget cut to SCAN_BUDGET radii in `constructions` alone, the
     # coefficient entry's record or message, and the CLI's exit code and
