@@ -215,9 +215,9 @@ def _tw_exact(args) -> int:
     if report.width != width:
         raise InvariantViolationError(
             f"tree decomposition: width {report.width}, not the treewidth {width}")
-    print(width)
     if args.witness:
         _write_json(args.witness, witness.to_json_dict())
+    print(width)
     return 0
 
 
@@ -246,9 +246,9 @@ def _subdivide(args) -> int:
         if not args.poly:
             raise GrowthTWError("--mode uniform requires --poly COEFF...")
         record = subdivide_uniform_polynomial(g, args.poly)
-    _write_json(args.out, record.to_json_dict())
     if args.result_out:
         _write(args.result_out, serialize_edge_list(record.result))
+    _write_json(args.out, record.to_json_dict())
     return 0
 
 
@@ -263,9 +263,9 @@ def _expand3(args) -> int:
             raise InvariantViolationError("the map does not contract it back to the input")
     except GrowthTWError as exc:
         raise InvariantViolationError(f"degree-3 expansion: {exc}") from exc
-    _write(args.out, serialize_edge_list(result))
     if args.map_out:
         _write_json(args.map_out, {str(k): v for k, v in sorted(minor_map.items())})
+    _write(args.out, serialize_edge_list(result))
     return 0
 
 

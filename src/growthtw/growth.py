@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from typing import Callable, Optional, Tuple
 
 from .errors import CapacityError, PreconditionError, RangeError
@@ -83,9 +83,9 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
     maximised over r in [1, min(r_max, n)].  Up to PROFILE_SWEEP_LIMIT
     vertices, all balls grow together in `_ball_rounds`, one per class of
     closed twins, and f(r) is the largest bit count over the classes of
-    round r; otherwise one source per class (`_twin_sources`) runs its BFS
-    (`_ball_sizes`) to radius r_max or its whole component.  r_max past
-    VERTEX_BUDGET is a CapacityError."""
+    round r; otherwise each class's BFS (`_source_rounds`) runs to radius
+    r_max or its whole component.  r_max past VERTEX_BUDGET is a
+    CapacityError."""
     if g.n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
     if r_max < 1:
@@ -102,9 +102,8 @@ def growth_profile(g: Graph, r_max: int) -> GrowthProfile:
         for r, balls in zip(range(1, r_max + 1), _ball_rounds(g.adj)):
             largest[r] = max(map(int.bit_count, balls))
     else:
-        seen = [-1] * g.n
-        for v in _twin_sources(g.adj, range(g.n)):
-            for r, (size, _) in zip(range(1, r_max + 1), _ball_sizes(g.adj, v, seen)):
+        for rounds in _source_rounds(g.adj):
+            for r, (size, _) in zip(range(1, r_max + 1), rounds):
                 if size > largest[r]:
                     largest[r] = size
     values = tuple(accumulate(largest[1:], max))
@@ -117,42 +116,34 @@ def growth_constant(g: Graph) -> Fraction:
     """Exact c_G = max_v max_r |B_r(v)|/r.  The best ratio starts at
     f(1)/1 = max degree + 1, and each source v leaves the search after the
     first radius r at which its ball is its whole component or `_threshold`
-    says that no later radius can beat the best.
+    says that no later radius can beat the best.  Radius 1 is the first of
+    these rounds, with |B_1(v)| = deg(v) + 1 and deg(v) vertices at
+    distance 1.  Its test grows with the degree, so when `_threshold` at
+    r = 1 is None or a vertex of maximum degree fails it, the starting best
+    is c and no kernel runs.
 
-    Radius 1 is decided from degrees alone: |B_1(v)| = deg(v) + 1 with
-    deg(v) vertices at distance 1, and no such ball beats the starting
-    best, so one threshold is tested once per degree.  Closed twins,
-    vertices u, v with N[u] = N[v], have B_r(u) = B_r(v) at every r >= 1
-    (by induction: B_1(u) = N[u], and B_{r+1}(x) is the union of B_r(w)
-    over w in N[x]), so they offer the same ratios and only one source per
-    class is searched.  When some source passes radius 1 and
-    n <= SWEEP_VERTEX_LIMIT, all classes grow together, radius by radius,
-    as vertex bitmasks (`_sweep`), which raises the best once per radius
-    and tests every class against one threshold.  Each mask takes up to
-    n/8 bytes and two generations are kept, so the limit caps them at
-    64 MiB; above it, one source per class (`_twin_sources`) among those
-    that pass radius 1 runs its own BFS (`_ball_sizes`) in O(n) memory,
-    raising the best by each ball and testing it against the threshold of
-    its radius."""
+    Closed twins, vertices u, v with N[u] = N[v], have B_r(u) = B_r(v) at
+    every r >= 1 (by induction: B_1(u) = N[u], and B_{r+1}(x) is the union
+    of B_r(w) over w in N[x]), so they offer the same ratios and only one
+    source per class is searched.  Up to SWEEP_VERTEX_LIMIT vertices, all
+    classes grow together, radius by radius, as vertex bitmasks (`_sweep`),
+    which raises the best once per radius and tests every class against one
+    threshold.  Each mask takes up to n/8 bytes and two generations are
+    kept, so the limit caps them at 64 MiB; above it, each class's BFS
+    (`_source_rounds`) runs in O(n) memory, raising the best by each ball
+    and testing it against the threshold of its radius."""
     n = g.n
     if n == 0:
         raise PreconditionError("growth is undefined for the empty graph")
     delta = g.max_degree()
     num, den = delta + 1, 1
     bar = _threshold(n, delta, 1, num, den)
-    if bar is None:
-        return Fraction(num, den)
-    need, gain = bar
-    # The test grows with the degree, so some source passes iff one of
-    # maximum degree does.
-    passes = [d + 1 + d * gain >= need for d in range(delta + 1)]
-    if not passes[delta]:
+    if bar is None or delta + 1 + delta * bar[1] < bar[0]:
         return Fraction(num, den)
     if n <= SWEEP_VERTEX_LIMIT:
-        return Fraction(*_sweep(g.adj, passes, delta, num, den))
-    seen = [-1] * n
-    for v in _twin_sources(g.adj, (v for v, nbrs in enumerate(g.adj) if passes[len(nbrs)])):
-        for r, (size, level) in enumerate(_ball_sizes(g.adj, v, seen), start=1):
+        return Fraction(*_sweep(g.adj, delta, num, den))
+    for rounds in _source_rounds(g.adj):
+        for r, (size, level) in enumerate(rounds, start=1):
             if size * den > num * r:
                 num, den = size, r
             bar = _threshold(n, delta, r, num, den)
@@ -161,15 +152,19 @@ def growth_constant(g: Graph) -> Fraction:
     return Fraction(num, den)
 
 
-def _twin_sources(adj, vertices):
-    """The source rule of both per-source BFS loops: the first of
-    `vertices` in each class of closed twins, keyed by its sorted closed
-    neighbourhood, with no n-bit masks.  Twins have equal balls at every
-    radius r >= 1, so the other vertices of a class add nothing."""
+def _source_rounds(adj):
+    """The per-source kernel of both growth functions: for the first
+    vertex of each class of closed twins, keyed by its sorted closed
+    neighbourhood with no n-bit masks, the rounds of its BFS
+    (`_ball_sizes`), all over one stamp list.  Twins have equal balls at
+    every radius r >= 1, so the other vertices of a class add nothing.  A
+    caller may leave a source's rounds early: the stamps are per source."""
     sources = {}
-    for v in vertices:
-        sources.setdefault(tuple(sorted((*adj[v], v))), v)
-    return sources.values()
+    for v, nbrs in enumerate(adj):
+        sources.setdefault(tuple(sorted((*nbrs, v))), v)
+    seen = [-1] * len(adj)
+    for v in sources.values():
+        yield _ball_sizes(adj, v, seen)
 
 
 def _threshold(n: int, delta: int, r: int, num: int, den: int) -> Optional[Tuple[int, int]]:
@@ -240,24 +235,23 @@ def _grow(balls, adj) -> list:
     return grown
 
 
-def _sweep(adj, passes: list, delta: int, num: int, den: int) -> Tuple[int, int]:
+def _sweep(adj, delta: int, num: int, den: int) -> Tuple[int, int]:
     """Grow every ball by one radius per round (`_ball_rounds`), from
-    radius 2 on, while some class of closed twins that passes radius 1
-    (`passes[d]` for its degree d) might still beat the best ratio num/den,
-    and return the final best.  Twins have equal balls, hence equal sizes
-    and levels at every radius and the same `_threshold` decision, so one
-    entry per class stays active.  Each round counts the active balls,
-    raises the best once by the largest of them, returns once `_threshold`
-    says that no ball of that radius can beat it, and otherwise keeps the
-    classes with size + level * gain >= need.  The balls of inactive
-    classes keep growing, since their neighbours' balls are built from
-    them."""
+    radius 1 on, while some class of closed twins might still beat the best
+    ratio num/den, and return the final best.  Twins have equal balls,
+    hence equal sizes and levels at every radius and the same `_threshold`
+    decision, so one entry per class stays active.  Every class starts
+    active, its radius-0 ball one vertex, so its level at r = 1 is its
+    degree.  Each round counts the active balls, raises the best once by
+    the largest of them, returns once `_threshold` says that no ball of
+    that radius can beat it, and otherwise keeps the classes with
+    size + level * gain >= need.  The balls of inactive classes keep
+    growing, since their neighbours' balls are built from them."""
     n = len(adj)
     rounds = _ball_rounds(adj)
-    first = [ball.bit_count() for ball in next(rounds)]
-    active = [k for k, size in enumerate(first) if passes[size - 1]]
-    previous = [first[k] for k in active]
-    for r, balls in enumerate(rounds, start=2):
+    first = next(rounds)
+    active, previous = range(len(first)), [1] * len(first)
+    for r, balls in enumerate(chain([first], rounds), start=1):
         sizes = [balls[k].bit_count() for k in active]
         top = max(sizes)
         if top * den > num * r:

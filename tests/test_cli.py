@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -667,6 +668,46 @@ def test_unwritable_output_is_input_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "x.json"
     assert main(["treedecomp", src, "--c", "3", "-o", str(target)]) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tw-exact", "--witness", "{missing}"],
+    ["expand3", "-o", "{primary}", "--map-out", "{missing}"],
+    ["subdivide", "--mode", "uniform", "--poly", "1", "3", "1",
+     "-o", "{primary}", "--result-out", "{missing}"],
+], ids=["tw-exact", "expand3", "subdivide"])
+def test_an_unwritable_optional_output_writes_nothing(tmp_path, argv):
+    # The optional output is written first, so its failure leaves neither
+    # the primary file nor a line on stdout behind.
+    src = write_graph(tmp_path, complete(4))
+    primary, missing = tmp_path / "primary.out", tmp_path / "missing-dir" / "x"
+    argv = [argv[0], src] + [arg.format(primary=primary, missing=missing) for arg in argv[1:]]
+    code, out, err = run_quietly(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {missing}: ")
+    assert not primary.exists()
+
+
+def test_growth_reads_stdin(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p 3 2\n0 1\n1 2\n")))
+    assert run_quietly(["growth", "-"]) == (0, "1,3\n2,3\n3,3\n# c = 3 at r = 1\n", "")
+
+
+def test_non_utf8_stdin_is_input_error_in_process(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p 2 1\n0 \xff\n")))
+    code, out, err = run_quietly(["growth", "-"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read -: ")
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["growthtw", "generate", "path", "2"])
+    # Run as `python -m` would, on a fresh copy of the module.
+    monkeypatch.delitem(sys.modules, "growthtw.cli")
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("growthtw.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "p 2 1\n0 1\n"
 
 
 def separate_in_a_process(tmp_path, source, data, env):

@@ -74,6 +74,8 @@ def test_equality_and_hash():
     g3 = Graph(3, [(0, 1)])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != g3
+    # Comparison with another type is left to that type.
+    assert g1.__eq__(1) is NotImplemented and g1 != 1
 
 
 def test_parse_round_trip():

@@ -821,6 +821,8 @@ def test_dense_workload_twin_class_counts(seed):
     relabelled(blow_up(random_cubic(60, 1), 4), 3),
     two_components(clique_on_path(6, 9), relabelled(blow_up(grid(5), 3), 2)),
     random_cubic(40, 2),
+    # Five isolated vertices: classes that fail radius 1.
+    two_components(random_cubic(40, 2), Graph(5)),
 ])
 def test_the_per_source_bfs_runs_once_per_twin_class(monkeypatch, g):
     c, swept = growth_constant(g), growth_profile(g, g.n)
