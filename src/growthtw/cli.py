@@ -4,7 +4,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -117,8 +119,21 @@ def _write(path: str, text: str):
         raise GrowthTWError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(path: str, data):
-    _write(path, json.dumps(data, indent=2) + "\n")
+def _json(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _write_both(path: str, text: str, optional, optional_text: str):
+    """Writes the optional output first, if any; a failed primary write removes that file."""
+    if optional:
+        _write(optional, optional_text)
+    try:
+        _write(path, text)
+    except GrowthTWError:
+        if optional and optional != "-":
+            with contextlib.suppress(OSError):
+                os.remove(optional)
+        raise
 
 
 def _effective_c(args, g) -> Fraction:
@@ -170,7 +185,7 @@ def _separate(args) -> int:
         else:
             print("# no trace: the separation peels whole components and cuts no layer",
                   file=sys.stderr)
-    _write_json(args.out, payload)
+    _write(args.out, _json(payload))
     return 0 if report.valid else 1
 
 
@@ -193,7 +208,7 @@ def _treedecomp(args) -> int:
     g = _read_graph(args.input)
     td = build_tree_decomposition(g, _effective_c(args, g))
     _check_td(g, td)
-    _write_json(args.out, td.to_json_dict())
+    _write(args.out, _json(td.to_json_dict()))
     return 0
 
 
@@ -215,9 +230,7 @@ def _tw_exact(args) -> int:
     if report.width != width:
         raise InvariantViolationError(
             f"tree decomposition: width {report.width}, not the treewidth {width}")
-    if args.witness:
-        _write_json(args.witness, witness.to_json_dict())
-    print(width)
+    _write_both("-", f"{width}\n", args.witness, _json(witness.to_json_dict()))
     return 0
 
 
@@ -225,13 +238,13 @@ def _stack(args) -> int:
     g = _read_graph(args.input)
     td = build_tree_decomposition(g, _effective_c(args, g))
     _check_td(g, td)
-    _write_json(args.out, _check_layout(g, _layout(g, td)).to_json_dict())
+    _write(args.out, _json(_check_layout(g, _layout(g, td)).to_json_dict()))
     return 0
 
 
 def _stack_exact(args) -> int:
     g = _read_graph(args.input)
-    _write_json(args.out, _check_layout(g, exact_stack_number(g)[1]).to_json_dict())
+    _write(args.out, _json(_check_layout(g, exact_stack_number(g)[1]).to_json_dict()))
     return 0
 
 
@@ -246,9 +259,8 @@ def _subdivide(args) -> int:
         if not args.poly:
             raise GrowthTWError("--mode uniform requires --poly COEFF...")
         record = subdivide_uniform_polynomial(g, args.poly)
-    if args.result_out:
-        _write(args.result_out, serialize_edge_list(record.result))
-    _write_json(args.out, record.to_json_dict())
+    _write_both(args.out, _json(record.to_json_dict()), args.result_out,
+                serialize_edge_list(record.result))
     return 0
 
 
@@ -263,9 +275,8 @@ def _expand3(args) -> int:
             raise InvariantViolationError("the map does not contract it back to the input")
     except GrowthTWError as exc:
         raise InvariantViolationError(f"degree-3 expansion: {exc}") from exc
-    if args.map_out:
-        _write_json(args.map_out, {str(k): v for k, v in sorted(minor_map.items())})
-    _write(args.out, serialize_edge_list(result))
+    _write_both(args.out, serialize_edge_list(result), args.map_out,
+                _json({str(k): v for k, v in sorted(minor_map.items())}))
     return 0
 
 

@@ -261,15 +261,15 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
     Bodlaender, Koster & Wolle, JGAA 2006).  The next k starts on that
     rung, since the rungs below passed at k and so pass at k + 1.  g's pass
     is the same call as without minors, so the width and witness do not
-    depend on them.  Each minor is compacted when the ladder reaches it."""
+    depend on them."""
     n = g.n
     if n == 0:
         raise PreconditionError("treewidth is undefined for the empty graph")
     _exact_treewidth_size(n)
     adjm = [sum(1 << w for w in g.adj[v]) for v in range(n)]
-    lb, contracted = _contraction_walk(adjm)
+    lb, minors = _contraction_walk(adjm)
     witness = _order_decomposition(adjm, _min_fill_order(adjm))
-    ladder = chain((_compact_minor(state)[0] for state in reversed(contracted)), [adjm])
+    ladder = chain((rows for rows, _ in reversed(minors)), [adjm])
     h = next(ladder)
     for k in range(lb, witness.width):
         while len(h) <= k + 1 or (order := _elimination_order_within(h, k)) is not None:
@@ -326,37 +326,27 @@ def _contraction_walk(adjm):
     minimum-degree vertex into its least-degree neighbour (delete it when
     isolated) until one vertex is left, and keep the largest minimum degree
     seen.  Returns that bound and the minors after each step, largest
-    first, each as its adjacency and branch sets, both keyed by the
-    surviving ids of g and held as bitmasks over g's vertices."""
-    adj = dict(enumerate(adjm))
-    parts = {v: 1 << v for v in adj}
-    best = 0
-    contracted = []
-    while len(adj) > 1:
-        v = min(adj, key=lambda v: (adj[v].bit_count(), v))
-        nbrs = adj.pop(v)
-        part = parts.pop(v)
-        best = max(best, nbrs.bit_count())
+    first, each as bitmask rows and branch sets (bitmasks over g) on ids
+    0..n'-1 in g's order, so that ties break as they would on g's ids."""
+    rows, parts = list(adjm), [1 << v for v in range(len(adjm))]
+    best, minors = 0, []
+    while len(rows) > 1:
+        v = min(range(len(rows)), key=lambda v: (rows[v].bit_count(), v))
+        best = max(best, rows[v].bit_count())
+        # New lists, so no kept minor is edited; as every neighbour of v
+        # loses bit v, their order by degree stays.
+        low = (1 << v) - 1
+        squeeze = lambda row: row & low | row >> 1 & ~low
+        rows, parts = [squeeze(row) for row in rows], list(parts)
+        nbrs, part = rows.pop(v), parts.pop(v)
         if nbrs:
-            u = min(iter_bits(nbrs), key=lambda u: (adj[u].bit_count(), u))
-            adj[u] = (adj[u] | nbrs) & ~(1 << u) & ~(1 << v)
+            u = min(iter_bits(nbrs), key=lambda u: (rows[u].bit_count(), u))
+            rows[u] = (rows[u] | nbrs) & ~(1 << u)
             parts[u] |= part
             for w in iter_bits(nbrs & ~(1 << u)):
-                adj[w] = (adj[w] & ~(1 << v)) | (1 << u)
-        contracted.append((dict(adj), dict(parts)))
-    return best, contracted
-
-
-def _compact_minor(state):
-    """A minor of `_contraction_walk` on ids 0..n'-1, in the order of its
-    surviving ids: its bitmask adjacency and the branch set of each vertex."""
-    adj, parts = state
-    ids = sorted(adj)
-    index = {v: i for i, v in enumerate(ids)}
-    return (
-        [sum(1 << index[w] for w in iter_bits(adj[v])) for v in ids],
-        [parts[v] for v in ids],
-    )
+                rows[w] |= 1 << u
+        minors.append((rows, parts))
+    return best, minors
 
 
 def _elimination_order_within(adjm, k: int) -> Optional[list]:

@@ -311,9 +311,7 @@ def _radius_table(g: Graph) -> Tuple[Tuple[int, int], ...]:
     delta = g.max_degree()
     settled = _settled(best, delta, len(support))
     index = {v: i for i, v in enumerate(support)}
-    adj_masks = [
-        sum(1 << index[w] for w in g.adj[v] if w in index) for v in support
-    ]
+    adj_masks = [sum(1 << index[w] for w in g.adj[v]) for v in support]
     full = (1 << len(support)) - 1
     for v, nbrs in enumerate(adj_masks):
         first = 1 << v

@@ -688,6 +688,23 @@ def test_an_unwritable_optional_output_writes_nothing(tmp_path, argv):
     assert not primary.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand3", "-o", "{missing}", "--map-out", "{optional}"],
+    ["subdivide", "--mode", "uniform", "--poly", "1", "3", "1",
+     "-o", "{missing}", "--result-out", "{optional}"],
+], ids=["expand3", "subdivide"])
+def test_an_unwritable_primary_output_leaves_no_optional_file(tmp_path, argv):
+    # The optional output was written first; the failed primary write
+    # removes it again.
+    src = write_graph(tmp_path, complete(4))
+    optional, missing = tmp_path / "optional.out", tmp_path / "missing-dir" / "x"
+    argv = [argv[0], src] + [arg.format(optional=optional, missing=missing) for arg in argv[1:]]
+    code, out, err = run_quietly(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {missing}: ")
+    assert not optional.exists()
+
+
 def test_growth_reads_stdin(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p 3 2\n0 1\n1 2\n")))
     assert run_quietly(["growth", "-"]) == (0, "1,3\n2,3\n3,3\n# c = 3 at r = 1\n", "")

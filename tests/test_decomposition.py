@@ -505,9 +505,70 @@ def test_bounds_sandwich_the_treewidth():
 
 
 def walk_minors(g):
+    return decomposition_mod._contraction_walk([sum(1 << w for w in g.adj[v]) for v in range(g.n)])
+
+
+def reference_contraction_walk(adjm):
+    """The walk on g's own ids: adjacency and branch sets in dicts keyed by
+    the surviving vertices, each minor re-indexed onto 0..n'-1 afterwards."""
+    adj = dict(enumerate(adjm))
+    parts = {v: 1 << v for v in adj}
+    best = 0
+    minors = []
+    while len(adj) > 1:
+        v = min(adj, key=lambda v: (adj[v].bit_count(), v))
+        nbrs = adj.pop(v)
+        part = parts.pop(v)
+        best = max(best, nbrs.bit_count())
+        if nbrs:
+            u = min(iter_bits(nbrs), key=lambda u: (adj[u].bit_count(), u))
+            adj[u] = (adj[u] | nbrs) & ~(1 << u) & ~(1 << v)
+            parts[u] |= part
+            for w in iter_bits(nbrs & ~(1 << u)):
+                adj[w] = (adj[w] & ~(1 << v)) | (1 << u)
+        ids = sorted(adj)
+        index = {w: i for i, w in enumerate(ids)}
+        minors.append(([sum(1 << index[x] for x in iter_bits(adj[w])) for w in ids],
+                       [parts[w] for w in ids]))
+    return best, minors
+
+
+@st.composite
+def walk_graphs(draw):
+    """Graphs on up to 18 vertices: a few components, each a union of
+    cliques, cycles and random edges, so that equal degrees tie often, plus
+    isolated vertices."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    n = min(18, sum(sizes) + isolated)
+    edges = set()
+    start = 0
+    for size in sizes:
+        block = list(range(start, min(start + size, n)))
+        start += size
+        if len(block) < 2:
+            continue
+        shape = draw(st.sampled_from(["clique", "cycle", "random"]))
+        if shape == "clique":
+            edges.update(combinations(block, 2))
+        elif shape == "cycle":
+            edges.update(tuple(sorted(e)) for e in zip(block, block[1:] + block[:1]) if e[0] != e[1])
+        else:
+            possible = list(combinations(block, 2))
+            edges.update(draw(st.lists(st.sampled_from(possible), unique=True)))
+    labels = draw(st.permutations(range(n)))
+    return Graph(n, sorted(tuple(sorted((labels[a], labels[b]))) for a, b in edges))
+
+
+@given(walk_graphs())
+@settings(max_examples=150, deadline=None)
+@example(Graph(1))
+@example(Graph(5))
+@example(disjoint_union(cycle(6), Graph(2)))
+@example(random_cubic(18, seed=17))
+def test_the_walk_matches_the_walk_on_g_ids(g):
     adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
-    lb, contracted = decomposition_mod._contraction_walk(adjm)
-    return lb, [decomposition_mod._compact_minor(state) for state in contracted]
+    assert decomposition_mod._contraction_walk(adjm) == reference_contraction_walk(adjm)
 
 
 def test_the_walk_minors_are_the_minors_of_their_branch_sets():
